@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -176,6 +177,36 @@ def _cmd_parse(args) -> int:
     return _emit(_report("parse", inputs, {"canonical": canonical}, checks), args)
 
 
+def _grid_nodes(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
+def _cutoff_radius(text: str) -> float:
+    r = float(text)
+    if not (r > 0 and math.isfinite(r)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return r
+
+
+# Options whose value is an expression that may start with '-' (a negative
+# leading coefficient); argparse would read such a token as an option.
+_SIGNED_VALUE_OPTIONS = frozenset({"-P", "-T", "-U", "--center"})
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite `-U -x1` as `-U=-x1` so a leading '-' stays part of the value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="eulerdist",
@@ -210,8 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", dest="dim", type=int, default=None)
     p.add_argument("--center", default=None, help="comma-separated rationals")
     p.add_argument("--width", default="1", help="Gaussian width (rational)")
-    p.add_argument("--grid", type=int, default=None, help="nodes per axis")
-    p.add_argument("--cutoff", type=float, default=40.0, help="frequency box radius")
+    p.add_argument("--grid", type=_grid_nodes, default=None, help="nodes per axis")
+    p.add_argument(
+        "--cutoff", type=_cutoff_radius, default=40.0, help="frequency box radius"
+    )
     p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(func=_cmd_wagner_check)
 
@@ -225,20 +258,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._t0 = time.monotonic()
     if args.command == "parse" and args.dim is None:
         args.dim = None if args.P is not None else 1
-    if args.command == "wagner-check":
-        if args.dim is None:
-            probe = parse_poly(args.P)
-            args.dim = probe.dim
-        if args.grid is None:
-            args.grid = 4096 if args.dim == 1 else 512
     try:
+        if args.command == "wagner-check":
+            if args.dim is None:
+                args.dim = parse_poly(args.P).dim
+            if args.grid is None:
+                args.grid = 4096 if args.dim == 1 else 512
         return args.func(args)
     except (ParseError, CoordinateConflict, DimensionError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -22,7 +22,7 @@ class TermNotHyperplaneSupported(EulerDistError):
 
 
 class EscalationExceeded(EulerDistError):
-    """Log-power escalation exceeded its bound (defensive; should not happen)."""
+    """The log-power system or the solve recursion exceeded its bound (defensive)."""
 
 
 class QuadratureNoConvergence(EulerDistError):

@@ -19,7 +19,6 @@ outer interval uses adaptive quadrature with a Gaussian-decay cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, log
 from typing import Iterable, Sequence
@@ -34,17 +33,6 @@ from .theta import apply_polynomial, apply_theta
 
 _SERIES_CAP = 800
 _TAIL_RUN = 8
-
-
-@dataclass(frozen=True)
-class RegularizationR:
-    """Marker for the fixed finite-part convention documented above."""
-
-    split_point: float = 1.0
-    reflection_for_negative_sign: bool = True
-
-
-REGULARIZATION = RegularizationR()
 
 
 def _taylor_coeffs(g: GaussPoly, count: int) -> list[float]:

@@ -7,9 +7,10 @@ Dispatch per canonical term of T:
     maximal linear factor (z_j + k + 1)^r and inverting (theta_j + k + 1)
     r times on the finite resonant subspace;
   * delta-free terms are solved in the quotient calculus modulo
-    delta-supported distributions (exact linear algebra on log-power
-    bumps bounded by the vanishing order of P at the term's eigenvalue),
-    and the exact delta-supported residual is fed back through the solver.
+    delta-supported distributions by one exact elimination on the
+    log-polynomial box of total degree |p| + v, v the vanishing order of P
+    at the term's eigenvalue, and the exact delta-supported residual is fed
+    back through the solver.
 
 Every solve verifies its output by forward application before returning.
 """
@@ -19,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
-from typing import Optional
+from math import factorial, perm
 
 from .atoms import (
     Atom1D,
@@ -67,46 +67,21 @@ def verify(P: Polynomial, U: DistExpr, T: DistExpr) -> bool:
 # -- quotient calculus (log-polynomial) solve ----------------------------
 
 
-def _apply_shifted(S: Polynomial, u: Polynomial) -> Polynomial:
-    """Apply sum_beta S_beta d^beta to a log-polynomial u (same dim)."""
-    out = Polynomial.zero(u.dim)
-    for beta, c in S.terms.items():
-        v = u
-        for j, b in enumerate(beta):
-            for _ in range(b):
-                v = v.partial(j + 1)
-            if v.is_zero():
-                break
-        if not v.is_zero():
-            out = out + v.scale(c)
-    return out
+def _solve_log_system(S: Polynomial, p_exp: tuple[int, ...], v: int) -> Polynomial:
+    """Solve S(d) u = z^p on the box {q : |q| <= |p| + v}.
 
-
-def _solve_log_system(S: Polynomial, p_exp: tuple[int, ...], bump: int) -> Optional[Polynomial]:
-    """Solve P(mu + d) u = L^p on the box {q : |q| <= |p| + bump}.
-
-    S is the Taylor shift P(z + mu).  Returns a particular solution with all
-    free coefficients zero, or None when the boxed system is inconsistent.
-    The box is graded by total degree: the lowest-order part of S is a
-    nonzero homogeneous operator of order v = vanishing_order(P, mu), which
-    maps each homogeneous degree g + v onto degree g, so a solution always
-    exists once bump reaches v.  (A per-coordinate box q_j <= p_j + bump
-    does not have this property.)
+    S is the Taylor shift P(z + mu) and v = vanishing_order(P, mu), so every
+    term of S has order >= v and its lowest-order part is a nonzero
+    homogeneous operator of order exactly v, mapping each homogeneous degree
+    g + v onto degree g.  A solution therefore exists on this box, while on
+    any box of total degree below |p| + v the image never reaches z^p.  (A
+    per-coordinate box q_j <= p_j + v does not have this property.)  Column
+    images are closed-form falling factorials,
+    d^beta z^q = prod_j q_j!/(q_j - beta_j)! z^(q - beta).  Returns the
+    particular solution with all free coefficients zero.
     """
     d = S.dim
-    zero = (0,) * d
-    rhs_poly = Polynomial(d, {p_exp: Fraction(1)})
-    c0 = S.terms.get(zero, Fraction(0))
-    if c0 != 0 and bump == 0:
-        # (c0 + N) u = rhs with N strictly lowering exponents: finite Neumann sum.
-        u = Polynomial.zero(d)
-        term = rhs_poly.scale(Fraction(1, 1) / c0)
-        nil = S - Polynomial.constant(d, c0)
-        while not term.is_zero():
-            u = u + term
-            term = _apply_shifted(nil, term).scale(Fraction(-1) / c0)
-        return u
-    total = sum(p_exp) + bump
+    total = sum(p_exp) + v
     cols = sorted(
         (q for q in product(range(total + 1), repeat=d) if sum(q) <= total),
         key=grlex_key,
@@ -119,9 +94,12 @@ def _solve_log_system(S: Polynomial, p_exp: tuple[int, ...], bump: int) -> Optio
     rhs[col_index[p_exp]] = Fraction(1)
     col_rows: list[set[int]] = [set() for _ in range(n)]
     for ci, q in enumerate(cols):
-        image = _apply_shifted(S, Polynomial(d, {q: Fraction(1)}))
-        for mono, c in image.terms.items():
-            ri = col_index[mono]
+        for beta, c in S.terms.items():
+            if any(b > qj for b, qj in zip(beta, q)):
+                continue
+            for qj, b in zip(q, beta):
+                c *= perm(qj, b)
+            ri = col_index[tuple(qj - b for qj, b in zip(q, beta))]
             rows[ri][ci] = c
             col_rows[ci].add(ri)
     # Gauss-Jordan with fixed column order; the pivot column set (and hence
@@ -149,8 +127,8 @@ def _solve_log_system(S: Polynomial, p_exp: tuple[int, ...], bump: int) -> Optio
                 col_rows[c].discard(ri)
                 continue
             row = rows[ri]
-            for cc, v in prow.items():
-                nv = row.get(cc, Fraction(0)) - f * v
+            for cc, val in prow.items():
+                nv = row.get(cc, Fraction(0)) - f * val
                 if nv:
                     row[cc] = nv
                     col_rows[cc].add(ri)
@@ -163,9 +141,10 @@ def _solve_log_system(S: Polynomial, p_exp: tuple[int, ...], bump: int) -> Optio
     # non-pivot rows are entirely zero here; consistency is their rhs.
     for ri in range(n):
         if ri not in pivot_rows and rhs[ri] != 0:
-            return None
-    sol = {c: rhs[pr] for c, pr in pivot_of_col.items()}
-    return Polynomial(d, {cols[c]: v for c, v in sol.items() if v})
+            raise EscalationExceeded(
+                f"log-power system inconsistent on the degree-{total} box"
+            )
+    return Polynomial(d, {cols[c]: rhs[pr] for c, pr in pivot_of_col.items()})
 
 
 def solve_continuous_term(
@@ -173,27 +152,18 @@ def solve_continuous_term(
 ) -> tuple[DistExpr, DistExpr, int, int]:
     """Solve P(theta) U = t modulo delta-supported terms.
 
-    Returns (U_partial, residual, bump_used, vanishing_order); the residual
-    t - P(theta) U_partial is computed in the full calculus and is always
-    delta-supported.
+    One exact elimination on the log-polynomial box of total degree |p| + v,
+    v = vanishing_order(P, mu) at the term's eigenvalue mu.  Returns
+    (U_partial, residual, bump_used, vanishing_order) with bump_used = v; the
+    residual t - P(theta) U_partial is computed in the full calculus and is
+    always delta-supported.
     """
     if t.has_delta():
         raise UnsupportedInput("solve_continuous_term requires a delta-free term")
     mu = eigenvalue(t)
     v, _ = vanishing_order(P, mu)
-    S = taylor_shift(P, mu)
     p_exp = tuple(f.p for f in t.factors)
-    u = None
-    bump_used = 0
-    for bump in range(v + 1):
-        u = _solve_log_system(S, p_exp, bump)
-        if u is not None:
-            bump_used = bump
-            break
-    if u is None:
-        raise EscalationExceeded(
-            f"no log-polynomial solution within bump {v} for P at mu={tuple(mu)}"
-        )
+    u = _solve_log_system(taylor_shift(P, mu), p_exp, v)
     terms = []
     for q, c in u.terms.items():
         factors = tuple(
@@ -207,7 +177,7 @@ def solve_continuous_term(
             raise EscalationExceeded(
                 "continuous residual contains a delta-free term (internal error)"
             )
-    return U_partial, residual, bump_used, v
+    return U_partial, residual, v, v
 
 
 # -- resonant one-dimensional inversion ----------------------------------
@@ -292,8 +262,7 @@ def _solve(
             j = next(i + 1 for i, f in enumerate(t.factors) if isinstance(f, Delta))
             groups.setdefault((j, t.factors[j - 1].k), []).append(t)
         else:
-            up, residual, bump, v = solve_continuous_term(P, t)
-            assert bump <= v, "escalation exceeded the vanishing order"
+            up, residual, bump, _ = solve_continuous_term(P, t)
             esc[0] = max(esc[0], bump)
             parts.extend(up.terms)
             residuals.extend(residual.terms)
@@ -302,7 +271,8 @@ def _solve(
         parts.extend(sub.terms)
     if residuals:
         parts.extend(_solve(P, dist(T.dim, residuals), trace, esc).terms)
-    assert direct[0] <= budget, "recursion trace exceeded its hard cap"
+    if direct[0] > budget:
+        raise EscalationExceeded("recursion trace exceeded its hard cap")
     return dist(T.dim, parts)
 
 

@@ -35,6 +35,7 @@ from .errors import (
     DimensionError,
     DuplicateLambda,
     PoleOnGrid,
+    QuadratureNoConvergence,
     UnsupportedInput,
     ZeroPolynomial,
 )
@@ -85,7 +86,8 @@ def wagner_coefficients(m: int, lam: Sequence[Fraction]) -> tuple[Fraction, ...]
     for i in range(m + 1):
         total = sum(a * l**i for a, l in zip(a_prod, lam))
         expected = Fraction(1 if i == m else 0)
-        assert total == expected, "Vandermonde normalization failed"
+        if total != expected:
+            raise DuplicateLambda(f"Vandermonde normalization failed for {lam}")
     return tuple(a_prod)
 
 
@@ -107,7 +109,8 @@ class WagnerParams:
         a = wagner_coefficients(m, lam)
         two_eta = tuple(2 * e for e in eta)
         normalizer = poly_eval(principal_part(P), two_eta)
-        assert normalizer != 0
+        if normalizer == 0:
+            raise ZeroPolynomial(f"principal part vanishes at 2*eta = {two_eta}")
         return cls(m=m, eta=eta, lam=lam, a=a, normalizer=normalizer)
 
 
@@ -211,7 +214,10 @@ def pair_E(
                         f"(lambda={lam})"
                     )
                 G = np.conj(Pj) / Pj
-                assert float(np.max(np.abs(np.abs(G) - 1.0))) <= 1e-12
+                if not float(np.max(np.abs(np.abs(G) - 1.0))) <= 1e-12:
+                    raise QuadratureNoConvergence(
+                        f"symbol ratio is not unimodular on the grid (lambda={lam})"
+                    )
                 # Psi_j = plain Fourier integral of e^{beta.x} chi, per monomial.
                 psi = np.zeros((N,) * d, dtype=complex)
                 for alpha, pc in chi.poly.sorted_terms():
@@ -243,7 +249,6 @@ def pair_E(
 
 def _apply_p_minus_d(P: Polynomial, phi: GaussPoly) -> GaussPoly:
     """P(-d/dx) phi, computed symbolically in GaussPoly."""
-    out = phi.with_poly(Polynomial.zero(phi.dim))
     acc_poly = Polynomial.zero(phi.dim)
     for alpha, c in P.terms.items():
         g = phi

@@ -54,6 +54,25 @@ class TestVerifyCommand:
         assert json.loads(out)["outputs"]["verified"] is False
 
 
+    def test_negative_leading_coefficient_round_trip(self, capsys):
+        code, out = run(capsys, "solve", "-P", "t1+1", "-T", "-delta(x1,0)", "-d", "1")
+        assert code == 0
+        solution = json.loads(out)["outputs"]["solution"]
+        assert solution.startswith("-")
+        code, out = run(
+            capsys,
+            "verify",
+            "-P", "t1+1",
+            "-U", solution,
+            "-T", "-delta(x1,0)",
+            "-d", "1",
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["inputs"]["U"] == solution
+        assert rep["outputs"]["verified"] is True
+
+
 class TestParseCommand:
     def test_round_trip_check(self, capsys):
         code, out = run(capsys, "parse", "-P", "t1^2*t2 - 3*t1 + 2")
@@ -86,6 +105,26 @@ class TestWagnerCommand:
         rep = json.loads(out)
         assert rep["outputs"]["eta"] == [1]
         assert rep["checks"][0]["value"] <= 1e-4
+
+    def test_parse_error_without_dim_exit_2(self, capsys):
+        code, out = run(capsys, "wagner-check", "-P", "t1 +")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--grid", "1"),
+            ("--grid", "0"),
+            ("--grid", "-3"),
+            ("--cutoff", "0"),
+            ("--cutoff", "-1"),
+            ("--cutoff", "nan"),
+        ],
+    )
+    def test_bad_grid_or_cutoff_exit_2(self, capsys, flag, value):
+        code, _ = run(capsys, "wagner-check", "-P", "t1", flag, value)
+        assert code == 2
 
 
 class TestDeterminism:

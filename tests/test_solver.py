@@ -4,6 +4,7 @@ import pytest
 
 from eulerdist.atoms import Delta, MonLog, TensorTerm, dist, full_monomial, single
 from eulerdist.errors import UnsupportedInput, ZeroPolynomial
+from eulerdist.grammar import format_dist, parse_dist, parse_poly
 from eulerdist.poly import Polynomial
 from eulerdist.solver import (
     resonant_1d,
@@ -78,6 +79,27 @@ class TestSolve:
         assert rep.verified
         assert rep.escalation_depth <= P.degree
 
+    @pytest.mark.parametrize(
+        "P, T, d, solution, depth",
+        [
+            # v = 0 with a log power: a square triangular system.
+            ("t1+1", "log(x1)*H(x1)", 1, "-H(x1) + log(x1)*H(x1)", 0),
+            (
+                "(t1+t2)^2*(t1^2+1)",
+                "log(x1)*H(x1)*log(x2)^2*H(-x2)",
+                2,
+                "-1/30*H(x1)*log(x2)^5*H(-x2)"
+                " + 1/12*log(x1)*H(x1)*log(x2)^4*H(-x2)",
+                2,
+            ),
+        ],
+    )
+    def test_pinned_log_solutions(self, P, T, d, solution, depth):
+        rep = solve(parse_poly(P, d), parse_dist(T, d))
+        assert rep.verified
+        assert format_dist(rep.solution) == solution
+        assert rep.escalation_depth == depth
+
 
 class TestSolveContinuousTerm:
     def test_simple_resonance(self):
@@ -85,7 +107,7 @@ class TestSolveContinuousTerm:
         U, residual, bump, v = solve_continuous_term(P, TensorTerm(F(1), (MonLog(2, 0, 1),)))
         assert U == single((MonLog(2, 1, 1),))
         assert residual.is_zero()
-        assert bump <= v == 1
+        assert bump == v == 1
 
     def test_mixed_bump(self):
         P = zvar(2, 1) * zvar(2, 2)

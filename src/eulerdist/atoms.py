@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionError, TermNotHyperplaneSupported
-from .poly import EigenValue, RationalLike
+from .poly import RationalLike
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,25 @@ def single(atoms: Sequence[Atom1D], coeff: RationalLike = 1) -> DistExpr:
     return dist(len(atoms), [TensorTerm(Fraction(coeff), tuple(atoms))])
 
 
+def full_line(n: int, p: int = 0) -> list[tuple[Fraction, MonLog]]:
+    """x^n log^p|x| on the whole line: MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1)."""
+    sign = Fraction(-1 if n % 2 else 1)
+    return [(Fraction(1), MonLog(n, p, 1)), (sign, MonLog(n, p, -1))]
+
+
+def expand_tensor(
+    coeff: Fraction, alternatives: Sequence[Sequence[tuple[Fraction, Atom1D]]]
+) -> list[TensorTerm]:
+    """The terms of coeff * prod_j (sum of coordinate j's (c, atom) pairs)."""
+    terms = []
+    for combo in product(*alternatives):
+        c = coeff
+        for fc, _ in combo:
+            c *= fc
+        terms.append(TensorTerm(c, tuple(a for _, a in combo)))
+    return terms
+
+
 def full_monomial(alpha: Sequence[int], d: int | None = None) -> DistExpr:
     """The full-line monomial x^alpha as a sum over half-line sign patterns."""
     alpha = tuple(int(a) for a in alpha)
@@ -139,21 +158,12 @@ def full_monomial(alpha: Sequence[int], d: int | None = None) -> DistExpr:
         d = len(alpha)
     if len(alpha) != d or any(a < 0 for a in alpha):
         raise DimensionError(f"bad monomial multi-index {alpha} for dim {d}")
-    terms = []
-    for signs in product((1, -1), repeat=d):
-        coeff = Fraction(1)
-        factors = []
-        for n, s in zip(alpha, signs):
-            factors.append(MonLog(n, 0, s))
-            if s == -1 and n % 2 == 1:
-                coeff = -coeff
-        terms.append(TensorTerm(coeff, tuple(factors)))
-    return dist(d, terms)
+    return dist(d, expand_tensor(Fraction(1), [full_line(n) for n in alpha]))
 
 
-def eigenvalue(t: TensorTerm) -> EigenValue:
+def eigenvalue(t: TensorTerm) -> tuple[Fraction, ...]:
     """Per-coordinate theta-eigenvalue vector of a tensor term."""
-    return EigenValue(tuple(eig(f) for f in t.factors))
+    return tuple(eig(f) for f in t.factors)
 
 
 def decompose_hyperplane(e: DistExpr) -> list[tuple[int, DistExpr]]:

@@ -8,8 +8,8 @@ Every run emits one JSON report object with the shape
 to stdout (or --output FILE).  Reports are byte-identical across runs with
 identical inputs; wall_time_ms is null unless --timing is given, since a
 measured time would break that determinism.  Exit codes: 0 all checks
-passed, 1 at least one check failed, 2 parse or usage error, 3 internal
-error.
+passed, 1 at least one check failed, 2 parse or usage error (including a
+zero polynomial P), 3 internal error.
 """
 
 from __future__ import annotations
@@ -22,13 +22,19 @@ import time
 from fractions import Fraction
 
 from .atoms import Delta, MonLog
-from .errors import CoordinateConflict, DimensionError, ParseError, EulerDistError
+from .errors import (
+    CoordinateConflict,
+    DimensionError,
+    EulerDistError,
+    ParseError,
+    ZeroPolynomial,
+)
 from .gausspoly import GaussPoly
 from .grammar import format_dist, format_poly, parse_dist, parse_poly
 from .oracle import adjoint_check
 from .poly import Polynomial
 from .solver import solve, verify
-from .wagner import WagnerParams, pair_E, me_check
+from .wagner import WagnerParams, me_check
 
 
 def _check(name: str, ok: bool, value, tolerance) -> dict:
@@ -191,6 +197,20 @@ def _cutoff_radius(text: str) -> float:
     return r
 
 
+def _rationals_text(text: str, positive: bool = False) -> str:
+    """Keep text if it is comma-separated rationals in float range (exactly
+    one, > 0, if positive); empty text means no value."""
+    try:
+        values = [float(Fraction(v)) for v in text.split(",")] if text else []
+        ok = not positive or (len(values) == 1 and values[0] > 0)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        ok = False
+    if not ok:
+        what = "one rational > 0" if positive else "comma-separated rationals"
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return text
+
+
 # Options whose value is an expression that may start with '-' (a negative
 # leading coefficient); argparse would read such a token as an option.
 _SIGNED_VALUE_OPTIONS = frozenset({"-P", "-T", "-U", "--center"})
@@ -239,8 +259,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wagner-check", help="Malgrange-Ehrenpreis desk check")
     p.add_argument("-P", required=True)
     p.add_argument("-d", dest="dim", type=int, default=None)
-    p.add_argument("--center", default=None, help="comma-separated rationals")
-    p.add_argument("--width", default="1", help="Gaussian width (rational)")
+    p.add_argument("--center", type=_rationals_text, help="comma-separated rationals")
+    p.add_argument(
+        "--width",
+        type=lambda text: _rationals_text(text, positive=True),
+        default="1",
+        help="Gaussian width (rational)",
+    )
     p.add_argument("--grid", type=_grid_nodes, default=None, help="nodes per axis")
     p.add_argument(
         "--cutoff", type=_cutoff_radius, default=40.0, help="frequency box radius"
@@ -273,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.grid is None:
                 args.grid = 4096 if args.dim == 1 else 512
         return args.func(args)
-    except (ParseError, CoordinateConflict, DimensionError) as exc:
+    except (ParseError, CoordinateConflict, DimensionError, ZeroPolynomial) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, ParseError):
             err["error"]["position"] = exc.position

@@ -16,8 +16,9 @@ coefficient times a product of coordinate factors
     mono(x<j>,<n>)  full-line monomial sugar, n >= 0
 
 Factors naming one coordinate combine into a single half-line or delta atom
-for that coordinate; a delta cannot be combined with anything else there
-(CoordinateConflict).  In a group carrying H(-x<j>), powers and logs refer
+for that coordinate.  A delta or mono factor owns its coordinate, and a
+power, log or H factor may appear once per coordinate; anything else is a
+CoordinateConflict.  In a group carrying H(-x<j>), powers and logs refer
 to |x_j|, matching the reflected-atom convention.  A group with no H factor
 denotes the full-line object and expands into the two half-line atoms with
 the parity sign (-1)^n on the left piece.  Coordinates absent from a term
@@ -29,9 +30,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from typing import Iterable
 
-from .atoms import Delta, DistExpr, MonLog, TensorTerm, dist
+from .atoms import Delta, DistExpr, MonLog, TensorTerm, dist, expand_tensor, full_line
 from .errors import CoordinateConflict, DimensionError, ParseError
 from .poly import Polynomial
 
@@ -84,6 +85,13 @@ class _Cursor:
         self.i += 1
         return t
 
+    def accept(self, kind: str) -> bool:
+        """Consume the current token if it is of this kind."""
+        if self.tok.kind != kind:
+            return False
+        self.i += 1
+        return True
+
     def expect(self, kind: str) -> _Token:
         if self.tok.kind != kind:
             raise ParseError(
@@ -100,37 +108,33 @@ class _Cursor:
 # -- polynomials -----------------------------------------------------------
 
 
-def _var_index(name: str, prefix: str, cur: _Cursor) -> int:
-    if not name.startswith(prefix) or not name[len(prefix) :].isdigit():
-        raise cur.fail(f"a {prefix}<j> variable")
-    j = int(name[len(prefix) :])
-    if not 1 <= j <= 9:
-        raise ParseError(f"variable index out of range 1..9: {name}", cur.tok.pos)
-    return j
+def _rational(cur: _Cursor) -> Fraction:
+    """An `n` or `n/m` literal."""
+    value = Fraction(int(cur.expect("num").text))
+    if cur.accept("/"):
+        den = cur.expect("num")
+        if int(den.text) == 0:
+            raise ParseError("zero denominator", den.pos)
+        value /= int(den.text)
+    return value
 
 
 def _poly_atom(cur: _Cursor, dim: int) -> Polynomial:
     t = cur.tok
-    if t.kind == "(":
-        cur.advance()
+    if cur.accept("("):
         p = _poly_sum(cur, dim)
         cur.expect(")")
         return p
-    if t.kind == "-":
-        cur.advance()
+    if cur.accept("-"):
         return -_poly_atom(cur, dim)
     if t.kind == "num":
-        cur.advance()
-        value = Fraction(int(t.text))
-        if cur.tok.kind == "/":
-            cur.advance()
-            den = cur.expect("num")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.pos)
-            value /= int(den.text)
-        return Polynomial.constant(dim, value)
+        return Polynomial.constant(dim, _rational(cur))
     if t.kind == "name":
-        j = _var_index(t.text, "t", cur)
+        if not (t.text.startswith("t") and t.text[1:].isdigit()):
+            raise cur.fail("a t<j> variable")
+        j = int(t.text[1:])
+        if not 1 <= j <= 9:
+            raise ParseError(f"variable index out of range 1..9: {t.text}", t.pos)
         if j > dim:
             raise DimensionError(f"variable t{j} exceeds dimension {dim}")
         cur.advance()
@@ -140,17 +144,14 @@ def _poly_atom(cur: _Cursor, dim: int) -> Polynomial:
 
 def _poly_power(cur: _Cursor, dim: int) -> Polynomial:
     base = _poly_atom(cur, dim)
-    if cur.tok.kind == "^":
-        cur.advance()
-        exp = cur.expect("num")
-        return base ** int(exp.text)
+    if cur.accept("^"):
+        return base ** int(cur.expect("num").text)
     return base
 
 
 def _poly_product(cur: _Cursor, dim: int) -> Polynomial:
     p = _poly_power(cur, dim)
-    while cur.tok.kind == "*":
-        cur.advance()
+    while cur.accept("*"):
         p = p * _poly_power(cur, dim)
     return p
 
@@ -182,196 +183,136 @@ def parse_poly(src: str, dim: int | None = None) -> Polynomial:
     return p
 
 
+def _signed_sum(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
+    """`a - b + c` from (coefficient, factor texts) pairs, or `0` if none.
+
+    A coefficient of magnitude 1 is left out unless the term has no factor.
+    """
+    out = ""
+    for c, factors in terms:
+        mag = abs(c)
+        body = "*".join(factors if mag == 1 and factors else [str(mag)] + factors)
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
+
+
 def format_poly(P: Polynomial) -> str:
     """Canonical text form; parse_poly(format_poly(P)) == P."""
-    if P.is_zero():
-        return "0"
-    pieces = []
-    for alpha, c in P.sorted_terms():
-        factors = []
-        for j, a in enumerate(alpha, start=1):
-            if a == 1:
-                factors.append(f"t{j}")
-            elif a > 1:
-                factors.append(f"t{j}^{a}")
-        mag = abs(c)
-        coeff_txt = str(mag)
-        if factors and mag == 1:
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([coeff_txt] + factors)
-        else:
-            body = coeff_txt
-        pieces.append(("- " if c < 0 else "+ ") + body)
-    head = pieces[0]
-    head = ("-" + head[2:]) if head.startswith("- ") else head[2:]
-    return " ".join([head] + pieces[1:])
+    return _signed_sum(
+        (c, [f"t{j}" if a == 1 else f"t{j}^{a}" for j, a in enumerate(alpha, 1) if a])
+        for alpha, c in P.sorted_terms()
+    )
 
 
 # -- distributions ---------------------------------------------------------
 
-
-@dataclass
-class _Group:
-    """Factors accumulated for one coordinate inside a term."""
-
-    n: int | None = None
-    p: int = 0
-    h: int | None = None  # +1, -1, or None (full line)
-    delta: int | None = None
-    mono: int | None = None
-
-    def conflict(self, pos: int, what: str):
-        raise CoordinateConflict(f"{what} (at offset {pos})")
+# A delta or mono factor owns its coordinate; power, log and H may each
+# appear once.  Messages of the CoordinateConflict a kind of factor raises.
+_OWNS_COORDINATE = frozenset({"delta", "mono"})
+_CONFLICT = {
+    "power": "power factor conflicts with an earlier factor",
+    "log": "log factor conflicts with an earlier factor",
+    "H": "half-line factor conflicts with an earlier factor",
+    "delta": "delta combined with another factor",
+    "mono": "mono combined with another factor",
+}
 
 
-def _coord_index(cur: _Cursor, d: int) -> int:
-    name = cur.expect("name")
-    if not name.text.startswith("x") or not name.text[1:].isdigit():
-        raise ParseError(f"expected x<j>, found {name.text!r}", name.pos)
-    j = int(name.text[1:])
+def _x_index(t: _Token, d: int) -> int | None:
+    """j for a coordinate name x<j> with 1 <= j <= d; None for other names."""
+    if not (t.text.startswith("x") and t.text[1:].isdigit()):
+        return None
+    j = int(t.text[1:])
     if not 1 <= j <= d:
         raise DimensionError(f"coordinate x{j} exceeds dimension {d}")
     return j
 
 
+def _coord_arg(cur: _Cursor, d: int) -> int:
+    """The x<j> argument of log, H, delta and mono."""
+    name = cur.expect("name")
+    j = _x_index(name, d)
+    if j is None:
+        raise ParseError(f"expected x<j>, found {name.text!r}", name.pos)
+    return j
+
+
 def _signed_int(cur: _Cursor) -> int:
-    sign = 1
-    if cur.tok.kind == "-":
-        cur.advance()
-        sign = -1
+    sign = -1 if cur.accept("-") else 1
     return sign * int(cur.expect("num").text)
 
 
-def _dist_factor(cur: _Cursor, d: int, groups: dict[int, _Group], pos: int):
+def _dist_factor(cur: _Cursor, d: int, groups: dict[int, dict[str, int]]) -> None:
+    """Read one factor into groups[j][kind], its integer argument."""
     t = cur.expect("name")
-    name = t.text
-    if name.startswith("x") and name[1:].isdigit():
-        j = int(name[1:])
-        if not 1 <= j <= d:
-            raise DimensionError(f"coordinate x{j} exceeds dimension {d}")
-        n = 1
-        if cur.tok.kind == "^":
-            cur.advance()
-            n = _signed_int(cur)
-        g = groups.setdefault(j, _Group())
-        if g.delta is not None or g.mono is not None or g.n is not None:
-            g.conflict(t.pos, f"power factor conflicts with an earlier factor for x{j}")
-        g.n = n
-        return
-    if name == "log":
+    j = _x_index(t, d)
+    if j is not None:
+        kind, value = "power", _signed_int(cur) if cur.accept("^") else 1
+    elif t.text == "log":
+        kind, value = "log", 1
         cur.expect("(")
-        j = _coord_index(cur, d)
+        j = _coord_arg(cur, d)
         cur.expect(")")
-        p = 1
-        if cur.tok.kind == "^":
-            cur.advance()
-            p = int(cur.expect("num").text)
-            if p < 1:
+        if cur.accept("^"):
+            value = int(cur.expect("num").text)
+            if value < 1:
                 raise ParseError("log power must be >= 1", t.pos)
-        g = groups.setdefault(j, _Group())
-        if g.delta is not None or g.mono is not None or g.p:
-            g.conflict(t.pos, f"log factor conflicts with an earlier factor for x{j}")
-        g.p = p
-        return
-    if name == "H":
+    elif t.text == "H":
         cur.expect("(")
-        s = 1
-        if cur.tok.kind == "-":
-            cur.advance()
-            s = -1
-        j = _coord_index(cur, d)
+        kind, value = "H", -1 if cur.accept("-") else 1
+        j = _coord_arg(cur, d)
         cur.expect(")")
-        g = groups.setdefault(j, _Group())
-        if g.delta is not None or g.mono is not None or g.h is not None:
-            g.conflict(t.pos, f"half-line factor conflicts with an earlier factor for x{j}")
-        g.h = s
-        return
-    if name == "delta":
+    elif t.text in ("delta", "mono"):
+        kind = t.text
         cur.expect("(")
-        j = _coord_index(cur, d)
+        j = _coord_arg(cur, d)
         cur.expect(",")
-        k = int(cur.expect("num").text)
+        # A delta order is an unsigned literal; only mono can read a '-'.
+        value = int(cur.expect("num").text) if kind == "delta" else _signed_int(cur)
         cur.expect(")")
-        g = groups.setdefault(j, _Group())
-        if g.delta is not None or g.mono is not None or g.n is not None or g.p or g.h is not None:
-            g.conflict(t.pos, f"delta combined with another factor for x{j}")
-        g.delta = k
-        return
-    if name == "mono":
-        cur.expect("(")
-        j = _coord_index(cur, d)
-        cur.expect(",")
-        n = _signed_int(cur)
-        cur.expect(")")
-        if n < 0:
+        if value < 0:
             raise ParseError("mono needs a nonnegative exponent", t.pos)
-        g = groups.setdefault(j, _Group())
-        if g.delta is not None or g.mono is not None or g.n is not None or g.p or g.h is not None:
-            g.conflict(t.pos, f"mono combined with another factor for x{j}")
-        g.mono = n
-        return
-    raise ParseError(
-        f"expected a factor (x<j>, log, H, delta, mono), found {name!r}", t.pos
-    )
+    else:
+        raise ParseError(
+            f"expected a factor (x<j>, log, H, delta, mono), found {t.text!r}", t.pos
+        )
+    g = groups.setdefault(j, {})
+    owned = kind in _OWNS_COORDINATE or not _OWNS_COORDINATE.isdisjoint(g)
+    if kind in g or (g and owned):
+        raise CoordinateConflict(f"{_CONFLICT[kind]} for x{j} (at offset {t.pos})")
+    g[kind] = value
 
 
-def _group_atoms(g: _Group) -> list[tuple[Fraction, object]]:
+def _group_atoms(g: dict[str, int]) -> list[tuple[Fraction, object]]:
     """Expand one coordinate group into (coefficient, atom) alternatives."""
-    if g.delta is not None:
-        return [(Fraction(1), Delta(g.delta))]
-    if g.mono is not None:
-        n = g.mono
-        return [
-            (Fraction(1), MonLog(n, 0, 1)),
-            (Fraction(-1 if n % 2 else 1), MonLog(n, 0, -1)),
-        ]
-    n = g.n if g.n is not None else 0
-    if g.h is not None:
-        return [(Fraction(1), MonLog(n, g.p, g.h))]
-    return [
-        (Fraction(1), MonLog(n, g.p, 1)),
-        (Fraction(-1 if n % 2 else 1), MonLog(n, g.p, -1)),
-    ]
+    if "delta" in g:
+        return [(Fraction(1), Delta(g["delta"]))]
+    n = g.get("power", g.get("mono", 0))
+    p = g.get("log", 0)
+    if "H" in g:
+        return [(Fraction(1), MonLog(n, p, g["H"]))]
+    return full_line(n, p)
 
 
-def _dist_term(cur: _Cursor, d: int) -> list[TensorTerm]:
-    coeff = Fraction(1)
-    groups: dict[int, _Group] = {}
-    saw_factor = False
+def _dist_term(cur: _Cursor, d: int, coeff: Fraction) -> list[TensorTerm]:
+    """The tensor terms of one product; coeff is the sign in front of it."""
+    groups: dict[int, dict[str, int]] = {}
     while True:
-        t = cur.tok
-        if t.kind == "num":
-            cur.advance()
-            value = Fraction(int(t.text))
-            if cur.tok.kind == "/":
-                cur.advance()
-                den = cur.expect("num")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.pos)
-                value /= int(den.text)
-            coeff *= value
-        elif t.kind == "name":
-            _dist_factor(cur, d, groups, t.pos)
-            saw_factor = True
+        if cur.tok.kind == "num":
+            coeff *= _rational(cur)
+        elif cur.tok.kind == "name":
+            _dist_factor(cur, d, groups)
         else:
             raise cur.fail("a coefficient or factor")
-        if cur.tok.kind == "*":
-            cur.advance()
-            continue
-        break
-    if not groups and not saw_factor and coeff == 0:
+        if not cur.accept("*"):
+            break
+    if coeff == 0:
         return []
-    alternatives = [_group_atoms(groups.get(j, _Group())) for j in range(1, d + 1)]
-    terms = []
-    for combo in product(*alternatives):
-        c = coeff
-        factors = []
-        for fc, atom in combo:
-            c *= fc
-            factors.append(atom)
-        terms.append(TensorTerm(c, tuple(factors)))
-    return terms
+    alternatives = [_group_atoms(groups.get(j, {})) for j in range(1, d + 1)]
+    return expand_tensor(coeff, alternatives)
 
 
 def parse_dist(src: str, d: int) -> DistExpr:
@@ -379,21 +320,13 @@ def parse_dist(src: str, d: int) -> DistExpr:
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
     cur = _Cursor(src)
-    terms: list[TensorTerm] = []
-    sign = Fraction(1)
-    if cur.tok.kind == "-":
+    sign = Fraction(-1 if cur.tok.kind == "-" else 1)
+    if cur.tok.kind in "+-":
         cur.advance()
-        sign = Fraction(-1)
-    elif cur.tok.kind == "+":
-        cur.advance()
-    while True:
-        for t in _dist_term(cur, d):
-            terms.append(TensorTerm(sign * t.coeff, t.factors))
-        if cur.tok.kind in "+-":
-            sign = Fraction(1) if cur.tok.kind == "+" else Fraction(-1)
-            cur.advance()
-            continue
-        break
+    terms = _dist_term(cur, d, sign)
+    while cur.tok.kind in "+-":
+        sign = Fraction(-1 if cur.advance().kind == "-" else 1)
+        terms += _dist_term(cur, d, sign)
     if cur.tok.kind != "end":
         raise cur.fail("end of input, '+', or '-'")
     return dist(d, terms)
@@ -413,17 +346,7 @@ def _format_atom(j: int, a) -> str:
 
 def format_dist(e: DistExpr) -> str:
     """Canonical text form; parse_dist(format_dist(e), e.dim) == e."""
-    if e.is_zero():
-        return "0"
-    pieces = []
-    for t in e.terms:
-        factors = [_format_atom(j, a) for j, a in enumerate(t.factors, start=1)]
-        mag = abs(t.coeff)
-        if mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        pieces.append(("- " if t.coeff < 0 else "+ ") + body)
-    head = pieces[0]
-    head = ("-" + head[2:]) if head.startswith("- ") else head[2:]
-    return " ".join([head] + pieces[1:])
+    return _signed_sum(
+        (t.coeff, [_format_atom(j, a) for j, a in enumerate(t.factors, start=1)])
+        for t in e.terms
+    )

@@ -20,8 +20,9 @@ outer interval uses adaptive quadrature with a Gaussian-decay cutoff.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import exp, factorial, log
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from scipy.integrate import quad
 
@@ -100,8 +101,13 @@ def _outer_quad(n: int, p: int, g: GaussPoly, tol: float) -> tuple[float, float]
     return val, err
 
 
+@lru_cache(maxsize=4096)
 def _pair1d(atom: Atom1D, g: GaussPoly, tol: float) -> tuple[float, float]:
-    """Pair one atom against a 1-D GaussPoly; returns (value, error estimate)."""
+    """Pair one atom against a 1-D GaussPoly; returns (value, error estimate).
+
+    Cached on all three arguments, so a value is only reused at the
+    tolerance it was computed for.
+    """
     if isinstance(atom, Delta):
         d = g
         for _ in range(atom.k):
@@ -115,18 +121,6 @@ def _pair1d(atom: Atom1D, g: GaussPoly, tol: float) -> tuple[float, float]:
     outer, err = _outer_quad(atom.n, atom.p, g, tol)
     val = inner + outer
     return val, err + 1e-15 * (abs(inner) + abs(outer))
-
-
-_pair1d_cache: dict[tuple, tuple[float, float]] = {}
-
-
-def _pair1d_cached(atom: Atom1D, g: GaussPoly, tol: float) -> tuple[float, float]:
-    key = (atom, g.poly.key(), g.center, g.width)
-    got = _pair1d_cache.get(key)
-    if got is None or got[1] > tol:
-        got = _pair1d(atom, g, tol)
-        _pair1d_cache[key] = got
-    return got
 
 
 def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
@@ -154,7 +148,7 @@ def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
                     (phi.center[j],),
                     phi.width,
                 )
-                v, er = _pair1d_cached(atom, slice_g, part_tol)
+                v, er = _pair1d(atom, slice_g, part_tol)
                 err = err * abs(v) + abs(val) * er
                 val *= v
             total += val

@@ -10,10 +10,9 @@ Coordinate indices in the public API are 1-based (j = 1..d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import DimensionError, ZeroPolynomial
 
@@ -23,25 +22,6 @@ RationalLike = Union[int, Fraction]
 
 def grlex_key(alpha: Exponent) -> tuple[int, Exponent]:
     return (sum(alpha), alpha)
-
-
-@dataclass(frozen=True)
-class EigenValue:
-    """Per-coordinate generalized eigenvalue vector of a tensor term."""
-
-    entries: tuple[Fraction, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def _as_entries(mu: Union[EigenValue, Sequence[RationalLike]]) -> tuple[Fraction, ...]:
-    if isinstance(mu, EigenValue):
-        return mu.entries
-    return tuple(Fraction(v) for v in mu)
 
 
 class Polynomial:
@@ -198,9 +178,9 @@ class Polynomial:
 # -- module operations ----------------------------------------------------
 
 
-def poly_eval(P: Polynomial, mu: Union[EigenValue, Sequence[RationalLike]]) -> Fraction:
+def poly_eval(P: Polynomial, mu: Sequence[RationalLike]) -> Fraction:
     """Exact evaluation of P at a rational point."""
-    entries = _as_entries(mu)
+    entries = tuple(map(Fraction, mu))
     if len(entries) != P.dim:
         raise DimensionError(f"point has {len(entries)} entries, polynomial dim {P.dim}")
     total = Fraction(0)
@@ -283,9 +263,9 @@ def principal_part(P: Polynomial) -> Polynomial:
     return Polynomial(P.dim, {a: c for a, c in P.terms.items() if sum(a) == m})
 
 
-def taylor_shift(P: Polynomial, mu: Union[EigenValue, Sequence[RationalLike]]) -> Polynomial:
+def taylor_shift(P: Polynomial, mu: Sequence[RationalLike]) -> Polynomial:
     """P(z + mu), computed exactly coordinate by coordinate."""
-    entries = _as_entries(mu)
+    entries = tuple(map(Fraction, mu))
     if len(entries) != P.dim:
         raise DimensionError(f"shift has {len(entries)} entries, polynomial dim {P.dim}")
     terms = dict(P.terms)
@@ -304,9 +284,7 @@ def taylor_shift(P: Polynomial, mu: Union[EigenValue, Sequence[RationalLike]]) -
     return Polynomial(P.dim, terms)
 
 
-def vanishing_order(
-    P: Polynomial, mu: Union[EigenValue, Sequence[RationalLike]]
-) -> tuple[int, Exponent]:
+def vanishing_order(P: Polynomial, mu: Sequence[RationalLike]) -> tuple[int, Exponent]:
     """min |beta| with (D^beta P)(mu) != 0, with a grlex-smallest witness beta."""
     if P.is_zero():
         raise ZeroPolynomial("vanishing_order requires a nonzero polynomial")

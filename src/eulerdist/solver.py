@@ -160,10 +160,10 @@ def solve_continuous_term(
     """
     if t.has_delta():
         raise UnsupportedInput("solve_continuous_term requires a delta-free term")
-    mu = eigenvalue(t)
-    v, _ = vanishing_order(P, mu)
+    S = taylor_shift(P, eigenvalue(t))
+    v, _ = vanishing_order(S, (0,) * t.dim)
     p_exp = tuple(f.p for f in t.factors)
-    u = _solve_log_system(taylor_shift(P, mu), p_exp, v)
+    u = _solve_log_system(S, p_exp, v)
     terms = []
     for q, c in u.terms.items():
         factors = tuple(

@@ -23,7 +23,7 @@ is read as the conjugate of Pj over Pj).  Real coefficients only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
@@ -147,8 +147,9 @@ def _gauss_ft_1d(
         c = math.comb(gamma, t) * mu ** (gamma - t)
         if c == 0.0:
             continue
-        # int (x-mu)^t g e^{i s xi x} dx = e^{i s mu xi} (-i s)^t B_t(s xi)
-        out += c * (-1j * s) ** t * h[t](s * xi)
+        # int (x-mu)^t g e^{i s xi x} dx = e^{i s mu xi} (-i)^t B_t(s xi),
+        # since d/dk e^{i k y} = i y e^{i k y} whatever the sign of k.
+        out += c * (-1j) ** t * h[t](s * xi)
     return out * env * np.exp(1j * s * mu * xi)
 
 
@@ -186,65 +187,64 @@ def pair_E(
         raise ZeroPolynomial("pair_E requires a nonzero polynomial")
     if P.dim != chi.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs test function dim {chi.dim}")
+    try:
+        return _pair_E_on_grid(P, params, chi, grid, 0.0)
+    except PoleOnGrid:
+        return _pair_E_on_grid(P, params, chi, grid, 0.5)
+
+
+def _pair_E_on_grid(
+    P: Polynomial, params: WagnerParams, chi: GaussPoly, grid: tuple, offset: float
+) -> float:
+    """One trapezoid pass of pair_E, with the nodes shifted by offset cells."""
     d = P.dim
     N, R = int(grid[0]), float(grid[1])
     w = float(chi.width)
     w2 = float(chi.width) ** 2
-    for offset in (0.0, 0.5):
-        axes, h = _grid_axes(d, N, R, offset)
-        try:
-            total = 0.0
-            weights1d = np.ones(N)
-            weights1d[0] = weights1d[-1] = 0.5
-            for j in range(params.m + 1):
-                lam = float(params.lam[j])
-                aj = float(params.a[j])
-                beta = [lam * e for e in params.eta]
-                # Symbol G_j = conj(Pj)/Pj on the grid, |G_j| = 1 a.e.
-                coords = [
-                    (1j * ax + beta[k]).reshape(
-                        (1,) * k + (N,) + (1,) * (d - k - 1)
-                    )
-                    for k, ax in enumerate(axes)
-                ]
-                Pj = _eval_poly_complex(P, coords)
-                if np.min(np.abs(Pj)) < _POLE_EPS:
-                    raise PoleOnGrid(
-                        f"symbol magnitude below {_POLE_EPS} on the grid "
-                        f"(lambda={lam})"
-                    )
-                G = np.conj(Pj) / Pj
-                if not float(np.max(np.abs(np.abs(G) - 1.0))) <= 1e-12:
-                    raise QuadratureNoConvergence(
-                        f"symbol ratio is not unimodular on the grid (lambda={lam})"
-                    )
-                # Psi_j = plain Fourier integral of e^{beta.x} chi, per monomial.
-                psi = np.zeros((N,) * d, dtype=complex)
-                for alpha, pc in chi.poly.sorted_terms():
-                    contrib = float(pc)
-                    factors_1d = []
-                    for k in range(d):
-                        ck = float(chi.center[k])
-                        bk = beta[k]
-                        mu = ck + bk * w2 / 2.0
-                        const = math.exp(bk * ck + bk * bk * w2 / 4.0)
-                        factors_1d.append(
-                            const * _gauss_ft_1d(alpha[k], mu, w, axes[k], +1.0)
-                        )
-                    block = factors_1d[0]
-                    for k in range(1, d):
-                        block = np.multiply.outer(block, factors_1d[k])
-                    psi = psi + contrib * block
-                wgt = weights1d
-                for _ in range(d - 1):
-                    wgt = np.multiply.outer(wgt, weights1d)
-                integral = np.sum(G * psi * wgt) * h**d
-                total += aj * integral.real
-            return total / ((2.0 * math.pi) ** d * float(params.normalizer))
-        except PoleOnGrid:
-            if offset == 0.5:
-                raise
-    raise AssertionError("unreachable")
+    axes, h = _grid_axes(d, N, R, offset)
+    total = 0.0
+    weights1d = np.ones(N)
+    weights1d[0] = weights1d[-1] = 0.5
+    for j in range(params.m + 1):
+        lam = float(params.lam[j])
+        aj = float(params.a[j])
+        beta = [lam * e for e in params.eta]
+        # Symbol G_j = conj(Pj)/Pj on the grid, |G_j| = 1 a.e.
+        coords = [
+            (1j * ax + beta[k]).reshape((1,) * k + (N,) + (1,) * (d - k - 1))
+            for k, ax in enumerate(axes)
+        ]
+        Pj = _eval_poly_complex(P, coords)
+        if np.min(np.abs(Pj)) < _POLE_EPS:
+            raise PoleOnGrid(
+                f"symbol magnitude below {_POLE_EPS} on the grid (lambda={lam})"
+            )
+        G = np.conj(Pj) / Pj
+        if not float(np.max(np.abs(np.abs(G) - 1.0))) <= 1e-12:
+            raise QuadratureNoConvergence(
+                f"symbol ratio is not unimodular on the grid (lambda={lam})"
+            )
+        # Psi_j = plain Fourier integral of e^{beta.x} chi, per monomial.
+        psi = np.zeros((N,) * d, dtype=complex)
+        for alpha, pc in chi.poly.sorted_terms():
+            contrib = float(pc)
+            factors_1d = []
+            for k in range(d):
+                ck = float(chi.center[k])
+                bk = beta[k]
+                mu = ck + bk * w2 / 2.0
+                const = math.exp(bk * ck + bk * bk * w2 / 4.0)
+                factors_1d.append(const * _gauss_ft_1d(alpha[k], mu, w, axes[k], +1.0))
+            block = factors_1d[0]
+            for k in range(1, d):
+                block = np.multiply.outer(block, factors_1d[k])
+            psi = psi + contrib * block
+        wgt = weights1d
+        for _ in range(d - 1):
+            wgt = np.multiply.outer(wgt, weights1d)
+        integral = np.sum(G * psi * wgt) * h**d
+        total += aj * integral.real
+    return total / ((2.0 * math.pi) ** d * float(params.normalizer))
 
 
 def _apply_p_minus_d(P: Polynomial, phi: GaussPoly) -> GaussPoly:
@@ -273,6 +273,24 @@ def me_check(
 # -- Y-space diagnostics ---------------------------------------------------
 
 
+def _central(
+    fun: Callable[[Sequence[float]], float],
+    x: Sequence[float],
+    alpha: tuple[int, ...],
+    h: float,
+) -> float:
+    """Nested central difference of fun at x: derivative alpha, step h."""
+    if not any(alpha):
+        return fun(x)
+    j = next(i for i, a in enumerate(alpha) if a)
+    rest = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+    xp = list(x)
+    xm = list(x)
+    xp[j] += h
+    xm[j] -= h
+    return (_central(fun, xp, rest, h) - _central(fun, xm, rest, h)) / (2.0 * h)
+
+
 def y_seminorm(
     f: GaussPoly | Callable[[Sequence[float]], float],
     spec: SeminormSpec,
@@ -294,20 +312,9 @@ def y_seminorm(
         for j, a in enumerate(alpha):
             for _ in range(a):
                 g = g.derivative(j + 1)
-        deriv = lambda x: g.value(x)
+        deriv = g.value
     else:
-        def deriv(x, _f=f, _alpha=alpha):
-            def diff(fun, j):
-                return lambda y: (
-                    fun(tuple(v + (fd_step if i == j else 0.0) for i, v in enumerate(y)))
-                    - fun(tuple(v - (fd_step if i == j else 0.0) for i, v in enumerate(y)))
-                ) / (2.0 * fd_step)
-
-            fun = _f
-            for j, a in enumerate(_alpha):
-                for _ in range(a):
-                    fun = diff(fun, j)
-            return fun(x)
+        deriv = lambda x: _central(f, x, tuple(alpha), fd_step)
 
     axis = np.linspace(-box, box, n)
     best = 0.0
@@ -359,21 +366,10 @@ def exp_conjugation_check(
     def f_exp(x: Sequence[float]) -> float:
         return _eval_quadrant(f, [math.exp(v) for v in x])
 
-    def central(fun, x, alpha, h):
-        if not any(alpha):
-            return fun(x)
-        j = next(i for i, a in enumerate(alpha) if a)
-        rest = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-        xp = list(x)
-        xm = list(x)
-        xp[j] += h
-        xm[j] -= h
-        return (central(fun, xp, rest, h) - central(fun, xm, rest, h)) / (2.0 * h)
-
     def p_d(x: Sequence[float], h: float) -> float:
         total = 0.0
         for alpha, c in P.terms.items():
-            total += float(c) * central(f_exp, list(x), alpha, h)
+            total += float(c) * _central(f_exp, x, alpha, h)
         return total
 
     worst = 0.0
@@ -399,20 +395,9 @@ def fourier_transform_values(phi: GaussPoly, z: np.ndarray) -> np.ndarray:
     c = float(phi.center[0])
     w = float(phi.width)
     out = np.zeros_like(z, dtype=complex)
-    env = np.exp(-(w * w) * z * z / 4.0)
-    base = w * math.sqrt(math.pi)
     for (gamma,), pc in phi.poly.sorted_terms():
-        h = [np.polynomial.Polynomial([base])]
-        for _ in range(gamma):
-            prev = h[-1]
-            h.append(prev.deriv() - np.polynomial.Polynomial([0.0, w * w / 2.0]) * prev)
-        acc = np.zeros_like(z, dtype=complex)
-        for t in range(gamma + 1):
-            coef = math.comb(gamma, t) * c ** (gamma - t)
-            if coef:
-                acc = acc + coef * (1j) ** t * h[t](-z)
-        out = out + float(pc) * acc * np.exp(-1j * z * c)
-    return out * env / math.sqrt(2.0 * math.pi)
+        out = out + float(pc) * _gauss_ft_1d(gamma, c, w, z, -1.0)
+    return out / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -106,24 +106,54 @@ class TestWagnerCommand:
         assert rep["outputs"]["eta"] == [1]
         assert rep["checks"][0]["value"] <= 1e-4
 
+    def test_width_and_center_echoed_as_given(self, capsys):
+        code, out = run(
+            capsys,
+            "wagner-check",
+            "-P", "t1",
+            "--width", "3/2",
+            "--center", "1/2",
+            "--grid", "512",
+        )
+        assert code in (0, 1)
+        rep = json.loads(out)
+        assert rep["inputs"]["width"] == "3/2"
+        assert rep["inputs"]["center"] == "1/2"
+
     def test_parse_error_without_dim_exit_2(self, capsys):
         code, out = run(capsys, "wagner-check", "-P", "t1 +")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "argv",
         [
-            ("--grid", "1"),
-            ("--grid", "0"),
-            ("--grid", "-3"),
-            ("--cutoff", "0"),
-            ("--cutoff", "-1"),
-            ("--cutoff", "nan"),
+            pytest.param(["wagner-check", "-P", "t1", flag, value], id=f"{flag}-{value}")
+            for flag, value in [
+                ("--grid", "1"),
+                ("--grid", "0"),
+                ("--grid", "-3"),
+                ("--cutoff", "0"),
+                ("--cutoff", "-1"),
+                ("--cutoff", "nan"),
+                ("--width", "0"),
+                ("--width", "abc"),
+                ("--width", "-1"),
+                ("--width", "1e400"),
+                ("--center", "a"),
+                ("--center", "1/0"),
+            ]
+        ]
+        + [
+            pytest.param(["wagner-check", "-P", "0", "-d", "1"], id="zero-P-wagner"),
+            pytest.param(
+                ["solve", "-P", "0*t1", "-T", "delta(x1,0)", "-d", "1"],
+                id="zero-P-solve",
+            ),
         ],
     )
-    def test_bad_grid_or_cutoff_exit_2(self, capsys, flag, value):
-        code, _ = run(capsys, "wagner-check", "-P", "t1", flag, value)
+    def test_bad_grid_or_cutoff_exit_2(self, capsys, argv):
+        code, _ = run(capsys, *argv)
         assert code == 2
 
 

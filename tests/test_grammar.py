@@ -80,6 +80,34 @@ class TestParseDist:
             parse_dist("spline(x1)", 1)
 
 
+# One factor of each kind on x1, and the message of the CoordinateConflict it
+# raises when it cannot join an earlier factor there.
+FACTOR_KINDS = {
+    "power": ("x1^2", "power factor conflicts with an earlier factor for x1"),
+    "log": ("log(x1)^2", "log factor conflicts with an earlier factor for x1"),
+    "H": ("H(-x1)", "half-line factor conflicts with an earlier factor for x1"),
+    "delta": ("delta(x1,1)", "delta combined with another factor for x1"),
+    "mono": ("mono(x1,3)", "mono combined with another factor for x1"),
+}
+
+
+@pytest.mark.parametrize("first", sorted(FACTOR_KINDS))
+@pytest.mark.parametrize("second", sorted(FACTOR_KINDS))
+def test_factor_pair_on_one_coordinate(first, second):
+    first_src, _ = FACTOR_KINDS[first]
+    second_src, message = FACTOR_KINDS[second]
+    src = f"2*x2*{first_src} * {second_src}"
+    owners = {"delta", "mono"}
+    if first == second or first in owners or second in owners:
+        with pytest.raises(CoordinateConflict) as exc:
+            parse_dist(src, 2)
+        offset = src.index(second_src, len(src) - len(second_src))
+        assert str(exc.value) == f"{message} (at offset {offset})"
+    else:
+        reordered = f"2*x2*{second_src} * {first_src}"
+        assert parse_dist(src, 2) == parse_dist(reordered, 2)
+
+
 class TestRoundTrip:
     CORPUS_POLY = [
         "t1",

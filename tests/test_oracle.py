@@ -5,6 +5,7 @@ import pytest
 
 from eulerdist.atoms import Delta, MonLog, dist, full_monomial, single
 from eulerdist.gausspoly import GaussPoly
+from eulerdist import oracle
 from eulerdist.oracle import (
     adjoint_check,
     compare_symbolic_numeric,
@@ -102,3 +103,16 @@ class TestCompareSymbolicNumeric:
         P = Polynomial.variable(1, 1)
         e = full_monomial((1,))
         assert compare_symbolic_numeric(P, e, e, self.suite()) <= 1e-6
+
+
+class TestPairingCache:
+    def test_value_does_not_depend_on_an_earlier_tolerance(self):
+        # A shifted finite-part atom: the outer quadrature does real work.
+        phi = GaussPoly(Polynomial(1, {(0,): F(1), (2,): F(1)}), (F(2, 3),), F(5, 4))
+        e = single((MonLog(-2, 1, 1),))
+        oracle._pair1d.cache_clear()
+        pair(e, phi, tol=1e-3)
+        after_loose = pair(e, phi, tol=1e-12)
+        oracle._pair1d.cache_clear()
+        fresh = pair(e, phi, tol=1e-12)
+        assert after_loose == fresh

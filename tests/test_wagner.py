@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from eulerdist.atoms import MonLog, single
 from eulerdist.errors import DuplicateLambda, PoleOnGrid
@@ -13,6 +14,7 @@ from eulerdist.wagner import (
     WagnerParams,
     choose_eta,
     exp_conjugation_check,
+    fourier_transform_values,
     hy_strip_check,
     me_check,
     pair_E,
@@ -152,3 +154,34 @@ class TestStripCheck:
             GAUSS1, 2, transform=lambda z: 1.0 / (1.0 + np.abs(z) ** 2)
         )
         assert not rep.decaying
+
+
+class TestFourierTransformValues:
+    PHI = GaussPoly(
+        Polynomial(1, {(0,): F(1), (1,): F(-2), (3,): F(1, 2)}), (F(1, 3),), F(3, 2)
+    )
+
+    @staticmethod
+    def by_quadrature(phi, z):
+        # (2 pi)^{-1/2} int phi(x) e^{-i z x} dx, real and imaginary parts.
+        def f(x):
+            return phi.value((x,)) * np.exp(-1j * z * x)
+
+        c, lim = float(phi.center[0]), 40.0
+        re, _ = quad(lambda x: f(x).real, c - lim, c + lim, limit=400, epsabs=1e-13)
+        im, _ = quad(lambda x: f(x).imag, c - lim, c + lim, limit=400, epsabs=1e-13)
+        return (re + 1j * im) / math.sqrt(2.0 * math.pi)
+
+    @pytest.mark.parametrize("z", [0.0, 0.7, -2.5, 1.5 + 0.5j, -0.3 - 1.2j, 2j])
+    def test_matches_quadrature(self, z):
+        got = fourier_transform_values(self.PHI, np.array([z]))
+        assert got.shape == (1,)
+        want = self.by_quadrature(self.PHI, z)
+        assert abs(got[0] - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_zero_polynomial_gives_zero_array(self):
+        phi = GaussPoly(Polynomial(1, {}), (F(1, 3),), F(3, 2))
+        z = np.array([[0.0, 1j], [2.0, -1.0]])
+        got = fourier_transform_values(phi, z)
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
+        assert not got.any()

@@ -9,7 +9,8 @@ to stdout (or --output FILE).  Reports are byte-identical across runs with
 identical inputs; wall_time_ms is null unless --timing is given, since a
 measured time would break that determinism.  Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 parse or usage error (including a
-zero polynomial P), 3 internal error.
+zero polynomial P and a wagner-check center or width out of float range),
+3 internal error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     CoordinateConflict,
     DimensionError,
     EulerDistError,
+    FloatOverflow,
     ParseError,
     ZeroPolynomial,
 )
@@ -172,22 +174,25 @@ def _cmd_parse(args) -> int:
     if (args.P is None) == (args.T is None):
         raise DimensionError("parse needs exactly one of -P or -T")
     if args.P is not None:
-        canonical = format_poly(parse_poly(args.P, args.dim))
-        ok = parse_poly(canonical, args.dim) == parse_poly(args.P, args.dim)
-        inputs = {"P": args.P, "d": args.dim}
+        key, text, parse, fmt = "P", args.P, parse_poly, format_poly
     else:
-        canonical = format_dist(parse_dist(args.T, args.dim))
-        ok = parse_dist(canonical, args.dim) == parse_dist(args.T, args.dim)
-        inputs = {"T": args.T, "d": args.dim}
+        key, text, parse, fmt = "T", args.T, parse_dist, format_dist
+    value = parse(text, args.dim)
+    canonical = fmt(value)
+    ok = parse(canonical, args.dim) == value
+    inputs = {key: text, "d": args.dim}
     checks = [_check("round_trip", ok, ok, None)]
     return _emit(_report("parse", inputs, {"canonical": canonical}, checks), args)
 
 
-def _grid_nodes(text: str) -> int:
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
-    return n
+def _int_at_least(least: int):
+    def int_at_least(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return int_at_least
 
 
 def _cutoff_radius(text: str) -> float:
@@ -251,9 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-suite", help="adjoint-identity quadrature sweep")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--pmax", type=int, default=2)
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument("--nmax", type=_int_at_least(0), default=3)
+    p.add_argument("--pmax", type=_int_at_least(0), default=2)
+    p.add_argument("--kmax", type=_int_at_least(0), default=3)
     p.set_defaults(func=_cmd_oracle_suite)
 
     p = sub.add_parser("wagner-check", help="Malgrange-Ehrenpreis desk check")
@@ -266,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="1",
         help="Gaussian width (rational)",
     )
-    p.add_argument("--grid", type=_grid_nodes, default=None, help="nodes per axis")
+    p.add_argument("--grid", type=_int_at_least(2), default=None, help="nodes per axis")
     p.add_argument(
         "--cutoff", type=_cutoff_radius, default=40.0, help="frequency box radius"
     )
@@ -298,7 +303,13 @@ def main(argv: list[str] | None = None) -> int:
             if args.grid is None:
                 args.grid = 4096 if args.dim == 1 else 512
         return args.func(args)
-    except (ParseError, CoordinateConflict, DimensionError, ZeroPolynomial) as exc:
+    except (
+        ParseError,
+        CoordinateConflict,
+        DimensionError,
+        FloatOverflow,
+        ZeroPolynomial,
+    ) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, ParseError):
             err["error"]["position"] = exc.position

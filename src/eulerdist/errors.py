@@ -22,11 +22,15 @@ class TermNotHyperplaneSupported(EulerDistError):
 
 
 class EscalationExceeded(EulerDistError):
-    """The log-power system or the solve recursion exceeded its bound (defensive)."""
+    """A log-power system was inconsistent or left a delta-free residual (defensive)."""
 
 
 class QuadratureNoConvergence(EulerDistError):
     """A numerical pairing failed to reach the requested tolerance."""
+
+
+class FloatOverflow(EulerDistError):
+    """A numerical check's intermediate value exceeds the float range."""
 
 
 class PoleOnGrid(EulerDistError):

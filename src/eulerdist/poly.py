@@ -197,62 +197,30 @@ def substitute_coord(P: Polynomial, j: int, v: RationalLike) -> Polynomial:
     """Fix z_j to the rational v; remaining variables are renumbered."""
     if not 1 <= j <= P.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{P.dim}")
-    v = Fraction(v)
-    out: dict[Exponent, Fraction] = {}
-    for alpha, c in P.terms.items():
-        a = alpha[j - 1]
-        beta = alpha[: j - 1] + alpha[j:]
-        c = c * v**a
-        if c != 0:
-            out[beta] = out.get(beta, Fraction(0)) + c
-    return Polynomial(P.dim - 1, out)
-
-
-def _divide_linear(P: Polynomial, j: int, c: Fraction) -> Polynomial | None:
-    """Exact quotient P / (z_j + c), or None if the division has a remainder."""
-    # Synthetic division in z_j at root -c, with coefficients that are
-    # polynomials in the remaining variables (kept at full dimension).
-    deg_j = max((alpha[j - 1] for alpha in P.terms), default=0)
-    coeffs = [Polynomial.zero(P.dim) for _ in range(deg_j + 1)]
-    for alpha, cf in P.terms.items():
-        a = alpha[j - 1]
-        beta = alpha[: j - 1] + (0,) + alpha[j:]
-        coeffs[a] = coeffs[a] + Polynomial(P.dim, {beta: cf})
-    if deg_j == 0:
-        return None
-    # b_{deg-1} = a_deg; b_{i-1} = a_i + root*b_i; remainder = a_0 + root*b_0.
-    root = -c
-    b = [Polynomial.zero(P.dim) for _ in range(deg_j)]
-    acc = coeffs[deg_j]
-    for a in range(deg_j - 1, -1, -1):
-        b[a] = acc
-        acc = coeffs[a] + acc.scale(root)
-    if not acc.is_zero():
-        return None
-    zj = Polynomial.variable(P.dim, j)
-    out = Polynomial.zero(P.dim)
-    power = Polynomial.constant(P.dim, 1)
-    for a in range(deg_j):
-        out = out + b[a] * power
-        power = power * zj
-    return out
+    shifted = _shift_coord(P.terms, j, Fraction(v))
+    return Polynomial(
+        P.dim - 1,
+        {a[: j - 1] + a[j:]: c for a, c in shifted.items() if a[j - 1] == 0},
+    )
 
 
 def factor_out(P: Polynomial, j: int, c: RationalLike) -> tuple[int, Polynomial]:
-    """Maximal r with (z_j + c)^r | P, and the exact cofactor Q = P / (z_j + c)^r."""
+    """Maximal r with (z_j + c)^r | P, and the exact cofactor Q = P / (z_j + c)^r.
+
+    In P(z - c e_j) = z_j^r Q(z - c e_j) the power r is the least exponent
+    of z_j; lowering it by r and shifting back gives Q.
+    """
     if P.is_zero():
         raise ZeroPolynomial("factor_out requires a nonzero polynomial")
     if not 1 <= j <= P.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{P.dim}")
     c = Fraction(c)
-    r = 0
-    Q = P
-    while True:
-        nxt = _divide_linear(Q, j, c)
-        if nxt is None:
-            return r, Q
-        Q = nxt
-        r += 1
+    shifted = _shift_coord(P.terms, j, -c)
+    r = min(a[j - 1] for a in shifted)
+    lowered = {
+        a[: j - 1] + (a[j - 1] - r,) + a[j:]: cf for a, cf in shifted.items()
+    }
+    return r, Polynomial(P.dim, _shift_coord(lowered, j, c))
 
 
 def principal_part(P: Polynomial) -> Polynomial:
@@ -263,24 +231,29 @@ def principal_part(P: Polynomial) -> Polynomial:
     return Polynomial(P.dim, {a: c for a, c in P.terms.items() if sum(a) == m})
 
 
+def _shift_coord(
+    terms: Mapping[Exponent, Fraction], j: int, m: Fraction
+) -> Mapping[Exponent, Fraction]:
+    """Terms of P(z + m e_j), P given by its terms, expanded binomially in z_j."""
+    if m == 0:
+        return terms
+    out: dict[Exponent, Fraction] = {}
+    for alpha, c in terms.items():
+        a = alpha[j - 1]
+        for t in range(a + 1):
+            beta = alpha[: j - 1] + (t,) + alpha[j:]
+            out[beta] = out.get(beta, Fraction(0)) + c * comb(a, t) * m ** (a - t)
+    return {b: c for b, c in out.items() if c != 0}
+
+
 def taylor_shift(P: Polynomial, mu: Sequence[RationalLike]) -> Polynomial:
     """P(z + mu), computed exactly coordinate by coordinate."""
     entries = tuple(map(Fraction, mu))
     if len(entries) != P.dim:
         raise DimensionError(f"shift has {len(entries)} entries, polynomial dim {P.dim}")
-    terms = dict(P.terms)
-    for j, m in enumerate(entries):
-        if m == 0:
-            continue
-        out: dict[Exponent, Fraction] = {}
-        for alpha, c in terms.items():
-            a = alpha[j]
-            for t in range(a + 1):
-                beta = alpha[:j] + (t,) + alpha[j + 1 :]
-                coef = c * comb(a, t) * m ** (a - t)
-                if coef != 0:
-                    out[beta] = out.get(beta, Fraction(0)) + coef
-        terms = {a: c for a, c in out.items() if c != 0}
+    terms = P.terms
+    for j, m in enumerate(entries, 1):
+        terms = _shift_coord(terms, j, m)
     return Polynomial(P.dim, terms)
 
 

@@ -12,7 +12,10 @@ Dispatch per canonical term of T:
     at the term's eigenvalue, and the exact delta-supported residual is fed
     back through the solver.
 
-Every solve verifies its output by forward application before returning.
+The recursion needs no cap: every nested solve lowers the dimension
+(substitution), the degree (factor extraction), or solves a delta-supported
+residual, which only ever takes the first two routes.  Every solve verifies
+its output by forward application before returning.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, perm
+from math import perm
 
 from .atoms import (
     Atom1D,
@@ -46,7 +49,7 @@ from .poly import (
     taylor_shift,
     vanishing_order,
 )
-from .theta import apply_polynomial, equal
+from .theta import apply_polynomial, apply_theta, equal
 
 TraceEvent = tuple
 
@@ -149,14 +152,13 @@ def _solve_log_system(S: Polynomial, p_exp: tuple[int, ...], v: int) -> Polynomi
 
 def solve_continuous_term(
     P: Polynomial, t: TensorTerm
-) -> tuple[DistExpr, DistExpr, int, int]:
+) -> tuple[DistExpr, DistExpr, int]:
     """Solve P(theta) U = t modulo delta-supported terms.
 
     One exact elimination on the log-polynomial box of total degree |p| + v,
     v = vanishing_order(P, mu) at the term's eigenvalue mu.  Returns
-    (U_partial, residual, bump_used, vanishing_order) with bump_used = v; the
-    residual t - P(theta) U_partial is computed in the full calculus and is
-    always delta-supported.
+    (U_partial, residual, v); the residual t - P(theta) U_partial is computed
+    in the full calculus and is always delta-supported.
     """
     if t.has_delta():
         raise UnsupportedInput("solve_continuous_term requires a delta-free term")
@@ -177,7 +179,7 @@ def solve_continuous_term(
             raise EscalationExceeded(
                 "continuous residual contains a delta-free term (internal error)"
             )
-    return U_partial, residual, v, v
+    return U_partial, residual, v
 
 
 # -- resonant one-dimensional inversion ----------------------------------
@@ -189,10 +191,14 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
     Every term of V must carry, in coordinate j, an atom from
     span{Delta(i), i <= k} + span{MonLog(-(k+1), q, s)}.  The Delta(k)
     component is inverted through the finite part MonLog(-(k+1), 0, +1),
-    whose theta-corrections are compensated on the lower deltas.
+    whose theta-corrections (read from apply_theta) are compensated on the
+    lower deltas.
     """
     if not 1 <= j <= V.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{V.dim}")
+    m0 = MonLog(-(k + 1), 0, 1)
+    # (theta_j + k + 1) m0 = sum_{i <= k} corr[Delta(i)] Delta(i).
+    corr = {a: c for c, a in apply_theta(j, m0) if isinstance(a, Delta)}
     groups: dict[tuple[Atom1D, ...], dict[Atom1D, Fraction]] = {}
     for t in V.terms:
         a = t.factors[j - 1]
@@ -216,16 +222,13 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
                     w.get(MonLog(a.n, a.p + 1, a.s), Fraction(0)) + c / (a.p + 1)
                 )
         # Delta(k) is reached only through the corrections of M(0, +1).
-        vk = comp.get(Delta(k), Fraction(0))
-        a0 = (-1) ** k * factorial(k) * vk
+        a0 = comp.get(Delta(k), Fraction(0)) / corr[Delta(k)]
         if a0 != 0:
-            m0 = MonLog(-(k + 1), 0, 1)
             w[m0] = w.get(m0, Fraction(0)) + a0
         # Lower deltas: eigen-division after compensating the corrections.
         for i in range(k):
-            corr = Fraction((-1) ** i, factorial(i))
             vi = comp.get(Delta(i), Fraction(0))
-            ci = (vi - a0 * corr) / (k - i)
+            ci = (vi - a0 * corr[Delta(i)]) / (k - i)
             if ci != 0:
                 w[Delta(i)] = w.get(Delta(i), Fraction(0)) + ci
         for a, c in w.items():
@@ -250,10 +253,6 @@ def _solve(
     if P.degree == 0:
         c = P.terms[(0,) * P.dim]
         return T.scaled(Fraction(1) / c)
-    # Hard cap on the substitution/factor/resonant events this invocation
-    # logs directly; nested solves carry their own budgets.
-    budget = max(1, P.dim) * (P.degree + 1) * len(T.terms)
-    direct = [0]
     parts: list[TensorTerm] = []
     groups: dict[tuple[int, int], list[TensorTerm]] = {}
     residuals: list[TensorTerm] = []
@@ -262,34 +261,25 @@ def _solve(
             j = next(i + 1 for i, f in enumerate(t.factors) if isinstance(f, Delta))
             groups.setdefault((j, t.factors[j - 1].k), []).append(t)
         else:
-            up, residual, bump, _ = solve_continuous_term(P, t)
-            esc[0] = max(esc[0], bump)
+            up, residual, v = solve_continuous_term(P, t)
+            esc[0] = max(esc[0], v)
             parts.extend(up.terms)
             residuals.extend(residual.terms)
     for (j, k), ts in sorted(groups.items()):
-        sub = _solve_delta_group(P, j, k, dist(T.dim, ts), trace, esc, direct)
+        sub = _solve_delta_group(P, j, k, dist(T.dim, ts), trace, esc)
         parts.extend(sub.terms)
     if residuals:
         parts.extend(_solve(P, dist(T.dim, residuals), trace, esc).terms)
-    if direct[0] > budget:
-        raise EscalationExceeded("recursion trace exceeded its hard cap")
     return dist(T.dim, parts)
 
 
 def _solve_delta_group(
-    P: Polynomial,
-    j: int,
-    k: int,
-    G: DistExpr,
-    trace: list[TraceEvent],
-    esc: list[int],
-    direct: list[int],
+    P: Polynomial, j: int, k: int, G: DistExpr, trace: list[TraceEvent], esc: list[int]
 ) -> DistExpr:
     """Solve P(theta) U = G where every term of G carries Delta(k) at j."""
     P1 = substitute_coord(P, j, -(k + 1))
     if not P1.is_zero():
         trace.append(("substitute", j, -(k + 1)))
-        direct[0] += 1
         rest = dist(
             G.dim - 1,
             [TensorTerm(t.coeff, t.factors[: j - 1] + t.factors[j:]) for t in G.terms],
@@ -302,11 +292,9 @@ def _solve_delta_group(
         return dist(G.dim, terms)
     r, Q = factor_out(P, j, k + 1)
     trace.append(("factor_out", j, k + 1, r))
-    direct[0] += 1
     W = _solve(Q, G, trace, esc)
     for _ in range(r):
         trace.append(("resonant_1d", j, k))
-        direct[0] += 1
         had_log = any(isinstance(s.factors[j - 1], MonLog) for s in W.terms)
         W = resonant_1d(j, k, W)
         if had_log:
@@ -338,7 +326,4 @@ def solve_delta_term(P: Polynomial, t: TensorTerm) -> DistExpr:
     if not t.has_delta():
         raise UnsupportedInput("solve_delta_term requires a delta factor")
     j = next(i + 1 for i, f in enumerate(t.factors) if isinstance(f, Delta))
-    trace: list[TraceEvent] = []
-    return _solve_delta_group(
-        P, j, t.factors[j - 1].k, dist(t.dim, [t]), trace, [0], [0]
-    )
+    return _solve_delta_group(P, j, t.factors[j - 1].k, dist(t.dim, [t]), [], [0])

@@ -34,6 +34,7 @@ from .atoms import Delta, DistExpr, MonLog
 from .errors import (
     DimensionError,
     DuplicateLambda,
+    FloatOverflow,
     PoleOnGrid,
     QuadratureNoConvergence,
     UnsupportedInput,
@@ -181,16 +182,22 @@ def pair_E(
 
     The xi-integral is a trapezoid rule on N points per axis over [-R, R]^d;
     a grid node falling on a zero of the symbol triggers one deterministic
-    half-cell shift before raising PoleOnGrid.
+    half-cell shift before raising PoleOnGrid.  A chi whose twisted Gaussian
+    weights leave the float range raises FloatOverflow.
     """
     if P.is_zero():
         raise ZeroPolynomial("pair_E requires a nonzero polynomial")
     if P.dim != chi.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs test function dim {chi.dim}")
     try:
-        return _pair_E_on_grid(P, params, chi, grid, 0.0)
-    except PoleOnGrid:
-        return _pair_E_on_grid(P, params, chi, grid, 0.5)
+        try:
+            return _pair_E_on_grid(P, params, chi, grid, 0.0)
+        except PoleOnGrid:
+            return _pair_E_on_grid(P, params, chi, grid, 0.5)
+    except OverflowError as exc:
+        raise FloatOverflow(
+            f"pairing leaves the float range ({exc}) at this center and width"
+        ) from None
 
 
 def _pair_E_on_grid(

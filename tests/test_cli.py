@@ -150,6 +150,21 @@ class TestWagnerCommand:
                 ["solve", "-P", "0*t1", "-T", "delta(x1,0)", "-d", "1"],
                 id="zero-P-solve",
             ),
+        ]
+        + [
+            pytest.param(
+                ["wagner-check", "-P", P, *opts], id="-".join(["overflow", *opts])
+            )
+            for P, opts in [
+                ("t1^2+1", ["--center", "300"]),
+                ("t1^2+1", ["--width", "60"]),
+                ("t1^2+t2^2-1", ["--center", "400,0", "--grid", "64"]),
+                ("t1^2+1", ["--width", "1e200"]),
+            ]
+        ]
+        + [
+            pytest.param(["oracle-suite", flag, "-1"], id=f"oracle-suite{flag}-neg")
+            for flag in ("--nmax", "--pmax", "--kmax")
         ],
     )
     def test_bad_grid_or_cutoff_exit_2(self, capsys, argv):

@@ -125,12 +125,19 @@ def polys(dim, max_deg=3):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys(2), st.integers(1, 2), st.fractions(min_value=-3, max_value=3, max_denominator=4))
-def test_factor_out_reconstructs(P, j, cval):
+@given(
+    polys(2),
+    st.integers(1, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(0, 3),
+)
+def test_factor_out_reconstructs(P, j, cval, k):
     if P.is_zero():
         return
-    r, Q = factor_out(P, j, cval)
     lin = Polynomial.variable(2, j) + Polynomial.constant(2, cval)
+    P = lin**k * P
+    r, Q = factor_out(P, j, cval)
+    assert r >= k
     assert lin**r * Q == P
     assert not substitute_coord(Q, j, -cval).is_zero()
 

@@ -110,14 +110,28 @@ class DistExpr:
         return cls(dim, ())
 
 
-def dist(dim: int, terms: Iterable[TensorTerm]) -> DistExpr:
-    """Build a DistExpr in canonical form (merged, zero-free, sorted)."""
+def coeff_map(terms: Iterable[TensorTerm]) -> dict[tuple[Atom1D, ...], Fraction]:
+    """The coefficients of terms summed per factor tuple (zero sums kept)."""
     acc: dict[tuple[Atom1D, ...], Fraction] = {}
     for t in terms:
-        if t.dim != dim:
-            raise DimensionError(f"term has dim {t.dim}, expression dim {dim}")
-        acc[t.factors] = acc.get(t.factors, Fraction(0)) + Fraction(t.coeff)
-    out = [TensorTerm(c, f) for f, c in acc.items() if c != 0]
+        f = t.factors
+        c = acc.get(f)
+        acc[f] = t.coeff if c is None else c + t.coeff
+    return acc
+
+
+def dist(dim: int, terms: Iterable[TensorTerm]) -> DistExpr:
+    """Build a DistExpr in canonical form (merged, zero-free, sorted)."""
+    acc = coeff_map(terms)
+    for f in acc:
+        if len(f) != dim:
+            raise DimensionError(f"term has dim {len(f)}, expression dim {dim}")
+    return from_coeffs(dim, acc)
+
+
+def from_coeffs(dim: int, coeffs: dict[tuple[Atom1D, ...], Fraction]) -> DistExpr:
+    """The canonical DistExpr of a merged {factors: coefficient} map."""
+    out = [TensorTerm(c, f) for f, c in coeffs.items() if c]
     out.sort(key=term_key)
     return DistExpr(dim, tuple(out))
 

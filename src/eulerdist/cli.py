@@ -179,7 +179,9 @@ def _cmd_parse(args) -> int:
         key, text, parse, fmt = "T", args.T, parse_dist, format_dist
     value = parse(text, args.dim)
     canonical = fmt(value)
-    ok = parse(canonical, args.dim) == value
+    # Without -d a polynomial's dimension is its largest t<j>, which the
+    # canonical text may no longer name (t2^0, 0*t3): re-parse at value.dim.
+    ok = parse(canonical, value.dim) == value
     inputs = {key: text, "d": args.dim}
     checks = [_check("round_trip", ok, ok, None)]
     return _emit(_report("parse", inputs, {"canonical": canonical}, checks), args)

@@ -157,12 +157,15 @@ def _poly_product(cur: _Cursor, dim: int) -> Polynomial:
 
 
 def _poly_sum(cur: _Cursor, dim: int) -> Polynomial:
-    p = _poly_product(cur, dim)
-    while cur.tok.kind in "+-":
-        op = cur.advance()
-        q = _poly_product(cur, dim)
-        p = p + q if op.kind == "+" else p - q
-    return p
+    """A sum of products, accumulated in one term map (linear in its length)."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    sign = 1
+    while True:
+        for alpha, c in _poly_product(cur, dim).terms.items():
+            acc[alpha] = acc.get(alpha, 0) + sign * c
+        if cur.tok.kind not in "+-":
+            return Polynomial(dim, acc)
+        sign = 1 if cur.advance().kind == "+" else -1
 
 
 def _max_t_index(src: str) -> int:

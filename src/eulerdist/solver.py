@@ -1,16 +1,19 @@
 """Constructive solver for P(theta) U = T on the structured class.
 
-Dispatch per canonical term of T:
+T is canonicalised once; the canonical terms are dispatched in groups:
 
-  * terms with a delta factor reduce by substitution z_j := -(k+1), and when
-    the substituted polynomial vanishes identically, by extracting the
-    maximal linear factor (z_j + k + 1)^r and inverting (theta_j + k + 1)
-    r times on the finite resonant subspace;
-  * delta-free terms are solved in the quotient calculus modulo
-    delta-supported distributions by one exact elimination on the
-    log-polynomial box of total degree |p| + v, v the vanishing order of P
-    at the term's eigenvalue, and the exact delta-supported residual is fed
-    back through the solver.
+  * terms sharing their first delta factor Delta(k) at coordinate j reduce
+    by substitution z_j := -(k+1), and when the substituted polynomial
+    vanishes identically, by extracting the maximal linear factor
+    (z_j + k + 1)^r and inverting (theta_j + k + 1) r times on the finite
+    resonant subspace;
+  * delta-free terms sharing one class (eigenvalue mu, log powers p) -- a
+    full-line factor's half-line terms, say -- are solved together in the
+    quotient calculus modulo delta-supported distributions: one exact
+    elimination on the log-polynomial box of total degree |p| + v, v the
+    vanishing order of P at mu, gives the solution vector for the whole
+    class, and the exact delta-supported residual of the class is fed back
+    through the solver.
 
 The recursion needs no cap: every nested solve lowers the dimension
 (substitution), the degree (factor extraction), or solves a delta-supported
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import perm
+from typing import Sequence
 
 from .atoms import (
     Atom1D,
@@ -33,7 +37,6 @@ from .atoms import (
     TensorTerm,
     dist,
     eigenvalue,
-    single,
 )
 from .errors import (
     DimensionError,
@@ -150,30 +153,48 @@ def _solve_log_system(S: Polynomial, p_exp: tuple[int, ...], v: int) -> Polynomi
     return Polynomial(d, {cols[c]: rhs[pr] for c, pr in pivot_of_col.items()})
 
 
-def solve_continuous_term(
-    P: Polynomial, t: TensorTerm
-) -> tuple[DistExpr, DistExpr, int]:
-    """Solve P(theta) U = t modulo delta-supported terms.
+def _log_class(t: TensorTerm) -> tuple[tuple[int, int], ...]:
+    """(eigenvalue, log power) per coordinate of a delta-free term."""
+    return tuple((f.n, f.p) for f in t.factors)
 
-    One exact elimination on the log-polynomial box of total degree |p| + v,
-    v = vanishing_order(P, mu) at the term's eigenvalue mu.  Returns
-    (U_partial, residual, v); the residual t - P(theta) U_partial is computed
-    in the full calculus and is always delta-supported.
+
+def solve_continuous_term(
+    P: Polynomial, ts: Sequence[TensorTerm]
+) -> tuple[DistExpr, DistExpr, int]:
+    """Solve P(theta) U = sum(ts) modulo delta-supported terms.
+
+    The terms must be delta-free and share one (eigenvalue, log powers)
+    class; they may differ in half-line signs and coefficients.  One exact
+    elimination on the log-polynomial box of total degree |p| + v, v =
+    vanishing_order(P, mu) at the class eigenvalue mu, gives one vector u
+    that solves every term of the class.  Returns (U_partial, residual, v);
+    the residual sum(ts) - P(theta) U_partial is computed in the full
+    calculus and is always delta-supported.
     """
-    if t.has_delta():
-        raise UnsupportedInput("solve_continuous_term requires a delta-free term")
-    S = taylor_shift(P, eigenvalue(t))
-    v, _ = vanishing_order(S, (0,) * t.dim)
-    p_exp = tuple(f.p for f in t.factors)
-    u = _solve_log_system(S, p_exp, v)
-    terms = []
-    for q, c in u.terms.items():
-        factors = tuple(
-            MonLog(f.n, qj, f.s) for f, qj in zip(t.factors, q)
+    if not ts:
+        raise UnsupportedInput("solve_continuous_term needs at least one term")
+    for t in ts:
+        if t.has_delta():
+            raise UnsupportedInput("solve_continuous_term requires delta-free terms")
+    key = _log_class(ts[0])
+    if any(_log_class(t) != key for t in ts):
+        raise UnsupportedInput(
+            "solve_continuous_term requires one (eigenvalue, log powers) class"
         )
-        terms.append(TensorTerm(c * t.coeff, factors))
-    U_partial = dist(t.dim, terms)
-    residual = single(t.factors, t.coeff) - apply_polynomial(P, U_partial)
+    d = len(key)
+    S = taylor_shift(P, eigenvalue(ts[0]))
+    v, _ = vanishing_order(S, (0,) * d)
+    u = _solve_log_system(S, tuple(p for _, p in key), v)
+    terms = [
+        TensorTerm(
+            c * t.coeff, tuple(MonLog(f.n, qj, f.s) for f, qj in zip(t.factors, q))
+        )
+        for t in ts
+        for q, c in u.terms.items()
+    ]
+    U_partial = dist(d, terms)
+    image = apply_polynomial(P, U_partial)
+    residual = dist(d, [*ts, *(TensorTerm(-r.coeff, r.factors) for r in image.terms)])
     for rt in residual.terms:
         if not rt.has_delta():
             raise EscalationExceeded(
@@ -243,30 +264,34 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
 def _solve(
     P: Polynomial, T: DistExpr, trace: list[TraceEvent], esc: list[int]
 ) -> DistExpr:
+    """Solve P(theta) U = T for a canonical T; the result is canonical."""
     if P.is_zero():
         raise ZeroPolynomial("the Euler operator must be non-trivial")
     if P.dim != T.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {T.dim}")
-    T = dist(T.dim, T.terms)
     if T.is_zero():
         return DistExpr.zero(T.dim)
     if P.degree == 0:
-        c = P.terms[(0,) * P.dim]
-        return T.scaled(Fraction(1) / c)
+        inv = Fraction(1) / P.terms[(0,) * P.dim]
+        return DistExpr(T.dim, tuple(t.scaled(inv) for t in T.terms))
     parts: list[TensorTerm] = []
     groups: dict[tuple[int, int], list[TensorTerm]] = {}
+    classes: dict[tuple[tuple[int, int], ...], list[TensorTerm]] = {}
     residuals: list[TensorTerm] = []
     for t in T.terms:
         if t.has_delta():
             j = next(i + 1 for i, f in enumerate(t.factors) if isinstance(f, Delta))
             groups.setdefault((j, t.factors[j - 1].k), []).append(t)
         else:
-            up, residual, v = solve_continuous_term(P, t)
-            esc[0] = max(esc[0], v)
-            parts.extend(up.terms)
-            residuals.extend(residual.terms)
+            classes.setdefault(_log_class(t), []).append(t)
+    for ts in classes.values():
+        up, residual, v = solve_continuous_term(P, ts)
+        esc[0] = max(esc[0], v)
+        parts.extend(up.terms)
+        residuals.extend(residual.terms)
     for (j, k), ts in sorted(groups.items()):
-        sub = _solve_delta_group(P, j, k, dist(T.dim, ts), trace, esc)
+        # A subsequence of a canonical T is canonical.
+        sub = _solve_delta_group(P, j, k, DistExpr(T.dim, tuple(ts)), trace, esc)
         parts.extend(sub.terms)
     if residuals:
         parts.extend(_solve(P, dist(T.dim, residuals), trace, esc).terms)
@@ -276,20 +301,21 @@ def _solve(
 def _solve_delta_group(
     P: Polynomial, j: int, k: int, G: DistExpr, trace: list[TraceEvent], esc: list[int]
 ) -> DistExpr:
-    """Solve P(theta) U = G where every term of G carries Delta(k) at j."""
+    """Solve P(theta) U = G where every term of a canonical G carries
+    Delta(k) at j.  Stripping or reinserting that shared factor keeps the
+    canonical order, so neither step re-canonicalises."""
     P1 = substitute_coord(P, j, -(k + 1))
     if not P1.is_zero():
         trace.append(("substitute", j, -(k + 1)))
-        rest = dist(
-            G.dim - 1,
-            [TensorTerm(t.coeff, t.factors[: j - 1] + t.factors[j:]) for t in G.terms],
+        rest = tuple(
+            TensorTerm(t.coeff, t.factors[: j - 1] + t.factors[j:]) for t in G.terms
         )
-        sub = _solve(P1, rest, trace, esc)
-        terms = [
+        sub = _solve(P1, DistExpr(G.dim - 1, rest), trace, esc)
+        terms = tuple(
             TensorTerm(s.coeff, s.factors[: j - 1] + (Delta(k),) + s.factors[j - 1 :])
             for s in sub.terms
-        ]
-        return dist(G.dim, terms)
+        )
+        return DistExpr(G.dim, terms)
     r, Q = factor_out(P, j, k + 1)
     trace.append(("factor_out", j, k + 1, r))
     W = _solve(Q, G, trace, esc)
@@ -312,6 +338,7 @@ def solve(P: Polynomial, T: DistExpr) -> SolveReport:
         raise UnsupportedInput(f"right-hand side must be a DistExpr, got {type(T)!r}")
     trace: list[TraceEvent] = []
     esc = [0]
+    T = dist(T.dim, T.terms)
     U = _solve(P, T, trace, esc)
     return SolveReport(
         solution=U,

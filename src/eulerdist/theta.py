@@ -20,9 +20,19 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .atoms import Atom1D, Delta, DistExpr, MonLog, TensorTerm, atom_key, dist
+from .atoms import (
+    Atom1D,
+    Delta,
+    DistExpr,
+    MonLog,
+    TensorTerm,
+    atom_key,
+    coeff_map,
+    dist,
+    from_coeffs,
+)
 from .errors import DimensionError
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial
 
 
 def apply_theta(j: int, a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
@@ -61,39 +71,65 @@ def apply_theta_expr(j: int, e: DistExpr) -> DistExpr:
     return dist(e.dim, terms)
 
 
+def _theta_coeffs(
+    j: int, coeffs: dict[tuple[Atom1D, ...], Fraction]
+) -> dict[tuple[Atom1D, ...], Fraction]:
+    """theta_j on a merged {factors: coefficient} map (zero entries skipped)."""
+    i = j - 1
+    out: dict[tuple[Atom1D, ...], Fraction] = {}
+    for f, c in coeffs.items():
+        if not c:
+            continue
+        for tc, a in apply_theta(j, f[i]):
+            g = f[:i] + (a,) + f[i + 1 :]
+            old = out.get(g)
+            out[g] = c * tc if old is None else old + c * tc
+    return out
+
+
 def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     """The Euler operator P(theta) applied exactly to an expression.
 
-    theta^alpha is iterated factor-wise; intermediate results are shared
-    across the monomials of P by walking exponents in graded order.
+    theta^alpha is iterated factor-wise on merged {factors: coefficient}
+    maps; intermediate results are shared across the monomials of P by
+    lowering the first nonzero exponent, and the sum is sorted once.
     """
     if P.dim != e.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {e.dim}")
     if P.is_zero() or e.is_zero():
         return DistExpr.zero(e.dim)
-    cache: dict[tuple[int, ...], DistExpr] = {(0,) * e.dim: e}
+    powers = {(0,) * e.dim: coeff_map(e.terms)}
 
-    def theta_power(alpha: tuple[int, ...]) -> DistExpr:
-        got = cache.get(alpha)
+    def theta_power(alpha: tuple[int, ...]) -> dict[tuple[Atom1D, ...], Fraction]:
+        got = powers.get(alpha)
         if got is not None:
             return got
         j = next(i for i, a in enumerate(alpha) if a > 0)
         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-        val = apply_theta_expr(j + 1, theta_power(prev))
-        cache[alpha] = val
+        val = _theta_coeffs(j + 1, theta_power(prev))
+        powers[alpha] = val
         return val
 
-    collected: list[TensorTerm] = []
-    for alpha, c in sorted(P.terms.items(), key=lambda t: grlex_key(t[0])):
-        collected.extend(t.scaled(c) for t in theta_power(alpha).terms)
-    return dist(e.dim, collected)
+    total: dict[tuple[Atom1D, ...], Fraction] = {}
+    for alpha, c in P.terms.items():
+        for f, v in theta_power(alpha).items():
+            old = total.get(f)
+            total[f] = c * v if old is None else old + c * v
+    return from_coeffs(e.dim, total)
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:
-    """Exact distributional equality within the class (canonical identity)."""
+    """Exact distributional equality within the class (canonical identity).
+
+    Either side may be non-canonical (repeated factor tuples, zero
+    coefficients): both are merged into one map, b with the opposite sign.
+    """
     if a.dim != b.dim:
         raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
-    return (a - b).is_zero()
+    acc = coeff_map(a.terms)
+    for t in b.terms:
+        acc[t.factors] = acc.get(t.factors, 0) - t.coeff
+    return not any(acc.values())
 
 
 def closure(atoms: Iterable[Atom1D]) -> tuple[Atom1D, ...]:

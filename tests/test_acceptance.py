@@ -27,7 +27,7 @@ from eulerdist.atoms import (
 from eulerdist.cli import main as cli_main
 from eulerdist.gausspoly import GaussPoly
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
-from eulerdist.oracle import adjoint_check
+from eulerdist.oracle import adjoint_check, compare_symbolic_numeric
 from eulerdist.poly import Polynomial, poly_eval
 from eulerdist.solver import solve
 from eulerdist.theta import apply_polynomial, apply_theta
@@ -127,6 +127,22 @@ def _resonant_factor(rng, d, mu):
     return L
 
 
+# Two fixed off-center test functions per dimension for the independent
+# numerical check of every randomized solution with d <= 2.
+_ORACLE_PHIS = {
+    1: [
+        GaussPoly.gaussian(1, (F(1, 3),), F(3, 2)),
+        GaussPoly(Polynomial(1, {(1,): F(1), (0,): F(2)}), (F(-1, 2),), F(1)),
+    ],
+    2: [
+        GaussPoly.gaussian(2, (F(1, 3), F(-1, 4)), F(3, 2)),
+        GaussPoly(
+            Polynomial(2, {(1, 0): F(1), (0, 0): F(2)}), (F(-1, 2), F(1, 5)), F(1)
+        ),
+    ],
+}
+
+
 def test_acceptance_randomized_solver():
     rng = random.Random(777)
     t_suite = time.monotonic()
@@ -160,6 +176,9 @@ def test_acceptance_randomized_solver():
         assert rep.verified, f"unsound solve for P={P!r}, T={T!r}"
         assert rep.escalation_depth <= P.degree
         assert dt < 1.0, f"instance exceeded 1 s ({dt:.2f}s): P={P!r}"
+        if T.dim <= 2:
+            r = compare_symbolic_numeric(P, rep.solution, T, _ORACLE_PHIS[T.dim])
+            assert r <= 1e-6, f"oracle residual {r:.3e} for P={P!r}, T={T!r}"
     total = time.monotonic() - t_suite
     assert total < 60.0, f"randomized suite took {total:.1f}s"
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eulerdist.cli import main
 
@@ -80,6 +81,19 @@ class TestParseCommand:
         rep = json.loads(out)
         assert rep["checks"][0]["name"] == "round_trip"
         assert rep["checks"][0]["pass"] is True
+
+    @pytest.mark.parametrize(
+        "src, canonical",
+        [("t1 + t2^0", "1 + t1"), ("t1 - 0*t3", "t1"), ("t3^0*t2^0 + 1", "2")],
+    )
+    def test_round_trip_when_the_largest_variable_drops_out(
+        self, capsys, src, canonical
+    ):
+        # Without -d the dimension comes from the largest t<j> in the text,
+        # which the canonical text need not name.
+        code, out = run(capsys, "parse", "-P", src)
+        assert code == 0
+        assert json.loads(out)["outputs"]["canonical"] == canonical
 
     def test_parse_error_exit_2(self, capsys):
         code, out = run(capsys, "parse", "-P", "t1*(t1+1")
@@ -186,3 +200,80 @@ class TestDeterminism:
         assert code == 0
         _, second = run(capsys, *argv)
         assert first == second
+
+
+# -- fuzzing: no generated argv may end in an internal error (exit 3) -------
+#
+# Texts stay small (d <= 3, exponents, log powers and delta orders <= 3) so
+# every example runs in well under a second; coordinates and variables may
+# exceed -d, and factors may conflict, to reach the usage errors too.
+
+_small = st.integers(0, 3)
+_coeff = st.sampled_from(["", "2*", "-1/3*", "3/2*", "0*"])
+
+
+def _coord(d):
+    """Mostly 1..d, now and then d + 1 for the dimension errors."""
+    return st.integers(0, 9).flatmap(lambda r: st.integers(1, d + (r == 0)))
+
+
+@st.composite
+def _poly_text(draw, d):
+    monomials = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [f"t{j}^{draw(_small)}" for j in draw(st.lists(_coord(d), max_size=3))]
+        monomials.append(draw(_coeff) + ("*".join(factors) or "1"))
+    text = draw(st.sampled_from([" + ", " - "])).join(monomials)
+    if draw(st.booleans()):
+        text = f"({text})^{draw(st.integers(1, 2))}"
+    return text
+
+
+def _factor(j):
+    return st.one_of(
+        st.builds(lambda n: f"x{j}^{n}", st.integers(-3, 3)),
+        st.builds(lambda p: f"log(x{j})^{p}", _small),
+        st.just(f"H(x{j})"),
+        st.just(f"H(-x{j})"),
+        st.builds(lambda k: f"delta(x{j},{k})", _small),
+        st.builds(lambda n: f"mono(x{j},{n})", _small),
+    )
+
+
+@st.composite
+def _dist_text(draw, d):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coords = draw(st.lists(_coord(d), min_size=1, max_size=d, unique=True))
+        if draw(st.integers(0, 9)) == 0:
+            coords.append(coords[0])  # a conflicting second factor
+        terms.append(draw(_coeff) + "*".join(draw(_factor(j)) for j in coords))
+    return draw(st.sampled_from([" + ", " - "])).join(terms)
+
+
+@st.composite
+def _argv(draw):
+    d = draw(st.integers(1, 3))
+    dim = ["-d", str(d)]
+    command = draw(st.sampled_from(["solve", "verify", "parse-P", "parse-T"]))
+    if command == "solve":
+        return ["solve", "-P", draw(_poly_text(d)), "-T", draw(_dist_text(d))] + dim
+    if command == "verify":
+        U, T = draw(_dist_text(d)), draw(_dist_text(d))
+        return ["verify", "-P", draw(_poly_text(d)), "-U", U, "-T", T] + dim
+    if command == "parse-P":
+        return ["parse", "-P", draw(_poly_text(d))] + draw(st.sampled_from([[], dim]))
+    return ["parse", "-T", draw(_dist_text(d))] + dim
+
+
+@settings(
+    max_examples=150,
+    deadline=5000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(_argv())
+def test_fuzzed_argv_never_exits_3(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), f"exit {code} for {argv}: {out}"

@@ -139,6 +139,18 @@ class TestRoundTrip:
             P = parse_poly(src)
             assert parse_poly(format_poly(P), P.dim) == P
 
+    def test_expanded_power_round_trip(self):
+        # 792 canonical terms; the sum is accumulated in one term map, so
+        # this parse is linear in the text length.
+        P = parse_poly("(t1+t2+t3+t4+t5+t6)^7")
+        assert len(P.terms) == 792
+        assert parse_poly(format_poly(P), 6) == P
+
+    def test_signed_sum_merges_terms(self):
+        assert parse_poly("t1 - 2*t2 + 3 - t1 + t2^2 - (1 - t2)", 2) == (
+            zvar(2, 2) ** 2 - zvar(2, 2) + Polynomial.constant(2, 2)
+        )
+
     def test_dist_round_trip(self):
         for src, d in self.CORPUS_DIST:
             e = parse_dist(src, d)

@@ -3,9 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulerdist.atoms import Delta, MonLog, dist, full_monomial, single
+from eulerdist.atoms import (
+    Delta,
+    DistExpr,
+    MonLog,
+    TensorTerm,
+    dist,
+    full_monomial,
+    single,
+)
 from eulerdist.gausspoly import GaussPoly
-from eulerdist import oracle
+from eulerdist import oracle, theta
+from eulerdist.grammar import parse_dist, parse_poly
 from eulerdist.oracle import (
     adjoint_check,
     compare_symbolic_numeric,
@@ -13,6 +22,7 @@ from eulerdist.oracle import (
     pair,
 )
 from eulerdist.poly import Polynomial
+from eulerdist.solver import solve
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -103,6 +113,50 @@ class TestCompareSymbolicNumeric:
         P = Polynomial.variable(1, 1)
         e = full_monomial((1,))
         assert compare_symbolic_numeric(P, e, e, self.suite()) <= 1e-6
+
+    SUITE_2D = [
+        GaussPoly.gaussian(2, (F(1, 3), F(-1, 4)), F(3, 2)),
+        GaussPoly(
+            Polynomial(2, {(1, 0): F(1), (0, 0): F(2)}), (F(-1, 2), F(1, 5)), F(1)
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "P, T",
+        [
+            ("(t1+t2)^2*(t1^2+1)", "log(x1)*H(x1)*log(x2)^2*H(-x2)"),
+            ("(t1+1)^2*(t2-1)", "delta(x1,0)*x2*H(x2)"),
+            ("t1^2+t2^2-1", "x1^-2*H(x1)*log(x2)*H(x2) + delta(x2,1)"),
+        ],
+    )
+    def test_sabotaged_coefficient_detected(self, P, T):
+        P, T = parse_poly(P, 2), parse_dist(T, 2)
+        U = solve(P, T).solution
+        assert compare_symbolic_numeric(P, U, T, self.SUITE_2D) <= 1e-9
+        t = U.terms[0]
+        bad = DistExpr(2, (TensorTerm(t.coeff * F(11, 10), t.factors),) + U.terms[1:])
+        assert compare_symbolic_numeric(P, bad, T, self.SUITE_2D) > 1e-3
+
+    def test_theta_table_error_detected(self, monkeypatch):
+        # Double every finite-part delta correction.  The solver and verify
+        # share the table, so the wrong solution still verifies; the
+        # numerical check does not use the table and must flag it.
+        right = theta.apply_theta
+
+        def wrong(j, a):
+            return [
+                (c * 2 if isinstance(b, Delta) and b != a else c, b)
+                for c, b in right(j, a)
+            ]
+
+        P = Polynomial.variable(1, 1) - Polynomial.constant(1, 2)
+        T = single((MonLog(-1, 0, 1),))
+        U = solve(P, T).solution
+        assert compare_symbolic_numeric(P, U, T, self.suite()) <= 1e-9
+        monkeypatch.setattr(theta, "apply_theta", wrong)
+        rep = solve(P, T)
+        assert rep.verified and rep.solution != U
+        assert compare_symbolic_numeric(P, rep.solution, T, self.suite()) > 1e-3
 
 
 class TestPairingCache:

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerdist.atoms import Delta, MonLog, TensorTerm, dist, full_monomial, single
 from eulerdist.errors import UnsupportedInput, ZeroPolynomial
@@ -104,14 +105,14 @@ class TestSolve:
 class TestSolveContinuousTerm:
     def test_simple_resonance(self):
         P = zvar() - const(1, 2)
-        U, residual, v = solve_continuous_term(P, TensorTerm(F(1), (MonLog(2, 0, 1),)))
+        U, residual, v = solve_continuous_term(P, [TensorTerm(F(1), (MonLog(2, 0, 1),))])
         assert U == single((MonLog(2, 1, 1),))
         assert residual.is_zero()
         assert v == 1
 
     def test_mixed_bump(self):
         P = zvar(2, 1) * zvar(2, 2)
-        U, residual, v = solve_continuous_term(P, TensorTerm(F(1), (H, H)))
+        U, residual, v = solve_continuous_term(P, [TensorTerm(F(1), (H, H))])
         assert U == single((MonLog(0, 1, 1), MonLog(0, 1, 1)))
         assert residual.is_zero()
         assert v == 2
@@ -120,13 +121,86 @@ class TestSolveContinuousTerm:
         # Under this regularization the p >= 1 ladder carries no delta
         # correction, so the residual of the lifted finite part vanishes.
         P = zvar() + const(1, 1)
-        U, residual, v = solve_continuous_term(P, TensorTerm(F(1), (PF,)))
+        U, residual, v = solve_continuous_term(P, [TensorTerm(F(1), (PF,))])
         assert U == single((MonLog(-1, 1, 1),))
         assert residual.is_zero()
 
     def test_rejects_delta(self):
         with pytest.raises(UnsupportedInput):
-            solve_continuous_term(zvar(), TensorTerm(F(1), (Delta(0),)))
+            solve_continuous_term(zvar(), [TensorTerm(F(1), (Delta(0),))])
+
+    def test_rejects_delta_among_continuous_terms(self):
+        ts = [TensorTerm(F(1), (H, H)), TensorTerm(F(2), (H, Delta(0)))]
+        with pytest.raises(UnsupportedInput):
+            solve_continuous_term(zvar(2, 1), ts)
+
+    def test_rejects_two_classes(self):
+        P = zvar(2, 1) + const(2, 1)
+        # Same eigenvalue, different log powers; then different eigenvalues.
+        for other in (MonLog(0, 1, -1), MonLog(1, 0, 1)):
+            ts = [TensorTerm(F(1), (H, H)), TensorTerm(F(1), (H, other))]
+            with pytest.raises(UnsupportedInput):
+                solve_continuous_term(P, ts)
+
+    def test_class_shares_one_solution_vector(self):
+        # The two sign patterns of one class get the same u, scaled by
+        # their own coefficients.
+        P = zvar(2, 1) * zvar(2, 2)
+        ts = [TensorTerm(F(3), (H, MonLog(0, 0, -1))), TensorTerm(F(-1, 2), (H, H))]
+        U, residual, v = solve_continuous_term(P, ts)
+        L1 = MonLog(0, 1, 1)
+        assert U == dist(
+            2,
+            [TensorTerm(F(3), (L1, MonLog(0, 1, -1))), TensorTerm(F(-1, 2), (L1, L1))],
+        )
+        assert residual.is_zero()
+        assert v == 2
+
+
+# A delta-free class: per coordinate (eigenvalue n, log power p).
+classes = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.tuples(st.integers(-3, 3), st.integers(0, 2))] * d),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    )
+)
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(classes, st.data())
+def test_solution_is_additive_over_terms(cls, data):
+    """solve(P, T) is the canonical sum of the solves of T's terms, for T
+    with several sign patterns per (eigenvalue, log powers) class."""
+    d = len(cls[0])
+    terms = []
+    for key in cls:
+        signs = data.draw(
+            st.lists(
+                st.tuples(*[st.sampled_from((1, -1))] * d),
+                min_size=2,
+                max_size=min(2**d, 3),
+                unique=True,
+            )
+        )
+        for sv in signs:
+            factors = tuple(MonLog(n, p, s) for (n, p), s in zip(key, sv))
+            terms.append(TensorTerm(data.draw(coeffs), factors))
+    T = dist(d, terms)
+    # P vanishes to order r at the first class's eigenvalue (r = 0: generic).
+    mu = [n for n, _ in cls[0]]
+    P = const(d, data.draw(st.integers(1, 3)))
+    for j in range(1, d + 1):
+        P = P + zvar(d, j) * data.draw(st.integers(-2, 2))
+    for _ in range(data.draw(st.integers(0, 2))):
+        j = data.draw(st.integers(1, d))
+        P = P * (zvar(d, j) - const(d, mu[j - 1]))
+    rep = solve(P, T)
+    assert rep.verified
+    pieces = [s for t in T.terms for s in solve(P, dist(d, [t])).solution.terms]
+    assert rep.solution == dist(d, pieces)
 
 
 class TestSolveDeltaTerm:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulerdist.atoms import (
     Delta,
+    DistExpr,
     MonLog,
     TensorTerm,
     dist,
@@ -91,6 +92,26 @@ class TestEqual:
     def test_scaling_distinguished(self):
         assert not equal(single((Delta(0),)), single((Delta(0),), 2))
 
+    def test_non_canonical_operands(self):
+        # Built directly: a repeated factor tuple, a zero coefficient and
+        # an unsorted order, on either side.
+        raw = DistExpr(
+            1,
+            (
+                TensorTerm(F(1), (H,)),
+                TensorTerm(F(0), (MonLog(2, 0, 1),)),
+                TensorTerm(F(1), (Delta(0),)),
+                TensorTerm(F(2), (H,)),
+            ),
+        )
+        canon = single((Delta(0),)) + single((H,), 3)
+        assert equal(raw, canon) and equal(canon, raw)
+        assert not equal(raw, single((H,), 3))
+        assert not equal(raw, canon + single((MonLog(2, 0, 1),)))
+        cancelled = DistExpr(1, (TensorTerm(F(1), (H,)), TensorTerm(F(-1), (H,))))
+        assert equal(cancelled, dist(1, []))
+        assert equal(dist(1, []), cancelled)
+
 
 class TestClosure:
     def test_log_ladder(self):
@@ -160,3 +181,41 @@ def test_eigen_suite_exhaustive_small():
     for alpha in product(range(3), repeat=2):
         e = full_monomial(alpha, 2)
         assert apply_polynomial(P, e) == e.scaled(poly_eval(P, alpha))
+
+
+def _reference_apply(P, e):
+    """sum_alpha c_alpha theta^alpha e, one monomial at a time."""
+    out = dist(e.dim, [])
+    for alpha, c in P.terms.items():
+        x = e
+        for j, a in enumerate(alpha, start=1):
+            for _ in range(a):
+                x = apply_theta_expr(j, x)
+        out = out + x.scaled(c)
+    return out
+
+
+polys_2d = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    max_size=5,
+).map(lambda terms: Polynomial(2, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys_2d,
+    st.lists(
+        st.builds(
+            TensorTerm,
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            st.tuples(atom_strategy, atom_strategy),
+        ),
+        max_size=5,
+    ),
+)
+def test_apply_polynomial_matches_monomial_reference(P, ts):
+    # atom_strategy covers n <= -1 finite parts (with delta corrections)
+    # and deltas; the raw term list may repeat factors or carry zeros.
+    e = DistExpr(2, tuple(ts))
+    assert apply_polynomial(P, e) == _reference_apply(P, e)

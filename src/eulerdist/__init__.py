@@ -1,132 +1,6 @@
 """Exact solver for Euler operator equations P(theta) U = T on a structured
 class of temperate distributions, with an independent numerical pairing
-oracle and a desk-scale fundamental-solution check for P(d/dx)."""
+oracle and a desk-scale fundamental-solution check for P(d/dx).
 
-from .atoms import (
-    Atom1D,
-    Delta,
-    DistExpr,
-    MonLog,
-    TensorTerm,
-    canonicalize,
-    decompose_hyperplane,
-    dist,
-    eigenvalue,
-    full_monomial,
-    single,
-)
-from .errors import (
-    CoordinateConflict,
-    DimensionError,
-    DuplicateLambda,
-    EscalationExceeded,
-    EulerDistError,
-    FloatOverflow,
-    ParseError,
-    PoleOnGrid,
-    QuadratureNoConvergence,
-    TermNotHyperplaneSupported,
-    UnsupportedInput,
-    ZeroPolynomial,
-)
-from .gausspoly import GaussPoly
-from .oracle import (
-    adjoint_check,
-    compare_symbolic_numeric,
-    derivative_of_x_phi,
-    pair,
-)
-from .poly import (
-    Polynomial,
-    factor_out,
-    poly_eval,
-    principal_part,
-    substitute_coord,
-    taylor_shift,
-    vanishing_order,
-)
-from .solver import (
-    SolveReport,
-    resonant_1d,
-    solve,
-    solve_continuous_term,
-    solve_delta_term,
-    verify,
-)
-from .theta import apply_polynomial, apply_theta, apply_theta_expr, closure, equal
-from .grammar import format_dist, format_poly, parse_dist, parse_poly
-from .wagner import (
-    SeminormSpec,
-    StripReport,
-    WagnerParams,
-    choose_eta,
-    exp_conjugation_check,
-    hy_strip_check,
-    me_check,
-    pair_E,
-    wagner_coefficients,
-    y_seminorm,
-)
-
-__all__ = [
-    "Atom1D",
-    "CoordinateConflict",
-    "Delta",
-    "DimensionError",
-    "DistExpr",
-    "DuplicateLambda",
-    "EscalationExceeded",
-    "EulerDistError",
-    "FloatOverflow",
-    "GaussPoly",
-    "MonLog",
-    "ParseError",
-    "PoleOnGrid",
-    "Polynomial",
-    "QuadratureNoConvergence",
-    "SeminormSpec",
-    "SolveReport",
-    "StripReport",
-    "WagnerParams",
-    "TensorTerm",
-    "TermNotHyperplaneSupported",
-    "UnsupportedInput",
-    "ZeroPolynomial",
-    "adjoint_check",
-    "apply_polynomial",
-    "apply_theta",
-    "apply_theta_expr",
-    "canonicalize",
-    "choose_eta",
-    "closure",
-    "compare_symbolic_numeric",
-    "decompose_hyperplane",
-    "derivative_of_x_phi",
-    "dist",
-    "eigenvalue",
-    "equal",
-    "exp_conjugation_check",
-    "factor_out",
-    "format_dist",
-    "format_poly",
-    "full_monomial",
-    "hy_strip_check",
-    "me_check",
-    "pair",
-    "pair_E",
-    "parse_dist",
-    "parse_poly",
-    "poly_eval",
-    "principal_part",
-    "resonant_1d",
-    "single",
-    "wagner_coefficients",
-    "y_seminorm",
-    "solve",
-    "solve_continuous_term",
-    "solve_delta_term",
-    "substitute_coord",
-    "taylor_shift",
-    "vanishing_order",
-    "verify",
-]
+Nothing is re-exported here: import from the submodules (eulerdist.solver,
+eulerdist.grammar, ...)."""

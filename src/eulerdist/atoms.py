@@ -70,15 +70,15 @@ class TensorTerm:
     coeff: Fraction
     factors: tuple[Atom1D, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
-
     def scaled(self, c: RationalLike) -> "TensorTerm":
         return TensorTerm(self.coeff * Fraction(c), self.factors)
 
-    def has_delta(self) -> bool:
-        return any(isinstance(f, Delta) for f in self.factors)
+    def delta_coord(self) -> int:
+        """The 1-based coordinate of the first delta factor; 0 if there is none."""
+        for j, f in enumerate(self.factors, 1):
+            if isinstance(f, Delta):
+                return j
+        return 0
 
 
 def term_key(t: TensorTerm) -> tuple:
@@ -136,11 +136,6 @@ def from_coeffs(dim: int, coeffs: dict[tuple[Atom1D, ...], Fraction]) -> DistExp
     return DistExpr(dim, tuple(out))
 
 
-def canonicalize(e: DistExpr) -> DistExpr:
-    """Merge like terms, drop zeros, fix the term order.  Idempotent."""
-    return dist(e.dim, e.terms)
-
-
 def single(atoms: Sequence[Atom1D], coeff: RationalLike = 1) -> DistExpr:
     """Expression with one tensor term."""
     return dist(len(atoms), [TensorTerm(Fraction(coeff), tuple(atoms))])
@@ -188,10 +183,8 @@ def decompose_hyperplane(e: DistExpr) -> list[tuple[int, DistExpr]]:
     """
     buckets: dict[int, list[TensorTerm]] = {}
     for t in e.terms:
-        j = next(
-            (i + 1 for i, f in enumerate(t.factors) if isinstance(f, Delta)), None
-        )
-        if j is None:
+        j = t.delta_coord()
+        if not j:
             raise TermNotHyperplaneSupported(
                 f"term {t} has no delta factor; not supported on a hyperplane"
             )

@@ -9,8 +9,8 @@ to stdout (or --output FILE).  Reports are byte-identical across runs with
 identical inputs; wall_time_ms is null unless --timing is given, since a
 measured time would break that determinism.  Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 parse or usage error (including a
-zero polynomial P and a wagner-check center or width out of float range),
-3 internal error.
+zero polynomial P, a wagner-check center or width out of float range, and
+an input over a stated size limit), 3 internal error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     DimensionError,
     EulerDistError,
     FloatOverflow,
+    InputTooLarge,
     ParseError,
     ZeroPolynomial,
 )
@@ -310,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         CoordinateConflict,
         DimensionError,
         FloatOverflow,
+        InputTooLarge,
         ZeroPolynomial,
     ) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -33,6 +33,10 @@ class FloatOverflow(EulerDistError):
     """A numerical check's intermediate value exceeds the float range."""
 
 
+class InputTooLarge(EulerDistError):
+    """An input exceeds a stated size limit (expanded terms, grid points)."""
+
+
 class PoleOnGrid(EulerDistError):
     """A quadrature grid node hit a zero of the symbol; retry with a shifted grid."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionError
 from .poly import Polynomial, RationalLike
@@ -37,14 +37,9 @@ class GaussPoly:
 
     @classmethod
     def gaussian(
-        cls,
-        dim: int = 1,
-        center: RationalLike | Sequence[RationalLike] = 0,
-        width: RationalLike = 1,
+        cls, dim: int, center: Sequence[RationalLike], width: RationalLike
     ) -> "GaussPoly":
         """Plain Gaussian exp(-|x - center|^2 / width^2)."""
-        if isinstance(center, (int, Fraction)):
-            center = (center,) * dim
         return cls(
             Polynomial.constant(dim, 1),
             tuple(Fraction(c) for c in center),
@@ -94,3 +89,18 @@ class GaussPoly:
             tuple(-c for c in self.center),
             self.width,
         )
+
+
+def apply_transposed(
+    P: Polynomial, phi: GaussPoly, step: Callable[[GaussPoly, int], GaussPoly]
+) -> GaussPoly:
+    """sum_alpha c_alpha (-1)^|alpha| D^alpha phi, exactly, with the
+    one-coordinate operators D_j = step(., j), which must commute."""
+    total = Polynomial.zero(P.dim)
+    for alpha, c in P.sorted_terms():
+        g = phi
+        for j, a in enumerate(alpha, start=1):
+            for _ in range(a):
+                g = step(g, j)
+        total = total + g.poly.scale(-c if sum(alpha) % 2 else c)
+    return phi.with_poly(total)

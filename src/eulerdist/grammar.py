@@ -2,7 +2,8 @@
 
 Polynomial grammar: variables t1..t9 (the Euler fields theta_1..theta_9),
 integer and rational literals (3, 3/4), operators + - * ^ with ^ binding
-tighter than * tighter than +/-, parentheses, unary minus, free whitespace.
+tighter than unary minus and * (-t1^2 is -(t1^2)), which bind tighter than
++/-, parentheses, free whitespace.
 
 Distribution grammar: a sum of terms; each term is an optional rational
 coefficient times a product of coordinate factors
@@ -30,10 +31,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable
 
 from .atoms import Delta, DistExpr, MonLog, TensorTerm, dist, expand_tensor, full_line
-from .errors import CoordinateConflict, DimensionError, ParseError
+from .errors import CoordinateConflict, DimensionError, InputTooLarge, ParseError
 from .poly import Polynomial
 
 _TOKEN_RE = re.compile(
@@ -107,6 +109,26 @@ class _Cursor:
 
 # -- polynomials -----------------------------------------------------------
 
+# t1..t9 are the only variables the polynomial grammar can name.
+MAX_DIM = 9
+# The most terms a product or power may expand to; (t1+...+t6)^7 has 792.
+MAX_TERMS = 1000
+
+
+def _check_dim(d: int) -> None:
+    if d > MAX_DIM:
+        raise DimensionError(f"dimension {d} is above the largest, {MAX_DIM}")
+
+
+def _check_terms(dim: int, degree: int, count: int) -> None:
+    """Refuse, before expanding, a product that could exceed MAX_TERMS terms:
+    one of at most count terms, with at most one per monomial of its degree."""
+    bound = min(count, comb(dim + degree, dim)) if count > MAX_TERMS else count
+    if bound > MAX_TERMS:
+        raise InputTooLarge(
+            f"polynomial expansion could reach {bound} terms, above {MAX_TERMS}"
+        )
+
 
 def _rational(cur: _Cursor) -> Fraction:
     """An `n` or `n/m` literal."""
@@ -125,8 +147,6 @@ def _poly_atom(cur: _Cursor, dim: int) -> Polynomial:
         p = _poly_sum(cur, dim)
         cur.expect(")")
         return p
-    if cur.accept("-"):
-        return -_poly_atom(cur, dim)
     if t.kind == "num":
         return Polynomial.constant(dim, _rational(cur))
     if t.kind == "name":
@@ -143,16 +163,25 @@ def _poly_atom(cur: _Cursor, dim: int) -> Polynomial:
 
 
 def _poly_power(cur: _Cursor, dim: int) -> Polynomial:
+    """An atom with an optional exponent; a unary minus negates the power."""
+    if cur.accept("-"):
+        return -_poly_power(cur, dim)
     base = _poly_atom(cur, dim)
-    if cur.accept("^"):
-        return base ** int(cur.expect("num").text)
-    return base
+    if not cur.accept("^"):
+        return base
+    n = int(cur.expect("num").text)
+    if base.terms:
+        # Each term of base^n comes from a multiset of n terms of base.
+        _check_terms(dim, n * base.degree, comb(len(base.terms) + n - 1, n))
+    return base**n
 
 
 def _poly_product(cur: _Cursor, dim: int) -> Polynomial:
     p = _poly_power(cur, dim)
     while cur.accept("*"):
-        p = p * _poly_power(cur, dim)
+        q = _poly_power(cur, dim)
+        _check_terms(dim, p.degree + q.degree, len(p.terms) * len(q.terms))
+        p = p * q
     return p
 
 
@@ -179,6 +208,8 @@ def parse_poly(src: str, dim: int | None = None) -> Polynomial:
     """Parse a polynomial in t1..t9; dim defaults to the largest index used."""
     if dim is None:
         dim = max(1, _max_t_index(src))
+    else:
+        _check_dim(dim)
     cur = _Cursor(src)
     p = _poly_sum(cur, dim)
     if cur.tok.kind != "end":
@@ -322,6 +353,7 @@ def parse_dist(src: str, d: int) -> DistExpr:
     """Parse a distribution expression of dimension d into canonical form."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
+    _check_dim(d)
     cur = _Cursor(src)
     sign = Fraction(-1 if cur.tok.kind == "-" else 1)
     if cur.tok.kind in "+-":

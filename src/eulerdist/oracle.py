@@ -28,7 +28,7 @@ from scipy.integrate import quad
 
 from .atoms import Atom1D, Delta, DistExpr, MonLog, single
 from .errors import DimensionError, QuadratureNoConvergence
-from .gausspoly import GaussPoly
+from .gausspoly import GaussPoly, apply_transposed
 from .poly import Polynomial
 # perfbench/tracer.py wraps oracle.apply_polynomial by name, so the import stays.
 from .theta import apply_polynomial, apply_theta  # noqa: F401
@@ -166,33 +166,15 @@ def derivative_of_x_phi(phi: GaussPoly, j: int = 1) -> GaussPoly:
     return phi.times_coord(j).derivative(j)
 
 
-def adjoint_check(a: Atom1D, phi: GaussPoly, j: int = 1, tol: float = 1e-9) -> float:
-    """|<theta_j a, phi> + <a, (x_j phi)'>| for a 1-D atom; certifies one rule."""
+def adjoint_check(a: Atom1D, phi: GaussPoly) -> float:
+    """|<theta a, phi> + <a, (x phi)'>| for a 1-D atom; certifies one rule."""
     if phi.dim != 1:
         raise DimensionError("adjoint_check works on 1-D atoms and test functions")
     lhs = 0.0
-    for c, b in apply_theta(j, a):
-        lhs += float(c) * pair(single((b,)), phi, tol)
-    rhs = pair(single((a,)), derivative_of_x_phi(phi, 1), tol)
+    for c, b in apply_theta(a):
+        lhs += float(c) * pair(single((b,)), phi)
+    rhs = pair(single((a,)), derivative_of_x_phi(phi))
     return abs(lhs + rhs)
-
-
-def _transpose_apply(P: Polynomial, phi: GaussPoly) -> GaussPoly:
-    """P(theta)^t phi, exactly, with theta_j^t phi = -d/dx_j (x_j phi).
-
-    The transposes commute, so each monomial of P is applied coordinate by
-    coordinate.
-    """
-    if P.dim != phi.dim:
-        raise DimensionError(f"polynomial dim {P.dim} vs test function dim {phi.dim}")
-    total = Polynomial.zero(P.dim)
-    for alpha, c in P.sorted_terms():
-        g = phi
-        for j, a in enumerate(alpha, start=1):
-            for _ in range(a):
-                g = derivative_of_x_phi(g, j)
-        total = total + g.poly.scale(-c if sum(alpha) % 2 else c)
-    return phi.with_poly(total)
 
 
 def compare_symbolic_numeric(
@@ -204,12 +186,13 @@ def compare_symbolic_numeric(
 ) -> float:
     """max over the suite of |<U, P(theta)^t phi> - <T, phi>|.
 
-    The test function side is exact (P(theta)^t phi is again a GaussPoly),
-    so the check never touches the symbolic theta-table: it catches an error
-    in the table, in the solver and in the finite-part convention alike.
+    The test function side is exact (P(theta)^t phi is again a GaussPoly,
+    with theta_j^t phi = -d/dx_j (x_j phi)), so the check never touches the
+    symbolic theta-table: it catches an error in the table, in the solver and
+    in the finite-part convention alike.
     """
     worst = 0.0
     for phi in suite:
-        lhs = pair(U, _transpose_apply(P, phi), tol)
+        lhs = pair(U, apply_transposed(P, phi, derivative_of_x_phi), tol)
         worst = max(worst, abs(lhs - pair(T, phi, tol)))
     return worst

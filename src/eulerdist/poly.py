@@ -158,8 +158,9 @@ class Polynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def partial(self, j: int) -> "Polynomial":

@@ -174,7 +174,7 @@ def solve_continuous_term(
     if not ts:
         raise UnsupportedInput("solve_continuous_term needs at least one term")
     for t in ts:
-        if t.has_delta():
+        if t.delta_coord():
             raise UnsupportedInput("solve_continuous_term requires delta-free terms")
     key = _log_class(ts[0])
     if any(_log_class(t) != key for t in ts):
@@ -196,7 +196,7 @@ def solve_continuous_term(
     image = apply_polynomial(P, U_partial)
     residual = dist(d, [*ts, *(TensorTerm(-r.coeff, r.factors) for r in image.terms)])
     for rt in residual.terms:
-        if not rt.has_delta():
+        if not rt.delta_coord():
             raise EscalationExceeded(
                 "continuous residual contains a delta-free term (internal error)"
             )
@@ -219,7 +219,7 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
         raise DimensionError(f"coordinate {j} out of range 1..{V.dim}")
     m0 = MonLog(-(k + 1), 0, 1)
     # (theta_j + k + 1) m0 = sum_{i <= k} corr[Delta(i)] Delta(i).
-    corr = {a: c for c, a in apply_theta(j, m0) if isinstance(a, Delta)}
+    corr = {a: c for c, a in apply_theta(m0) if isinstance(a, Delta)}
     groups: dict[tuple[Atom1D, ...], dict[Atom1D, Fraction]] = {}
     for t in V.terms:
         a = t.factors[j - 1]
@@ -279,8 +279,8 @@ def _solve(
     classes: dict[tuple[tuple[int, int], ...], list[TensorTerm]] = {}
     residuals: list[TensorTerm] = []
     for t in T.terms:
-        if t.has_delta():
-            j = next(i + 1 for i, f in enumerate(t.factors) if isinstance(f, Delta))
+        j = t.delta_coord()
+        if j:
             groups.setdefault((j, t.factors[j - 1].k), []).append(t)
         else:
             classes.setdefault(_log_class(t), []).append(t)
@@ -346,11 +346,3 @@ def solve(P: Polynomial, T: DistExpr) -> SolveReport:
         escalation_depth=esc[0],
         recursion_trace=tuple(trace),
     )
-
-
-def solve_delta_term(P: Polynomial, t: TensorTerm) -> DistExpr:
-    """Solve P(theta) U = t for a single delta-bearing tensor term."""
-    if not t.has_delta():
-        raise UnsupportedInput("solve_delta_term requires a delta factor")
-    j = next(i + 1 for i, f in enumerate(t.factors) if isinstance(f, Delta))
-    return _solve_delta_group(P, j, t.factors[j - 1].k, dist(t.dim, [t]), [], [0])

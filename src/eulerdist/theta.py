@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable
 
 from .atoms import (
     Atom1D,
@@ -26,7 +25,6 @@ from .atoms import (
     DistExpr,
     MonLog,
     TensorTerm,
-    atom_key,
     coeff_map,
     dist,
     from_coeffs,
@@ -35,14 +33,8 @@ from .errors import DimensionError
 from .poly import Polynomial
 
 
-def apply_theta(j: int, a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
-    """Exact action of theta_j on one atom in coordinate j (1-based).
-
-    The rule itself does not depend on j; the index is kept for interface
-    symmetry with the expression-level operators.
-    """
-    if j < 1:
-        raise DimensionError(f"coordinate index must be >= 1, got {j}")
+def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
+    """Exact action of theta on one atom; the same in every coordinate."""
     if isinstance(a, Delta):
         return [(Fraction(-(a.k + 1)), a)]
     out: list[tuple[Fraction, Atom1D]] = []
@@ -65,7 +57,7 @@ def apply_theta_expr(j: int, e: DistExpr) -> DistExpr:
         raise DimensionError(f"coordinate {j} out of range 1..{e.dim}")
     terms = []
     for t in e.terms:
-        for c, a in apply_theta(j, t.factors[j - 1]):
+        for c, a in apply_theta(t.factors[j - 1]):
             factors = t.factors[: j - 1] + (a,) + t.factors[j:]
             terms.append(TensorTerm(t.coeff * c, factors))
     return dist(e.dim, terms)
@@ -80,7 +72,7 @@ def _theta_coeffs(
     for f, c in coeffs.items():
         if not c:
             continue
-        for tc, a in apply_theta(j, f[i]):
+        for tc, a in apply_theta(f[i]):
             g = f[:i] + (a,) + f[i + 1 :]
             old = out.get(g)
             out[g] = c * tc if old is None else old + c * tc
@@ -130,18 +122,3 @@ def equal(a: DistExpr, b: DistExpr) -> bool:
     for t in b.terms:
         acc[t.factors] = acc.get(t.factors, 0) - t.coeff
     return not any(acc.values())
-
-
-def closure(atoms: Iterable[Atom1D]) -> tuple[Atom1D, ...]:
-    """Smallest atom set containing the input and stable under theta (1-D)."""
-    seen: set[Atom1D] = set()
-    todo = list(atoms)
-    while todo:
-        a = todo.pop()
-        if a in seen:
-            continue
-        seen.add(a)
-        for _, b in apply_theta(1, a):
-            if b not in seen:
-                todo.append(b)
-    return tuple(sorted(seen, key=atom_key))

@@ -35,16 +35,19 @@ from .errors import (
     DimensionError,
     DuplicateLambda,
     FloatOverflow,
+    InputTooLarge,
     PoleOnGrid,
     QuadratureNoConvergence,
     UnsupportedInput,
     ZeroPolynomial,
 )
-from .gausspoly import GaussPoly
+from .gausspoly import GaussPoly, apply_transposed
 from .poly import Polynomial, poly_eval, principal_part
 from .theta import apply_polynomial
 
 _POLE_EPS = 1e-12
+# The most xi-grid points pair_E allocates (32 MB per complex array).
+MAX_GRID_POINTS = 2**21
 
 
 # -- parameter selection --------------------------------------------------
@@ -109,9 +112,8 @@ class WagnerParams:
         lam = tuple(Fraction(j + 1) for j in range(m + 1))
         a = wagner_coefficients(m, lam)
         two_eta = tuple(2 * e for e in eta)
+        # Nonzero: P_m(2 eta) = 2^m P_m(eta), and choose_eta has P_m(eta) != 0.
         normalizer = poly_eval(principal_part(P), two_eta)
-        if normalizer == 0:
-            raise ZeroPolynomial(f"principal part vanishes at 2*eta = {two_eta}")
         return cls(m=m, eta=eta, lam=lam, a=a, normalizer=normalizer)
 
 
@@ -167,11 +169,6 @@ def _eval_poly_complex(P: Polynomial, coords: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _grid_axes(d: int, N: int, R: float, offset: float) -> list[np.ndarray]:
-    h = 2.0 * R / (N - 1)
-    return [(-R + (np.arange(N) + offset) * h) for _ in range(d)], h
-
-
 def pair_E(
     P: Polynomial,
     params: WagnerParams,
@@ -183,12 +180,17 @@ def pair_E(
     The xi-integral is a trapezoid rule on N points per axis over [-R, R]^d;
     a grid node falling on a zero of the symbol triggers one deterministic
     half-cell shift before raising PoleOnGrid.  A chi whose twisted Gaussian
-    weights leave the float range raises FloatOverflow.
+    weights leave the float range raises FloatOverflow, and a grid of more
+    than MAX_GRID_POINTS nodes raises InputTooLarge before any allocation.
     """
     if P.is_zero():
         raise ZeroPolynomial("pair_E requires a nonzero polynomial")
     if P.dim != chi.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs test function dim {chi.dim}")
+    if int(grid[0]) ** P.dim > MAX_GRID_POINTS:
+        raise InputTooLarge(
+            f"{int(grid[0])}^{P.dim} grid points exceed the budget of {MAX_GRID_POINTS}"
+        )
     try:
         try:
             return _pair_E_on_grid(P, params, chi, grid, 0.0)
@@ -208,7 +210,8 @@ def _pair_E_on_grid(
     N, R = int(grid[0]), float(grid[1])
     w = float(chi.width)
     w2 = float(chi.width) ** 2
-    axes, h = _grid_axes(d, N, R, offset)
+    h = 2.0 * R / (N - 1)
+    axes = [(-R + (np.arange(N) + offset) * h) for _ in range(d)]
     total = 0.0
     weights1d = np.ones(N)
     weights1d[0] = weights1d[-1] = 0.5
@@ -254,25 +257,12 @@ def _pair_E_on_grid(
     return total / ((2.0 * math.pi) ** d * float(params.normalizer))
 
 
-def _apply_p_minus_d(P: Polynomial, phi: GaussPoly) -> GaussPoly:
-    """P(-d/dx) phi, computed symbolically in GaussPoly."""
-    acc_poly = Polynomial.zero(phi.dim)
-    for alpha, c in P.terms.items():
-        g = phi
-        for j, a in enumerate(alpha):
-            for _ in range(a):
-                g = g.derivative(j + 1)
-        sign = Fraction(-1) ** sum(alpha)
-        acc_poly = acc_poly + g.poly.scale(c * sign)
-    return phi.with_poly(acc_poly)
-
-
 def me_check(
     P: Polynomial, phi: GaussPoly, grid: tuple[int, float] = (4096, 40.0)
 ) -> float:
     """Residual |<E, P(-d)phi> - phi(0)| of the reproducing property."""
     params = WagnerParams.for_polynomial(P)
-    chi = _apply_p_minus_d(P, phi)
+    chi = apply_transposed(P, phi, GaussPoly.derivative)
     value = pair_E(P, params, chi, grid)
     return abs(value - phi.value((0.0,) * phi.dim))
 

@@ -89,7 +89,7 @@ def test_acceptance_eigen_suite():
                 assert apply_polynomial(P, e) == e.scaled(poly_eval(P, alpha))
     assert count >= 20
     for k in range(7):
-        assert apply_theta(1, Delta(k)) == [(F(-(k + 1)), Delta(k))]
+        assert apply_theta(Delta(k)) == [(F(-(k + 1)), Delta(k))]
 
 
 # -- criterion 3: randomized solver soundness --------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -186,6 +187,56 @@ class TestWagnerCommand:
         assert code == 2
 
 
+class TestInputLimits:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            pytest.param(
+                ["parse", "-T", "delta(x1,0)", "-d", "12"], "DimensionError", id="d12"
+            ),
+            pytest.param(
+                ["solve", "-P", "t1+1", "-T", "delta(x1,0)", "-d", "16"],
+                "DimensionError",
+                id="d16",
+            ),
+            pytest.param(
+                ["parse", "-P", f"({'+'.join(f't{j}' for j in range(1, 10))})^5"],
+                "InputTooLarge",
+                id="power",
+            ),
+            pytest.param(
+                ["parse", "-P", "(t1+t2+t3+t4+t5+t6)^4*(t1+t2+t3+t4+t5+t6)^4"],
+                "InputTooLarge",
+                id="product",
+            ),
+            pytest.param(
+                ["wagner-check", "-P", "t1^2+t2^2+t3^2-1"],
+                "InputTooLarge",
+                id="grid-d3-default",
+            ),
+            pytest.param(
+                ["wagner-check", "-P", "t1", "--grid", "3000000"],
+                "InputTooLarge",
+                id="grid-d1",
+            ),
+        ],
+    )
+    def test_oversized_input_is_a_quick_usage_error(self, capsys, argv, error):
+        start = time.monotonic()
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == error
+
+    def test_negated_power_is_solved(self, capsys):
+        argv = ["solve", "-P", "-t1^2+1", "-T", "delta(x1,0)", "-d", "1"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        # (1 - theta^2)(1/2 x^-1 H) = delta; read as t1^2 + 1, the
+        # solution would be 1/2*delta(x1,0).
+        assert json.loads(out)["outputs"]["solution"] == "1/2*x1^-1*H(x1)"
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         argv = ["solve", "-P", "(t1+1)^2", "-T", "delta(x1,1)", "-d", "1"]
@@ -209,7 +260,7 @@ class TestDeterminism:
 # exceed -d, and factors may conflict, to reach the usage errors too.
 
 _small = st.integers(0, 3)
-_coeff = st.sampled_from(["", "2*", "-1/3*", "3/2*", "0*"])
+_coeff = st.sampled_from(["", "-", "2*", "-1/3*", "3/2*", "0*"])
 
 
 def _coord(d):

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerdist.atoms import Delta, MonLog, TensorTerm, dist, full_monomial, single
-from eulerdist.errors import CoordinateConflict, DimensionError, ParseError
+from eulerdist.errors import (
+    CoordinateConflict,
+    DimensionError,
+    InputTooLarge,
+    ParseError,
+)
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
 from eulerdist.poly import Polynomial
 
@@ -43,6 +48,32 @@ class TestParsePoly:
     def test_variable_beyond_dim(self):
         with pytest.raises(DimensionError):
             parse_poly("t3", 2)
+
+    @pytest.mark.parametrize(
+        "src, want",
+        [
+            ("-t1^2+1", "1 - t1^2"),
+            ("-(t1+1)^2", "-1 - 2*t1 - t1^2"),
+            ("t2*-t1^2", "-t1^2*t2"),
+            ("(-t1)^2", "t1^2"),
+            ("- -t1^3", "t1^3"),
+            ("-2^2*t1", "-4*t1"),
+        ],
+    )
+    def test_unary_minus_applies_to_the_whole_power(self, src, want):
+        assert format_poly(parse_poly(src, 2)) == want
+
+    def test_dimension_above_nine(self):
+        with pytest.raises(DimensionError):
+            parse_poly("t1", 10)
+        with pytest.raises(DimensionError):
+            parse_dist("delta(x1,0)", 10)
+
+    def test_expansion_refused_before_multiplying(self):
+        with pytest.raises(InputTooLarge):
+            parse_poly("(t1+t2+t3+t4+t5+t6)^8")
+        with pytest.raises(InputTooLarge):
+            parse_poly("(t1+t2+t3)^3*(t4+t5+t6+t7)^4*(t8+t9+1)^3")
 
 
 class TestParseDist:
@@ -178,3 +209,16 @@ exprs = st.lists(
 @given(exprs)
 def test_format_parse_identity(e):
     assert parse_dist(format_dist(e), 2) == e
+
+
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=5,
+).map(lambda terms: Polynomial(2, terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys)
+def test_format_parse_poly_identity(P):
+    assert parse_poly(format_poly(P), 2) == P

@@ -143,10 +143,10 @@ class TestCompareSymbolicNumeric:
         # numerical check does not use the table and must flag it.
         right = theta.apply_theta
 
-        def wrong(j, a):
+        def wrong(a):
             return [
                 (c * 2 if isinstance(b, Delta) and b != a else c, b)
-                for c, b in right(j, a)
+                for c, b in right(a)
             ]
 
         P = Polynomial.variable(1, 1) - Polynomial.constant(1, 2)

@@ -161,3 +161,20 @@ def test_vanishing_order_invariants(P, mu):
     assert sum(beta) == val
     shifted = taylor_shift(P, mu)
     assert shifted.terms.get(beta, F(0)) != 0
+
+
+def test_power_makes_no_product_larger_than_its_result(monkeypatch):
+    sizes = []
+    mul = Polynomial.__mul__
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        sizes.append(len(out.terms))
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", recording_mul)
+    L = 2 * v(3, 1) - v(3, 2) + 3 * v(3, 3) + c(3, 1)
+    sizes.clear()
+    result = L**4
+    assert len(result.terms) == 35
+    assert sizes and max(sizes) <= 35

@@ -11,7 +11,6 @@ from eulerdist.solver import (
     resonant_1d,
     solve,
     solve_continuous_term,
-    solve_delta_term,
     verify,
 )
 from eulerdist.theta import apply_polynomial
@@ -206,24 +205,20 @@ def test_solution_is_additive_over_terms(cls, data):
 class TestSolveDeltaTerm:
     def test_substitution_path(self):
         P = zvar(2, 1) + zvar(2, 2) + const(2, 2)
-        U = solve_delta_term(P, TensorTerm(F(1), (Delta(0), H)))
+        U = solve(P, single((Delta(0), H))).solution
         assert U == single((Delta(0), H))
 
     def test_scaled_linear_factor(self):
         P = (zvar() + const(1, 4)) * 5
-        t = TensorTerm(F(1), (Delta(3),))
-        U = solve_delta_term(P, t)
-        assert apply_polynomial(P, U) == dist(1, [t])
+        T = single((Delta(3),))
+        U = solve(P, T).solution
+        assert apply_polynomial(P, U) == T
 
     def test_double_resonance(self):
         P = (zvar() + const(1, 1)) ** 2
-        t = TensorTerm(F(1), (Delta(0),))
-        U = solve_delta_term(P, t)
-        assert apply_polynomial(P, U) == dist(1, [t])
-
-    def test_rejects_continuous(self):
-        with pytest.raises(UnsupportedInput):
-            solve_delta_term(zvar(), TensorTerm(F(1), (H,)))
+        T = single((Delta(0),))
+        U = solve(P, T).solution
+        assert apply_polynomial(P, U) == T
 
 
 class TestResonant1D:

@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "eulerdist"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "eulerdist"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -14,3 +16,21 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_traced_benchmark_names_resolve():
+    # perfbench/tracer.py wraps every (module, attribute) of its LAYERS by
+    # name; one that no longer exists would break only traced benchmark runs.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    places = [place for layer in tracer.LAYERS.values() for place in layer]
+    assert places
+    missing = [
+        f"{module.__name__}.{name}"
+        for module, name in places
+        if not callable(getattr(module, name, None))
+    ]
+    assert not missing, f"perfbench/tracer.py looks up missing names: {missing}"

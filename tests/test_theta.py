@@ -4,10 +4,12 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from eulerdist.atoms import (
+    Atom1D,
     Delta,
     DistExpr,
     MonLog,
     TensorTerm,
+    atom_key,
     dist,
     full_monomial,
     single,
@@ -17,7 +19,6 @@ from eulerdist.theta import (
     apply_polynomial,
     apply_theta,
     apply_theta_expr,
-    closure,
     equal,
 )
 
@@ -25,30 +26,45 @@ from eulerdist.theta import (
 H = MonLog(0, 0, 1)
 
 
+def closure(atoms: list[Atom1D]) -> tuple[Atom1D, ...]:
+    """Smallest atom set containing the input and stable under theta (1-D)."""
+    seen: set[Atom1D] = set()
+    todo = list(atoms)
+    while todo:
+        a = todo.pop()
+        if a in seen:
+            continue
+        seen.add(a)
+        for _, b in apply_theta(a):
+            if b not in seen:
+                todo.append(b)
+    return tuple(sorted(seen, key=atom_key))
+
+
 class TestThetaTable:
     def test_delta_eigen(self):
-        assert apply_theta(1, Delta(2)) == [(F(-3), Delta(2))]
+        assert apply_theta(Delta(2)) == [(F(-3), Delta(2))]
 
     def test_heaviside_killed(self):
-        assert apply_theta(1, H) == []
+        assert apply_theta(H) == []
 
     def test_finite_part_correction(self):
-        out = dict((a, c) for c, a in apply_theta(1, MonLog(-1, 0, 1)))
+        out = dict((a, c) for c, a in apply_theta(MonLog(-1, 0, 1)))
         assert out == {MonLog(-1, 0, 1): F(-1), Delta(0): F(1)}
 
     def test_log_ladder(self):
-        out = dict((a, c) for c, a in apply_theta(1, MonLog(2, 1, 1)))
+        out = dict((a, c) for c, a in apply_theta(MonLog(2, 1, 1)))
         assert out == {MonLog(2, 1, 1): F(2), MonLog(2, 0, 1): F(1)}
 
     def test_no_correction_with_log(self):
         # For p >= 1 the regularization absorbs the boundary term.
-        out = dict((a, c) for c, a in apply_theta(1, MonLog(-2, 1, 1)))
+        out = dict((a, c) for c, a in apply_theta(MonLog(-2, 1, 1)))
         assert out == {MonLog(-2, 1, 1): F(-2), MonLog(-2, 0, 1): F(1)}
 
     def test_reflected_correction_sign(self):
         # Reflected finite parts leak into deltas with all-positive weights;
         # the coefficients are locked to the adjoint-identity oracle.
-        out = dict((a, c) for c, a in apply_theta(1, MonLog(-2, 0, -1)))
+        out = dict((a, c) for c, a in apply_theta(MonLog(-2, 0, -1)))
         assert out == {
             MonLog(-2, 0, -1): F(-2),
             Delta(0): F(1),
@@ -129,7 +145,7 @@ class TestClosure:
         base = closure([MonLog(-3, 2, -1), Delta(1)])
         span = set(base)
         for a in base:
-            for _, b in apply_theta(1, a):
+            for _, b in apply_theta(a):
                 assert b in span
 
 

@@ -150,7 +150,7 @@ def _cmd_wagner_check(args) -> int:
         raise DimensionError(f"center has {len(center)} entries for dimension {d}")
     phi = GaussPoly.gaussian(d, center, Fraction(args.width))
     params = WagnerParams.for_polynomial(P)
-    residual = me_check(P, phi, (args.grid, args.cutoff))
+    residual = me_check(P, params, phi, (args.grid, args.cutoff))
     outputs = {
         "residual": residual,
         "N": args.grid,
@@ -289,11 +289,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(_attach_signed_values(argv))
+        args = _PARSER.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._t0 = time.monotonic()

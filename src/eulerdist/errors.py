@@ -34,7 +34,7 @@ class FloatOverflow(EulerDistError):
 
 
 class InputTooLarge(EulerDistError):
-    """An input exceeds a stated size limit (expanded terms, grid points)."""
+    """An input exceeds a stated size limit (terms, degree, digits, bits, grid)."""
 
 
 class PoleOnGrid(EulerDistError):

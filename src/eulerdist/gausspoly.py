@@ -78,18 +78,6 @@ class GaussPoly:
         """Multiplication by x_j (1-based)."""
         return self.with_poly(self.poly * Polynomial.variable(self.dim, j))
 
-    def reflected(self) -> "GaussPoly":
-        """The function x -> f(-x)."""
-        terms = {
-            alpha: (c if sum(alpha) % 2 == 0 else -c)
-            for alpha, c in self.poly.terms.items()
-        }
-        return GaussPoly(
-            Polynomial(self.dim, terms),
-            tuple(-c for c in self.center),
-            self.width,
-        )
-
 
 def apply_transposed(
     P: Polynomial, phi: GaussPoly, step: Callable[[GaussPoly, int], GaussPoly]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable
 
 from .atoms import Delta, DistExpr, MonLog, TensorTerm, dist, expand_tensor, full_line
@@ -62,6 +62,9 @@ def _tokenize(src: str) -> list[_Token]:
             bad = len(src) - len(stripped)
             raise ParseError(f"unexpected character {src[bad]!r}", bad)
         if m.group("num") is not None:
+            if len(m.group("num")) > MAX_DIGITS:
+                at = m.start("num")
+                raise InputTooLarge(f"literal at {at} has over {MAX_DIGITS} digits")
             tokens.append(_Token("num", m.group("num"), m.start("num")))
         elif m.group("name") is not None:
             tokens.append(_Token("name", m.group("name"), m.start("name")))
@@ -113,11 +116,34 @@ class _Cursor:
 MAX_DIM = 9
 # The most terms a product or power may expand to; (t1+...+t6)^7 has 792.
 MAX_TERMS = 1000
+# The highest total degree a product or power may reach.
+MAX_DEGREE = 1000
+# The longest numeric literal, and the most bits a coefficient may have when
+# it is expanded or printed: both keep every number within Python's
+# 4300-digit limit on int-string conversion (3000 digits < 10000 bits).
+MAX_DIGITS = 3000
+MAX_BITS = 10_000
 
 
 def _check_dim(d: int) -> None:
     if d > MAX_DIM:
         raise DimensionError(f"dimension {d} is above the largest, {MAX_DIM}")
+
+
+def _coeff_bits(P: Polynomial) -> int:
+    """A bound on the bits of P's coefficients that adds under products:
+    max(bits(D), bits(D * sum|c|)) for the common denominator D."""
+    D = lcm(*(c.denominator for c in P.terms.values()))
+    S = sum(abs(c.numerator) * (D // c.denominator) for c in P.terms.values())
+    return max(D.bit_length(), S.bit_length())
+
+
+def _check_size(degree: int, bits: int) -> None:
+    """Refuse, before expanding, a product above MAX_DEGREE or MAX_BITS."""
+    if degree > MAX_DEGREE:
+        raise InputTooLarge(f"polynomial degree {degree} is above {MAX_DEGREE}")
+    if bits > MAX_BITS:
+        raise InputTooLarge(f"coefficients could reach {bits} bits, above {MAX_BITS}")
 
 
 def _check_terms(dim: int, degree: int, count: int) -> None:
@@ -171,7 +197,9 @@ def _poly_power(cur: _Cursor, dim: int) -> Polynomial:
         return base
     n = int(cur.expect("num").text)
     if base.terms:
-        # Each term of base^n comes from a multiset of n terms of base.
+        # Each term of base^n comes from a multiset of n terms of base; with
+        # two or more terms the degree check keeps n small enough for comb.
+        _check_size(n * base.degree, n * _coeff_bits(base))
         _check_terms(dim, n * base.degree, comb(len(base.terms) + n - 1, n))
     return base**n
 
@@ -180,6 +208,7 @@ def _poly_product(cur: _Cursor, dim: int) -> Polynomial:
     p = _poly_power(cur, dim)
     while cur.accept("*"):
         q = _poly_power(cur, dim)
+        _check_size(p.degree + q.degree, _coeff_bits(p) + _coeff_bits(q))
         _check_terms(dim, p.degree + q.degree, len(p.terms) * len(q.terms))
         p = p * q
     return p
@@ -225,6 +254,9 @@ def _signed_sum(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
     out = ""
     for c, factors in terms:
         mag = abs(c)
+        bits = max(mag.numerator.bit_length(), mag.denominator.bit_length())
+        if bits > MAX_BITS:
+            raise InputTooLarge(f"a coefficient of {bits} bits is above {MAX_BITS}")
         body = "*".join(factors if mag == 1 and factors else [str(mag)] + factors)
         if out:
             out += (" - " if c < 0 else " + ") + body

@@ -93,13 +93,15 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     powers = {(0,) * e.dim: coeff_map(e.terms)}
 
     def theta_power(alpha: tuple[int, ...]) -> dict[tuple[Atom1D, ...], Fraction]:
-        got = powers.get(alpha)
-        if got is not None:
-            return got
-        j = next(i for i, a in enumerate(alpha) if a > 0)
-        prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-        val = _theta_coeffs(j + 1, theta_power(prev))
-        powers[alpha] = val
+        # Walk down to the nearest known power, then apply theta back up.
+        chain = []
+        while alpha not in powers:
+            j = next(i for i, a in enumerate(alpha) if a > 0)
+            chain.append((alpha, j + 1))
+            alpha = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+        val = powers[alpha]
+        for beta, j in reversed(chain):
+            val = powers[beta] = _theta_coeffs(j, val)
         return val
 
     total: dict[tuple[Atom1D, ...], Fraction] = {}

@@ -258,10 +258,9 @@ def _pair_E_on_grid(
 
 
 def me_check(
-    P: Polynomial, phi: GaussPoly, grid: tuple[int, float] = (4096, 40.0)
+    P: Polynomial, params: WagnerParams, phi: GaussPoly, grid: tuple = (4096, 40.0)
 ) -> float:
-    """Residual |<E, P(-d)phi> - phi(0)| of the reproducing property."""
-    params = WagnerParams.for_polynomial(P)
+    """Residual |<E, P(-d)phi> - phi(0)|; params is for_polynomial(P)."""
     chi = apply_transposed(P, phi, GaussPoly.derivative)
     value = pair_E(P, params, chi, grid)
     return abs(value - phi.value((0.0,) * phi.dim))

@@ -31,7 +31,12 @@ from eulerdist.oracle import adjoint_check, compare_symbolic_numeric
 from eulerdist.poly import Polynomial, poly_eval
 from eulerdist.solver import solve
 from eulerdist.theta import apply_polynomial, apply_theta
-from eulerdist.wagner import exp_conjugation_check, me_check, wagner_coefficients
+from eulerdist.wagner import (
+    WagnerParams,
+    exp_conjugation_check,
+    me_check,
+    wagner_coefficients,
+)
 
 
 H = MonLog(0, 0, 1)
@@ -252,10 +257,11 @@ def test_acceptance_me_check():
         (z1 * z2 + one2, 2, 512, 1e-3),
     ]
     for P, d, N, tol in cases:
+        params = WagnerParams.for_polynomial(P)
         for phi in _phi_suite(d):
-            r1 = me_check(P, phi, (N, 40.0))
+            r1 = me_check(P, params, phi, (N, 40.0))
             assert r1 <= tol, f"me_check {r1:.3e} > {tol} for {P!r}"
-            r2 = me_check(P, phi, (2 * N, 40.0))
+            r2 = me_check(P, params, phi, (2 * N, 40.0))
             # Convergence is spectral here; past the discretization regime
             # the residual sits at the accumulation noise floor, so the
             # halving requirement is enforced down to that floor.

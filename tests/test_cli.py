@@ -187,6 +187,9 @@ class TestWagnerCommand:
         assert code == 2
 
 
+BIG = "7" * 5000
+
+
 class TestInputLimits:
     @pytest.mark.parametrize(
         "argv, error",
@@ -219,6 +222,32 @@ class TestInputLimits:
                 "InputTooLarge",
                 id="grid-d1",
             ),
+            # Each literal is longer than Python's 4300-digit int-string limit.
+            pytest.param(["parse", "-P", f"t1^{BIG}"], "InputTooLarge", id="exponent"),
+            pytest.param(
+                ["parse", "-T", f"delta(x1,{BIG})", "-d", "1"],
+                "InputTooLarge",
+                id="delta-order",
+            ),
+            pytest.param(
+                ["parse", "-T", f"2/{BIG}*H(x1)", "-d", "1"],
+                "InputTooLarge",
+                id="denominator",
+            ),
+            pytest.param(
+                ["parse", "-P", "(2*t1)^200000"], "InputTooLarge", id="degree"
+            ),
+            pytest.param(
+                ["parse", "-P", f"({'7' * 2000}*t1)^9"],
+                "InputTooLarge",
+                id="coefficient-bits",
+            ),
+            pytest.param(
+                ["solve", "-P", f"{'7' * 2999}*t1^1000", "-T", "log(x1)^3*H(x1)"]
+                + ["-d", "1"],
+                "InputTooLarge",
+                id="printed-coefficient-bits",
+            ),
         ],
     )
     def test_oversized_input_is_a_quick_usage_error(self, capsys, argv, error):
@@ -227,6 +256,14 @@ class TestInputLimits:
         assert time.monotonic() - start < 1.0
         assert code == 2
         assert json.loads(out)["error"]["type"] == error
+
+    def test_high_power_is_solved(self, capsys):
+        # theta^1000 is walked iteratively, not by one recursion per power.
+        start = time.monotonic()
+        argv = ["solve", "-P", "t1^1000", "-T", "log(x1)*H(x1)", "-d", "1"]
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 0 and json.loads(out)["outputs"]["verified"]
 
     def test_negated_power_is_solved(self, capsys):
         argv = ["solve", "-P", "-t1^2+1", "-T", "delta(x1,0)", "-d", "1"]

@@ -2,6 +2,10 @@
 
 import ast
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,33 @@ def test_traced_benchmark_names_resolve():
         if not callable(getattr(module, name, None))
     ]
     assert not missing, f"perfbench/tracer.py looks up missing names: {missing}"
+
+
+def test_third_party_imports_are_the_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    wanted = sorted(re.match(r"[\w.-]+", d).group() for d in project["dependencies"])
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    third_party = sorted(found - set(sys.stdlib_module_names) - {"eulerdist"})
+    assert third_party == wanted
+
+
+def test_cli_and_oracle_run_without_scipy():
+    code = (
+        "import sys\n"
+        "from eulerdist import cli\n"
+        "code = cli.main(['--output', sys.argv[1], 'oracle-suite', '--nmax', '1'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code, os.devnull],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert out.stdout == "0 []\n"

@@ -92,15 +92,17 @@ class TestPairE:
 
 class TestMeCheck:
     def test_first_order(self):
-        assert me_check(zvar(), GAUSS1, (4096, 40.0)) <= 1e-4
+        P = zvar()
+        assert me_check(P, WagnerParams.for_polynomial(P), GAUSS1, (4096, 40.0)) <= 1e-4
 
     def test_second_order(self):
-        assert me_check(zvar() ** 2, GAUSS1, (4096, 40.0)) <= 1e-3
+        P = zvar() ** 2
+        assert me_check(P, WagnerParams.for_polynomial(P), GAUSS1, (4096, 40.0)) <= 1e-3
 
     def test_circle_2d(self):
         P = zvar(2, 1) ** 2 + zvar(2, 2) ** 2 - Polynomial.constant(2, 1)
         phi = GaussPoly.gaussian(2, (F(0), F(0)), F(1))
-        assert me_check(P, phi, (512, 40.0)) <= 1e-3
+        assert me_check(P, WagnerParams.for_polynomial(P), phi, (512, 40.0)) <= 1e-3
 
 
 class TestYSeminorm:

@@ -188,14 +188,14 @@ def _cmd_parse(args) -> int:
     return _emit(_report("parse", inputs, {"canonical": canonical}, checks), args)
 
 
-def _int_at_least(least: int):
-    def int_at_least(text: str) -> int:
+def _int_in(least: int, most: float = math.inf):
+    def int_in(text: str) -> int:
         n = int(text)
-        if n < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        if not least <= n <= most:
+            raise argparse.ArgumentTypeError(f"must be in [{least}, {most}], got {n}")
         return n
 
-    return int_at_least
+    return int_in
 
 
 def _cutoff_radius(text: str) -> float:
@@ -259,9 +259,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-suite", help="adjoint-identity quadrature sweep")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--nmax", type=_int_at_least(0), default=3)
-    p.add_argument("--pmax", type=_int_at_least(0), default=2)
-    p.add_argument("--kmax", type=_int_at_least(0), default=3)
+    # Past these a pairing leaves the float range (171! > 1.8e308) or, from
+    # --nmax 42 on, its error estimate passes the oracle's gate.
+    p.add_argument("--nmax", type=_int_in(0, 40), default=3, help="at most 40")
+    p.add_argument("--pmax", type=_int_in(0, 170), default=2, help="at most 170")
+    p.add_argument("--kmax", type=_int_in(0, 170), default=3, help="at most 170")
     p.set_defaults(func=_cmd_oracle_suite)
 
     p = sub.add_parser("wagner-check", help="Malgrange-Ehrenpreis desk check")
@@ -274,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="1",
         help="Gaussian width (rational)",
     )
-    p.add_argument("--grid", type=_int_at_least(2), default=None, help="nodes per axis")
+    p.add_argument("--grid", type=_int_in(2), default=None, help="nodes per axis")
     p.add_argument(
         "--cutoff", type=_cutoff_radius, default=40.0, help="frequency box radius"
     )

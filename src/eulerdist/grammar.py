@@ -16,6 +16,8 @@ coefficient times a product of coordinate factors
     delta(x<j>,<k>) k-th derivative of the delta at the origin
     mono(x<j>,<n>)  full-line monomial sugar, n >= 0
 
+Every exponent, log power and delta order is at most MAX_ORDER in size.
+
 Factors naming one coordinate combine into a single half-line or delta atom
 for that coordinate.  A delta or mono factor owns its coordinate, and a
 power, log or H factor may appear once per coordinate; anything else is a
@@ -118,6 +120,8 @@ MAX_DIM = 9
 MAX_TERMS = 1000
 # The highest total degree a product or power may reach.
 MAX_DEGREE = 1000
+# The largest |n| of a power or mono factor, delta order and log power.
+MAX_ORDER = 1000
 # The longest numeric literal, and the most bits a coefficient may have when
 # it is expanded or printed: both keep every number within Python's
 # 4300-digit limit on int-string conversion (3000 digits < 10000 bits).
@@ -345,6 +349,8 @@ def _dist_factor(cur: _Cursor, d: int, groups: dict[int, dict[str, int]]) -> Non
         raise ParseError(
             f"expected a factor (x<j>, log, H, delta, mono), found {t.text!r}", t.pos
         )
+    if abs(value) > MAX_ORDER:
+        raise InputTooLarge(f"{kind} order at offset {t.pos} is above {MAX_ORDER}")
     g = groups.setdefault(j, {})
     owned = kind in _OWNS_COORDINATE or not _OWNS_COORDINATE.isdisjoint(g)
     if kind in g or (g and owned):

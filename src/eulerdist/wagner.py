@@ -11,7 +11,9 @@ and divided-difference coefficients a_j normalized by the Vandermonde system
 sum_j a_j lambda_j^i = [i = m].  Pairings <E, chi> move the inverse Fourier
 transform onto the GaussPoly side in closed form, so only absolutely
 convergent integrals of a modulus-1 multiplier against a Gaussian-decaying
-function are ever computed.  The transform pair here is the non-unitary one
+function are ever computed.  That side is a sum of products of 1-D
+transforms, so the xi-sum contracts the symbol, the one array on the full
+grid, one axis at a time.  The transform pair here is the non-unitary one
 (F f = int f e^{-i xi x} dx, Finv g = (2 pi)^{-d} int g e^{i x xi} d xi);
 the strip membership check uses the unitary convention instead.
 
@@ -129,51 +131,46 @@ class SeminormSpec:
 
 
 def _gauss_ft_1d(
-    gamma: int, mu: float, w: float, xi: np.ndarray, kernel_sign: float
+    gmax: int, mu: float, w: float, xi: np.ndarray, kernel_sign: float
 ) -> np.ndarray:
-    """int x^gamma e^{-(x-mu)^2/w^2} e^{i kernel_sign xi x} dx on a grid.
+    """int x^g e^{-(x-mu)^2/w^2} e^{i kernel_sign xi x} dx on a grid, for
+    every g <= gmax along a trailing axis.
 
-    Uses x^gamma = sum_t C(gamma,t) mu^{gamma-t} (x-mu)^t and the Hermite
-    recurrence for derivatives of the base transform w sqrt(pi) e^{-w^2 xi^2/4}.
+    Uses x^g = sum_t C(g,t) mu^{g-t} (x-mu)^t and the Hermite recurrence for
+    derivatives of the base transform w sqrt(pi) e^{-w^2 xi^2/4}.
     """
-    # B_t(xi) = d^t/dxi^t [w sqrt(pi) e^{-w^2 xi^2/4}] = h_t(xi) e^{-w^2 xi^2/4}
-    # with polynomial recurrence h_{t+1} = h_t' - (w^2 xi / 2) h_t.
-    base = w * math.sqrt(math.pi)
-    env = np.exp(-(w * w) * xi * xi / 4.0)
-    h = [np.polynomial.Polynomial([base])]
-    for _ in range(gamma):
-        prev = h[-1]
-        h.append(prev.deriv() - np.polynomial.Polynomial([0.0, w * w / 2.0]) * prev)
-    out = np.zeros_like(xi, dtype=complex)
+    # B_t(k) = d^t/dk^t [w sqrt(pi) e^{-w^2 k^2/4}] = h_t(k) e^{-w^2 k^2/4}
+    # with h_{t+1} = -(w^2 / 2) (k h_t + t h_{t-1}).
     s = 1.0 if kernel_sign >= 0 else -1.0
-    for t in range(gamma + 1):
-        c = math.comb(gamma, t) * mu ** (gamma - t)
-        if c == 0.0:
-            continue
-        # int (x-mu)^t g e^{i s xi x} dx = e^{i s mu xi} (-i)^t B_t(s xi),
-        # since d/dk e^{i k y} = i y e^{i k y} whatever the sign of k.
-        out += c * (-1j) ** t * h[t](s * xi)
-    return out * env * np.exp(1j * s * mu * xi)
+    h_prev, h = 0.0, np.full(np.shape(xi), w * math.sqrt(math.pi), dtype=complex)
+    B = [h]
+    for t in range(gmax):
+        h_prev, h = h, -(w * w / 2.0) * (s * xi * h + t * h_prev)
+        B.append(h)
+    # int (x-mu)^t g e^{i s xi x} dx = e^{i s mu xi} (-i)^t B_t(s xi),
+    # since d/dk e^{i k y} = i y e^{i k y} whatever the sign of k.
+    binom = np.zeros((gmax + 1, gmax + 1), dtype=complex)
+    for g in range(gmax + 1):
+        for t in range(g + 1):
+            binom[t, g] = (-1j) ** t * math.comb(g, t) * mu ** (g - t)
+    env = np.exp(-(w * w) * xi * xi / 4.0) * np.exp(1j * s * mu * xi)
+    return (np.stack(B, axis=-1) @ binom) * env[..., None]
 
 
 def _eval_poly_complex(P: Polynomial, coords: list[np.ndarray]) -> np.ndarray:
     """Evaluate P on broadcastable complex coordinate arrays."""
-    shape = np.broadcast_shapes(*(c.shape for c in coords)) if coords else ()
-    out = np.zeros(shape, dtype=complex)
+    out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=complex)
     for alpha, c in P.terms.items():
-        v = complex(c) * np.ones(shape, dtype=complex)
+        term = complex(c)
         for z, a in zip(coords, alpha):
             if a:
-                v = v * z**a
-        out = out + v
+                term = term * z**a
+        out += term
     return out
 
 
 def pair_E(
-    P: Polynomial,
-    params: WagnerParams,
-    chi: GaussPoly,
-    grid: tuple[int, float] = (4096, 40.0),
+    P: Polynomial, params: WagnerParams, chi: GaussPoly, grid: tuple[int, float]
 ) -> float:
     """Numerical pairing <E, chi> of the elementary solution against chi.
 
@@ -205,60 +202,60 @@ def pair_E(
 def _pair_E_on_grid(
     P: Polynomial, params: WagnerParams, chi: GaussPoly, grid: tuple, offset: float
 ) -> float:
-    """One trapezoid pass of pair_E, with the nodes shifted by offset cells."""
+    """One trapezoid pass of pair_E, with the nodes shifted by offset cells.
+
+    Only the symbol G_j lives on the full grid.  The rest of the integrand,
+    e^{beta.x} chi with beta = lambda_j eta, is a sum of products of 1-D
+    factors, so G_j is contracted one axis at a time with the matrix F_k of
+    1-D transforms of x^a e^{beta_k x} e^{-(x-c_k)^2/w^2} (every power a of
+    x_k in chi, trapezoid weights and cell width folded in); the integral is
+    sum_alpha chi_alpha M[alpha] over the contracted array M.
+    """
     d = P.dim
     N, R = int(grid[0]), float(grid[1])
     w = float(chi.width)
-    w2 = float(chi.width) ** 2
+    # A float power raises OverflowError where w * w would give inf.
+    w2 = w**2
     h = 2.0 * R / (N - 1)
     axes = [(-R + (np.arange(N) + offset) * h) for _ in range(d)]
+    weights = np.full(N, h)
+    weights[0] = weights[-1] = 0.5 * h
+    terms = chi.poly.sorted_terms()
+    top = [max((alpha[k] for alpha, _ in terms), default=0) for k in range(d)]
     total = 0.0
-    weights1d = np.ones(N)
-    weights1d[0] = weights1d[-1] = 0.5
     for j in range(params.m + 1):
         lam = float(params.lam[j])
-        aj = float(params.a[j])
         beta = [lam * e for e in params.eta]
-        # Symbol G_j = conj(Pj)/Pj on the grid, |G_j| = 1 a.e.
         coords = [
             (1j * ax + beta[k]).reshape((1,) * k + (N,) + (1,) * (d - k - 1))
             for k, ax in enumerate(axes)
         ]
-        Pj = _eval_poly_complex(P, coords)
-        if np.min(np.abs(Pj)) < _POLE_EPS:
+        # Pj on the grid, then G_j = conj(Pj)/Pj in the same array.
+        M = _eval_poly_complex(P, coords)
+        if np.min(np.abs(M)) < _POLE_EPS:
             raise PoleOnGrid(
                 f"symbol magnitude below {_POLE_EPS} on the grid (lambda={lam})"
             )
-        G = np.conj(Pj) / Pj
-        if not float(np.max(np.abs(np.abs(G) - 1.0))) <= 1e-12:
+        np.divide(np.conj(M), M, out=M)
+        if not float(np.max(np.abs(np.abs(M) - 1.0))) <= 1e-12:
             raise QuadratureNoConvergence(
                 f"symbol ratio is not unimodular on the grid (lambda={lam})"
             )
-        # Psi_j = plain Fourier integral of e^{beta.x} chi, per monomial.
-        psi = np.zeros((N,) * d, dtype=complex)
-        for alpha, pc in chi.poly.sorted_terms():
-            contrib = float(pc)
-            factors_1d = []
-            for k in range(d):
-                ck = float(chi.center[k])
-                bk = beta[k]
-                mu = ck + bk * w2 / 2.0
-                const = math.exp(bk * ck + bk * bk * w2 / 4.0)
-                factors_1d.append(const * _gauss_ft_1d(alpha[k], mu, w, axes[k], +1.0))
-            block = factors_1d[0]
-            for k in range(1, d):
-                block = np.multiply.outer(block, factors_1d[k])
-            psi = psi + contrib * block
-        wgt = weights1d
-        for _ in range(d - 1):
-            wgt = np.multiply.outer(wgt, weights1d)
-        integral = np.sum(G * psi * wgt) * h**d
-        total += aj * integral.real
+        # Each step contracts the leading xi-axis and appends its powers,
+        # so after d steps M[alpha] is indexed like chi's monomials.
+        for k in range(d):
+            ck = float(chi.center[k])
+            mu = ck + beta[k] * w2 / 2.0
+            const = math.exp(beta[k] * ck + beta[k] * beta[k] * w2 / 4.0)
+            Fk = _gauss_ft_1d(top[k], mu, w, axes[k], +1.0) * (const * weights)[:, None]
+            M = np.tensordot(M, Fk, axes=(0, 0))
+        integral = sum(float(pc) * M[alpha] for alpha, pc in terms)
+        total += float(params.a[j]) * integral.real
     return total / ((2.0 * math.pi) ** d * float(params.normalizer))
 
 
 def me_check(
-    P: Polynomial, params: WagnerParams, phi: GaussPoly, grid: tuple = (4096, 40.0)
+    P: Polynomial, params: WagnerParams, phi: GaussPoly, grid: tuple[int, float]
 ) -> float:
     """Residual |<E, P(-d)phi> - phi(0)|; params is for_polynomial(P)."""
     chi = apply_transposed(P, phi, GaussPoly.derivative)
@@ -388,12 +385,12 @@ def fourier_transform_values(phi: GaussPoly, z: np.ndarray) -> np.ndarray:
     """
     if phi.dim != 1:
         raise DimensionError("strip evaluation is one-dimensional")
-    c = float(phi.center[0])
-    w = float(phi.width)
-    out = np.zeros_like(z, dtype=complex)
-    for (gamma,), pc in phi.poly.sorted_terms():
-        out = out + float(pc) * _gauss_ft_1d(gamma, c, w, z, -1.0)
-    return out / math.sqrt(2.0 * math.pi)
+    gmax = max(phi.poly.degree, 0)
+    coefficients = np.zeros(gmax + 1)
+    for (g,), pc in phi.poly.terms.items():
+        coefficients[g] = float(pc)
+    F = _gauss_ft_1d(gmax, float(phi.center[0]), float(phi.width), z, -1.0)
+    return F @ coefficients / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

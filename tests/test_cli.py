@@ -180,6 +180,10 @@ class TestWagnerCommand:
         + [
             pytest.param(["oracle-suite", flag, "-1"], id=f"oracle-suite{flag}-neg")
             for flag in ("--nmax", "--pmax", "--kmax")
+        ]
+        + [
+            pytest.param(["oracle-suite", flag, value], id=f"oracle-suite{flag}-{value}")
+            for flag, value in [("--nmax", "41"), ("--pmax", "171"), ("--kmax", "171")]
         ],
     )
     def test_bad_grid_or_cutoff_exit_2(self, capsys, argv):
@@ -247,6 +251,32 @@ class TestInputLimits:
                 + ["-d", "1"],
                 "InputTooLarge",
                 id="printed-coefficient-bits",
+            ),
+            # Atom orders one above grammar.MAX_ORDER.
+            pytest.param(
+                ["solve", "-P", "t1+1", "-T", "x1^-1001*H(x1)", "-d", "1"],
+                "InputTooLarge",
+                id="power-order",
+            ),
+            pytest.param(
+                ["solve", "-P", "t1+1002", "-T", "delta(x1,1001)", "-d", "1"],
+                "InputTooLarge",
+                id="delta-order-cap",
+            ),
+            pytest.param(
+                ["solve", "-P", "t1", "-T", "log(x1)^1001*H(x1)", "-d", "1"],
+                "InputTooLarge",
+                id="log-power",
+            ),
+            pytest.param(
+                ["parse", "-T", "mono(x1,1001)", "-d", "1"],
+                "InputTooLarge",
+                id="mono-order",
+            ),
+            pytest.param(
+                ["solve", "-P", "t1", "-T", f"log(x1)^{'7' * 2999}*H(x1)", "-d", "1"],
+                "InputTooLarge",
+                id="log-power-digits",
             ),
         ],
     )

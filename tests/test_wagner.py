@@ -1,5 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
+from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -88,6 +91,86 @@ class TestPairE:
         params = WagnerParams.for_polynomial(P)
         val = pair_E(P, params, GAUSS1, (512, 40.0))
         assert math.isfinite(val)
+
+
+# An asymmetric P and an off-centre chi whose powers differ per axis: a 1-D
+# factor applied along the wrong axis changes the pairing.
+P3 = Polynomial(
+    3,
+    {
+        (2, 0, 0): F(1),
+        (0, 2, 0): F(2),
+        (0, 0, 2): F(3),
+        (1, 1, 0): F(1),
+        (0, 0, 1): F(-1),
+        (0, 0, 0): F(1),
+    },
+)
+CHI3 = GaussPoly(
+    Polynomial(3, {(2, 0, 0): F(1), (0, 1, 0): F(-2), (1, 0, 3): F(1, 2), (0, 0, 0): F(1)}),
+    (F(1, 4), F(-1, 3), F(1, 5)),
+    F(5, 4),
+)
+
+
+@cache
+def twisted_transform(a, beta, c, w, xi):
+    """int x^a e^{beta x} e^{-(x-c)^2/w^2} e^{i xi x} dx by quadrature."""
+    mu = c + beta * w * w / 2.0  # the peak of e^{beta x} e^{-(x-c)^2/w^2}
+
+    def part(x, trig):
+        return x**a * math.exp(beta * x - (x - c) ** 2 / w**2) * trig(xi * x)
+
+    lo, hi = mu - 12.0 * w, mu + 12.0 * w
+    re = quad(part, lo, hi, args=(math.cos,), limit=200, epsabs=1e-13)[0]
+    im = quad(part, lo, hi, args=(math.sin,), limit=200, epsabs=1e-13)[0]
+    return complex(re, im)
+
+
+class TestPairEAtDim3:
+    def test_matches_explicit_trapezoid_sum(self):
+        # sum_j a_j Re sum_xi wt(xi) conj(Pj)/Pj psi_j(xi) / ((2 pi)^3 P_m(2 eta)),
+        # node by node, with psi_j a product of quadrature transforms.
+        N, R = 14, 6.0
+        params = WagnerParams.for_polynomial(P3)
+        w = float(CHI3.width)
+        h = 2.0 * R / (N - 1)
+        nodes = [-R + i * h for i in range(N)]
+        wts = [h / 2.0 if i in (0, N - 1) else h for i in range(N)]
+        total = 0.0
+        for lam, a in zip(params.lam, params.a):
+            beta = [float(lam) * e for e in params.eta]
+            s = 0j
+            for idx in product(range(N), repeat=3):
+                z = [1j * nodes[i] + b for i, b in zip(idx, beta)]
+                Pj = sum(
+                    float(c) * math.prod(zk**ak for zk, ak in zip(z, alpha))
+                    for alpha, c in P3.terms.items()
+                )
+                psi = sum(
+                    float(pc)
+                    * math.prod(
+                        twisted_transform(ak, bk, float(ck), w, nodes[i])
+                        for ak, bk, ck, i in zip(alpha, beta, CHI3.center, idx)
+                    )
+                    for alpha, pc in CHI3.poly.terms.items()
+                )
+                s += math.prod(wts[i] for i in idx) * Pj.conjugate() / Pj * psi
+            total += float(a) * s.real
+        want = total / ((2.0 * math.pi) ** 3 * float(params.normalizer))
+        got = pair_E(P3, params, CHI3, (N, R))
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_peak_memory_is_a_few_grid_arrays(self):
+        N = 64
+        params = WagnerParams.for_polynomial(P3)
+        tracemalloc.start()
+        try:
+            pair_E(P3, params, CHI3, (N, 12.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * np.dtype(complex).itemsize * N**3
 
 
 class TestMeCheck:

@@ -33,7 +33,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .gausspoly import GaussPoly
-from .grammar import format_dist, format_poly, parse_dist, parse_poly
+from .grammar import MAX_SOLUTION_ORDER, format_dist, format_poly, parse_dist, parse_poly
 from .oracle import adjoint_check
 from .poly import Polynomial
 from .solver import solve, verify
@@ -89,7 +89,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     P = parse_poly(args.P, args.dim)
-    U = parse_dist(args.U, args.dim)
+    U = parse_dist(args.U, args.dim, MAX_SOLUTION_ORDER)
     T = parse_dist(args.T, args.dim)
     ok = verify(P, U, T)
     checks = [_check("verified", ok, ok, None)]

@@ -16,7 +16,8 @@ coefficient times a product of coordinate factors
     delta(x<j>,<k>) k-th derivative of the delta at the origin
     mono(x<j>,<n>)  full-line monomial sugar, n >= 0
 
-Every exponent, log power and delta order is at most MAX_ORDER in size.
+Every exponent, log power and delta order is at most MAX_ORDER in size
+(MAX_SOLUTION_ORDER in a solution read back).
 
 Factors naming one coordinate combine into a single half-line or delta atom
 for that coordinate.  A delta or mono factor owns its coordinate, and a
@@ -122,6 +123,11 @@ MAX_TERMS = 1000
 MAX_DEGREE = 1000
 # The largest |n| of a power or mono factor, delta order and log power.
 MAX_ORDER = 1000
+# Solving raises orders: delta(x1,k) gives x1^(-k-1), and a root of P of
+# multiplicity v <= MAX_DEGREE adds v to a log power, so a solution is read
+# with a larger bound.  In several variables a log power can also move to
+# another coordinate (t1+t2 on log(x1)^3*H(x1)*H(x2) has a log(x2)^4 term).
+MAX_SOLUTION_ORDER = MAX_ORDER + MAX_DEGREE
 # The longest numeric literal, and the most bits a coefficient may have when
 # it is expanded or printed: both keep every number within Python's
 # 4300-digit limit on int-string conversion (3000 digits < 10000 bits).
@@ -315,7 +321,9 @@ def _signed_int(cur: _Cursor) -> int:
     return sign * int(cur.expect("num").text)
 
 
-def _dist_factor(cur: _Cursor, d: int, groups: dict[int, dict[str, int]]) -> None:
+def _dist_factor(
+    cur: _Cursor, d: int, groups: dict[int, dict[str, int]], max_order: int
+) -> None:
     """Read one factor into groups[j][kind], its integer argument."""
     t = cur.expect("name")
     j = _x_index(t, d)
@@ -349,8 +357,8 @@ def _dist_factor(cur: _Cursor, d: int, groups: dict[int, dict[str, int]]) -> Non
         raise ParseError(
             f"expected a factor (x<j>, log, H, delta, mono), found {t.text!r}", t.pos
         )
-    if abs(value) > MAX_ORDER:
-        raise InputTooLarge(f"{kind} order at offset {t.pos} is above {MAX_ORDER}")
+    if abs(value) > max_order:
+        raise InputTooLarge(f"{kind} order at offset {t.pos} is above {max_order}")
     g = groups.setdefault(j, {})
     owned = kind in _OWNS_COORDINATE or not _OWNS_COORDINATE.isdisjoint(g)
     if kind in g or (g and owned):
@@ -369,14 +377,16 @@ def _group_atoms(g: dict[str, int]) -> list[tuple[Fraction, object]]:
     return full_line(n, p)
 
 
-def _dist_term(cur: _Cursor, d: int, coeff: Fraction) -> list[TensorTerm]:
+def _dist_term(
+    cur: _Cursor, d: int, coeff: Fraction, max_order: int
+) -> list[TensorTerm]:
     """The tensor terms of one product; coeff is the sign in front of it."""
     groups: dict[int, dict[str, int]] = {}
     while True:
         if cur.tok.kind == "num":
             coeff *= _rational(cur)
         elif cur.tok.kind == "name":
-            _dist_factor(cur, d, groups)
+            _dist_factor(cur, d, groups, max_order)
         else:
             raise cur.fail("a coefficient or factor")
         if not cur.accept("*"):
@@ -387,8 +397,9 @@ def _dist_term(cur: _Cursor, d: int, coeff: Fraction) -> list[TensorTerm]:
     return expand_tensor(coeff, alternatives)
 
 
-def parse_dist(src: str, d: int) -> DistExpr:
-    """Parse a distribution expression of dimension d into canonical form."""
+def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
+    """Parse a distribution expression of dimension d into canonical form;
+    max_order bounds every exponent, log power and delta order."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
     _check_dim(d)
@@ -396,10 +407,10 @@ def parse_dist(src: str, d: int) -> DistExpr:
     sign = Fraction(-1 if cur.tok.kind == "-" else 1)
     if cur.tok.kind in "+-":
         cur.advance()
-    terms = _dist_term(cur, d, sign)
+    terms = _dist_term(cur, d, sign, max_order)
     while cur.tok.kind in "+-":
         sign = Fraction(-1 if cur.advance().kind == "-" else 1)
-        terms += _dist_term(cur, d, sign)
+        terms += _dist_term(cur, d, sign, max_order)
     if cur.tok.kind != "end":
         raise cur.fail("end of input, '+', or '-'")
     return dist(d, terms)

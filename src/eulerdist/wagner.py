@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,30 +131,20 @@ class SeminormSpec:
 
 
 def _gauss_ft_1d(
-    gmax: int, mu: float, w: float, xi: np.ndarray, kernel_sign: float
+    gmax: int, mu: float, w: float, xi: np.ndarray, s: float
 ) -> np.ndarray:
-    """int x^g e^{-(x-mu)^2/w^2} e^{i kernel_sign xi x} dx on a grid, for
+    """int x^g e^{-(x-mu)^2/w^2} e^{i s xi x} dx (s = +-1) on a grid, for
     every g <= gmax along a trailing axis.
 
-    Uses x^g = sum_t C(g,t) mu^{g-t} (x-mu)^t and the Hermite recurrence for
-    derivatives of the base transform w sqrt(pi) e^{-w^2 xi^2/4}.
+    Integrating x^g (x-mu) e^{-(x-mu)^2/w^2} by parts gives the recurrence
+    T_{g+1} = (mu + i s xi w^2/2) T_g + (g w^2/2) T_{g-1}, started from the
+    base transform T_0 = w sqrt(pi) e^{-w^2 xi^2/4} e^{i s mu xi}.
     """
-    # B_t(k) = d^t/dk^t [w sqrt(pi) e^{-w^2 k^2/4}] = h_t(k) e^{-w^2 k^2/4}
-    # with h_{t+1} = -(w^2 / 2) (k h_t + t h_{t-1}).
-    s = 1.0 if kernel_sign >= 0 else -1.0
-    h_prev, h = 0.0, np.full(np.shape(xi), w * math.sqrt(math.pi), dtype=complex)
-    B = [h]
-    for t in range(gmax):
-        h_prev, h = h, -(w * w / 2.0) * (s * xi * h + t * h_prev)
-        B.append(h)
-    # int (x-mu)^t g e^{i s xi x} dx = e^{i s mu xi} (-i)^t B_t(s xi),
-    # since d/dk e^{i k y} = i y e^{i k y} whatever the sign of k.
-    binom = np.zeros((gmax + 1, gmax + 1), dtype=complex)
-    for g in range(gmax + 1):
-        for t in range(g + 1):
-            binom[t, g] = (-1j) ** t * math.comb(g, t) * mu ** (g - t)
-    env = np.exp(-(w * w) * xi * xi / 4.0) * np.exp(1j * s * mu * xi)
-    return (np.stack(B, axis=-1) @ binom) * env[..., None]
+    step = mu + 0.5j * s * w * w * xi
+    T = [w * math.sqrt(math.pi) * np.exp(-(w * w) * xi * xi / 4.0 + 1j * s * mu * xi)]
+    for g in range(gmax):
+        T.append(step * T[g] + (g * w * w / 2.0) * (T[g - 1] if g else 0.0))
+    return np.stack(T, axis=-1)
 
 
 def _eval_poly_complex(P: Polynomial, coords: list[np.ndarray]) -> np.ndarray:
@@ -206,10 +196,8 @@ def _pair_E_on_grid(
 
     Only the symbol G_j lives on the full grid.  The rest of the integrand,
     e^{beta.x} chi with beta = lambda_j eta, is a sum of products of 1-D
-    factors, so G_j is contracted one axis at a time with the matrix F_k of
-    1-D transforms of x^a e^{beta_k x} e^{-(x-c_k)^2/w^2} (every power a of
-    x_k in chi, trapezoid weights and cell width folded in); the integral is
-    sum_alpha chi_alpha M[alpha] over the contracted array M.
+    factors: F_k[xi, a] transforms x^a e^{beta_k x} e^{-(x-c_k)^2/w^2}, with
+    the trapezoid weights and cell width folded in, and _contract sums them.
     """
     d = P.dim
     N, R = int(grid[0]), float(grid[1])
@@ -220,7 +208,7 @@ def _pair_E_on_grid(
     axes = [(-R + (np.arange(N) + offset) * h) for _ in range(d)]
     weights = np.full(N, h)
     weights[0] = weights[-1] = 0.5 * h
-    terms = chi.poly.sorted_terms()
+    terms = sorted((alpha, float(pc)) for alpha, pc in chi.poly.terms.items())
     top = [max((alpha[k] for alpha, _ in terms), default=0) for k in range(d)]
     total = 0.0
     for j in range(params.m + 1):
@@ -231,27 +219,38 @@ def _pair_E_on_grid(
             for k, ax in enumerate(axes)
         ]
         # Pj on the grid, then G_j = conj(Pj)/Pj in the same array.
-        M = _eval_poly_complex(P, coords)
-        if np.min(np.abs(M)) < _POLE_EPS:
+        G = _eval_poly_complex(P, coords)
+        if np.min(np.abs(G)) < _POLE_EPS:
             raise PoleOnGrid(
                 f"symbol magnitude below {_POLE_EPS} on the grid (lambda={lam})"
             )
-        np.divide(np.conj(M), M, out=M)
-        if not float(np.max(np.abs(np.abs(M) - 1.0))) <= 1e-12:
+        np.divide(np.conj(G), G, out=G)
+        if not float(np.max(np.abs(np.abs(G) - 1.0))) <= 1e-12:
             raise QuadratureNoConvergence(
                 f"symbol ratio is not unimodular on the grid (lambda={lam})"
             )
-        # Each step contracts the leading xi-axis and appends its powers,
-        # so after d steps M[alpha] is indexed like chi's monomials.
+        F = []
         for k in range(d):
             ck = float(chi.center[k])
             mu = ck + beta[k] * w2 / 2.0
             const = math.exp(beta[k] * ck + beta[k] * beta[k] * w2 / 4.0)
-            Fk = _gauss_ft_1d(top[k], mu, w, axes[k], +1.0) * (const * weights)[:, None]
-            M = np.tensordot(M, Fk, axes=(0, 0))
-        integral = sum(float(pc) * M[alpha] for alpha, pc in terms)
-        total += float(params.a[j]) * integral.real
+            Fk = _gauss_ft_1d(top[k], mu, w, axes[k], +1.0)
+            F.append(Fk * (const * weights)[:, None])
+        total += float(params.a[j]) * _contract(G, terms, F).real
     return total / ((2.0 * math.pi) ** d * float(params.normalizer))
+
+
+def _contract(M: np.ndarray, terms: list, F: list[np.ndarray]) -> complex:
+    """Sum over the sorted terms (alpha, c) of c times M (N^len(F) values)
+    contracted with F[0][:, alpha_0], F[1][:, alpha_1], ...  Depth first, one
+    power at a time, so the arrays alive below M hold fewer values than M."""
+    N = len(F[0])
+    total = 0j
+    for a, group in groupby(terms, lambda t: t[0][0]):
+        row = F[0][:, a] @ M.reshape(N, -1)
+        sub = [(alpha[1:], c) for alpha, c in group]
+        total += _contract(row, sub, F[1:]) if F[1:] else sub[0][1] * row[0]
+    return total
 
 
 def me_check(

@@ -278,6 +278,12 @@ class TestInputLimits:
                 "InputTooLarge",
                 id="log-power-digits",
             ),
+            pytest.param(
+                ["verify", "-P", "t1", "-U", "log(x1)^2001*H(x1)", "-T", "H(x1)"]
+                + ["-d", "1"],
+                "InputTooLarge",
+                id="solution-order",
+            ),
         ],
     )
     def test_oversized_input_is_a_quick_usage_error(self, capsys, argv, error):
@@ -286,6 +292,20 @@ class TestInputLimits:
         assert time.monotonic() - start < 1.0
         assert code == 2
         assert json.loads(out)["error"]["type"] == error
+
+    @pytest.mark.parametrize(
+        "P, T",
+        [("t1+1001", "delta(x1,1000)"), ("t1^2", "log(x1)^1000*H(x1)")],
+        ids=["power", "log-power"],
+    )
+    def test_every_printed_solution_reads_back(self, capsys, P, T):
+        # Solving raises orders past grammar.MAX_ORDER (x1^-1001*H(x1) and
+        # log(x1)^1002*H(x1) here), and verify reads them back.
+        code, out = run(capsys, "solve", "-P", P, "-T", T, "-d", "1")
+        assert code == 0
+        U = json.loads(out)["outputs"]["solution"]
+        code, out = run(capsys, "verify", "-P", P, f"-U={U}", "-T", T, "-d", "1")
+        assert code == 0 and json.loads(out)["outputs"]["verified"]
 
     def test_high_power_is_solved(self, capsys):
         # theta^1000 is walked iteratively, not by one recursion per power.

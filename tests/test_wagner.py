@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from eulerdist.atoms import MonLog, single
 from eulerdist.errors import DuplicateLambda, PoleOnGrid
-from eulerdist.gausspoly import GaussPoly
+from eulerdist.gausspoly import GaussPoly, apply_transposed
 from eulerdist.poly import Polynomial
 from eulerdist.wagner import (
     SeminormSpec,
@@ -171,6 +171,24 @@ class TestPairEAtDim3:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * np.dtype(complex).itemsize * N**3
+
+    def test_peak_memory_with_more_powers_than_nodes(self):
+        # chi carries x_k^0..x_k^7 on each of 6 axes against 5 nodes per axis:
+        # keeping every power combination would take 8^6 values, 27 grid arrays.
+        d, N = 6, 5
+        P = Polynomial.constant(d, 1)
+        for k in range(1, d + 1):
+            P = P + zvar(d, k) ** 7
+        phi = GaussPoly.gaussian(d, tuple(F(k, 7) - F(1, 3) for k in range(d)), F(5, 4))
+        chi = apply_transposed(P, phi, GaussPoly.derivative)
+        params = WagnerParams.for_polynomial(P)
+        tracemalloc.start()
+        try:
+            pair_E(P, params, chi, (N, 6.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * np.dtype(complex).itemsize * N**d
 
 
 class TestMeCheck:

@@ -141,21 +141,23 @@ def single(atoms: Sequence[Atom1D], coeff: RationalLike = 1) -> DistExpr:
     return dist(len(atoms), [TensorTerm(Fraction(coeff), tuple(atoms))])
 
 
-def full_line(n: int, p: int = 0) -> list[tuple[Fraction, MonLog]]:
+def full_line(n: int, p: int = 0) -> list[tuple[int, MonLog]]:
     """x^n log^p|x| on the whole line: MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1)."""
-    sign = Fraction(-1 if n % 2 else 1)
-    return [(Fraction(1), MonLog(n, p, 1)), (sign, MonLog(n, p, -1))]
+    return [(1, MonLog(n, p, 1)), (-1 if n % 2 else 1, MonLog(n, p, -1))]
 
 
 def expand_tensor(
-    coeff: Fraction, alternatives: Sequence[Sequence[tuple[Fraction, Atom1D]]]
+    coeff: Fraction, alternatives: Sequence[Sequence[tuple[int, Atom1D]]]
 ) -> list[TensorTerm]:
-    """The terms of coeff * prod_j (sum of coordinate j's (c, atom) pairs)."""
+    """The terms of coeff * prod_j (sum of coordinate j's (sign, atom) pairs),
+    each sign +1 or -1."""
     terms = []
+    negated = -coeff
     for combo in product(*alternatives):
-        c = coeff
-        for fc, _ in combo:
-            c *= fc
+        sign = 1
+        for s, _ in combo:
+            sign *= s
+        c = coeff if sign > 0 else negated
         terms.append(TensorTerm(c, tuple(a for _, a in combo)))
     return terms
 

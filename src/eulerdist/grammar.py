@@ -38,7 +38,13 @@ from math import comb, lcm
 from typing import Iterable
 
 from .atoms import Delta, DistExpr, MonLog, TensorTerm, dist, expand_tensor, full_line
-from .errors import CoordinateConflict, DimensionError, InputTooLarge, ParseError
+from .errors import (
+    CoordinateConflict,
+    DimensionError,
+    EulerDistError,
+    InputTooLarge,
+    ParseError,
+)
 from .poly import Polynomial
 
 _TOKEN_RE = re.compile(
@@ -321,6 +327,25 @@ def _signed_int(cur: _Cursor) -> int:
     return sign * int(cur.expect("num").text)
 
 
+def _add_factor(
+    groups: dict[int, dict[str, int]],
+    j: int,
+    kind: str,
+    value: int,
+    pos: int,
+    max_order: int,
+) -> None:
+    """Record factor kind with integer argument value in x<j>'s group, after
+    the order bound and the ownership and conflict test."""
+    if abs(value) > max_order:
+        raise InputTooLarge(f"{kind} order at offset {pos} is above {max_order}")
+    g = groups.setdefault(j, {})
+    owned = kind in _OWNS_COORDINATE or not _OWNS_COORDINATE.isdisjoint(g)
+    if kind in g or (g and owned):
+        raise CoordinateConflict(f"{_CONFLICT[kind]} for x{j} (at offset {pos})")
+    g[kind] = value
+
+
 def _dist_factor(
     cur: _Cursor, d: int, groups: dict[int, dict[str, int]], max_order: int
 ) -> None:
@@ -357,24 +382,28 @@ def _dist_factor(
         raise ParseError(
             f"expected a factor (x<j>, log, H, delta, mono), found {t.text!r}", t.pos
         )
-    if abs(value) > max_order:
-        raise InputTooLarge(f"{kind} order at offset {t.pos} is above {max_order}")
-    g = groups.setdefault(j, {})
-    owned = kind in _OWNS_COORDINATE or not _OWNS_COORDINATE.isdisjoint(g)
-    if kind in g or (g and owned):
-        raise CoordinateConflict(f"{_CONFLICT[kind]} for x{j} (at offset {t.pos})")
-    g[kind] = value
+    _add_factor(groups, j, kind, value, t.pos, max_order)
 
 
-def _group_atoms(g: dict[str, int]) -> list[tuple[Fraction, object]]:
-    """Expand one coordinate group into (coefficient, atom) alternatives."""
+def _group_atoms(g: dict[str, int]) -> list[tuple[int, object]]:
+    """Expand one coordinate group into (sign, atom) alternatives."""
     if "delta" in g:
-        return [(Fraction(1), Delta(g["delta"]))]
+        return [(1, Delta(g["delta"]))]
     n = g.get("power", g.get("mono", 0))
     p = g.get("log", 0)
     if "H" in g:
-        return [(Fraction(1), MonLog(n, p, g["H"]))]
+        return [(1, MonLog(n, p, g["H"]))]
     return full_line(n, p)
+
+
+def _term_tensors(
+    coeff: Fraction, groups: dict[int, dict[str, int]], d: int
+) -> list[TensorTerm]:
+    """The tensor terms of coeff times the product of the coordinate groups."""
+    if coeff == 0:
+        return []
+    alternatives = [_group_atoms(groups.get(j, {})) for j in range(1, d + 1)]
+    return expand_tensor(coeff, alternatives)
 
 
 def _dist_term(
@@ -391,18 +420,11 @@ def _dist_term(
             raise cur.fail("a coefficient or factor")
         if not cur.accept("*"):
             break
-    if coeff == 0:
-        return []
-    alternatives = [_group_atoms(groups.get(j, {})) for j in range(1, d + 1)]
-    return expand_tensor(coeff, alternatives)
+    return _term_tensors(coeff, groups, d)
 
 
-def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
-    """Parse a distribution expression of dimension d into canonical form;
-    max_order bounds every exponent, log power and delta order."""
-    if d < 1:
-        raise DimensionError(f"dimension must be positive, got {d}")
-    _check_dim(d)
+def _read_tokens(src: str, d: int, max_order: int) -> list[TensorTerm]:
+    """The token reader: the whole grammar, with every error it can raise."""
     cur = _Cursor(src)
     sign = Fraction(-1 if cur.tok.kind == "-" else 1)
     if cur.tok.kind in "+-":
@@ -413,6 +435,90 @@ def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
         terms += _dist_term(cur, d, sign, max_order)
     if cur.tok.kind != "end":
         raise cur.fail("end of input, '+', or '-'")
+    return terms
+
+
+# One coefficient or factor in the forms format_dist prints (and mono), then
+# the operator after it, or the end.  Orders take at most 4 digits and
+# literals at most MAX_DIGITS, so int() never reads an oversized number.
+_NUM = rf"\d{{1,{MAX_DIGITS}}}"
+_FACTOR_RE = re.compile(
+    rf"(?:({_NUM})(?:/({_NUM}))?"
+    r"|x([1-9])(?:\^(-?\d{1,4}))?"
+    r"|log\(x([1-9])\)(?:\^(\d{1,4}))?"
+    r"|H\((-?)x([1-9])\)"
+    r"|delta\(x([1-9]),(\d{1,4})\)"
+    r"|mono\(x([1-9]),(-?\d{1,4})\))"
+    r"\s*(?:([-+*])\s*|\Z)"
+)
+_SIGN_RE = re.compile(r"\s*([-+]?)\s*")
+
+
+def _scan(src: str, d: int, max_order: int) -> list[TensorTerm] | None:
+    """The terms of src read one factor per _FACTOR_RE match, or None where
+    the token reader is needed: whitespace inside a factor, any other form,
+    a zero denominator, or a factor over a limit or in conflict."""
+    m = _SIGN_RE.match(src)
+    coeff = Fraction(-1 if m.group(1) == "-" else 1)
+    pos = m.end()
+    groups: dict[int, dict[str, int]] = {}
+    terms: list[TensorTerm] = []
+    while True:
+        m = _FACTOR_RE.match(src, pos)
+        if m is None:
+            return None
+        # A literal, or the coordinate and argument of a power, log, H,
+        # delta or mono factor; then the operator.
+        num, den, pj, pn, lj, lp, hs, hj, dj, dk, mj, mn, op = m.groups()
+        if num is not None:
+            q = int(den) if den else 1
+            if q == 0:
+                return None
+            coeff *= Fraction(int(num), q)
+        else:
+            if pj:
+                j, kind, value = pj, "power", int(pn) if pn else 1
+            elif lj:
+                j, kind, value = lj, "log", int(lp) if lp else 1
+                if value < 1:
+                    return None
+            elif hj:
+                j, kind, value = hj, "H", -1 if hs else 1
+            elif dj:
+                j, kind, value = dj, "delta", int(dk)
+            else:
+                j, kind, value = mj, "mono", int(mn)
+                if value < 0:
+                    return None
+            j = int(j)
+            if j > d:
+                return None
+            try:
+                _add_factor(groups, j, kind, value, pos, max_order)
+            except EulerDistError:
+                return None
+        pos = m.end()
+        if op == "*":
+            continue
+        terms += _term_tensors(coeff, groups, d)
+        if op is None:
+            return terms
+        coeff = Fraction(-1 if op == "-" else 1)
+        groups = {}
+
+
+def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
+    """Parse a distribution expression of dimension d into canonical form;
+    max_order bounds every exponent, log power and delta order.
+
+    Text in the forms format_dist prints is read by _scan; anything else,
+    every error included, by the token reader."""
+    if d < 1:
+        raise DimensionError(f"dimension must be positive, got {d}")
+    _check_dim(d)
+    terms = _scan(src, d, max_order)
+    if terms is None:
+        terms = _read_tokens(src, d, max_order)
     return dist(d, terms)
 
 

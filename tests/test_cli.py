@@ -324,6 +324,15 @@ class TestInputLimits:
         assert json.loads(out)["outputs"]["solution"] == "1/2*x1^-1*H(x1)"
 
 
+class TestOracleSuiteCommand:
+    def test_factorial_sized_pairings_pass(self, capsys):
+        # Pairings of log(x)^15 and delta^(20) are near 15! and 20!; their
+        # float rounding alone is above 1e-6 in absolute terms.
+        argv = ["oracle-suite", "--nmax", "0", "--pmax", "15", "--kmax", "20"]
+        code, out = run(capsys, *argv)
+        assert code == 0, json.loads(out)["outputs"]["worst_atom"]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         argv = ["solve", "-P", "(t1+1)^2", "-T", "delta(x1,1)", "-d", "1"]

@@ -1,12 +1,15 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulerdist import grammar
 from eulerdist.atoms import Delta, MonLog, TensorTerm, dist, full_monomial, single
 from eulerdist.errors import (
     CoordinateConflict,
     DimensionError,
+    EulerDistError,
     InputTooLarge,
     ParseError,
 )
@@ -194,21 +197,109 @@ atoms = st.one_of(
         MonLog, st.integers(-4, 4), st.integers(0, 3), st.sampled_from((1, -1))
     ),
 )
-exprs = st.lists(
-    st.builds(
-        TensorTerm,
-        st.fractions(min_value=-6, max_value=6, max_denominator=7),
-        st.tuples(atoms, atoms),
-    ),
-    min_size=0,
-    max_size=4,
-).map(lambda ts: dist(2, ts))
+coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def printed_texts(draw):
+    """(d, e, text, want): a canonical e, and format_dist(e) followed by
+    terms of mono factors, with want the expression that text denotes."""
+    d = draw(st.integers(1, 3))
+    terms = st.builds(TensorTerm, coeffs, st.tuples(*[atoms] * d))
+    e = dist(d, draw(st.lists(terms, max_size=4)))
+    text, want = format_dist(e), e
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(coeffs)
+        n_or_absent = st.one_of(st.none(), st.integers(0, 4))
+        ns = draw(st.lists(n_or_absent, min_size=d, max_size=d))
+        body = [str(abs(c))] + [
+            f"mono(x{j},{n})" for j, n in enumerate(ns, 1) if n is not None
+        ]
+        text += (" - " if c < 0 else " + ") + "*".join(body)
+        want += full_monomial(tuple(n or 0 for n in ns)).scaled(c)
+    return d, e, text, want
 
 
 @settings(max_examples=80, deadline=None)
-@given(exprs)
-def test_format_parse_identity(e):
-    assert parse_dist(format_dist(e), 2) == e
+@given(printed_texts())
+def test_format_parse_identity(case):
+    # Printed text, and text with mono factors, never reaches the token reader.
+    d, e, text, want = case
+    unused = AssertionError("text read by the token reader")
+    with mock.patch.object(grammar, "_tokenize", side_effect=unused):
+        assert parse_dist(format_dist(e), d) == e
+        assert parse_dist(text, d) == want
+
+
+def _outcome(read, text, d):
+    """read(text, d), or the type, message and offset of the error it raises."""
+    try:
+        return read(text, d)
+    except EulerDistError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _read_tokens(text, d):
+    return dist(d, grammar._read_tokens(text, d, grammar.MAX_ORDER))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A printed text with whitespace put in, or one character replaced or
+    deleted, at a random place."""
+    d, _, text, _ = draw(printed_texts())
+    i = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["space", "replace", "delete"]))
+    if edit == "space":
+        return d, text[:i] + draw(st.sampled_from([" ", "\t", "\n"])) + text[i:]
+    new = draw(st.sampled_from(list("0123456789x-+*/^(),.H \n")))
+    return d, text[:i] + (new if edit == "replace" else "") + text[i + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts())
+def test_both_readers_agree_on_mutated_text(case):
+    d, text = case
+    assert _outcome(parse_dist, text, d) == _outcome(_read_tokens, text, d)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        " -x1*H(x1) ",
+        "x1^2*H(x1)\n",
+        "x1^ 2*H(x1)",
+        "1/0*H(x1)",
+        "0/0",
+        "2 3*H(x1)",
+        "x1 + -x1",
+        "x1*",
+        "--x1",
+        "x1/2",
+        "x01*H(x1)",
+        "x12*H(x1)",
+        "x2*H(x1)",
+        "x0",
+        "delta(x1,-0)",
+        "mono(x1,-0)",
+        "mono(x1,-1)",
+        "log(x1)^0*H(x1)",
+        "log(x1)^-1*H(x1)",
+        "H(+x1)",
+        "x1^1000*H(x1)",
+        "x1^1001*H(x1)",
+        "x1^10000*H(x1)",
+        "x1^00002*H(x1)",
+        "delta(x1,0)*H(x1)",
+        "0*delta(x1,0)*delta(x1,0)",
+        pytest.param("1" * 3000 + "*H(x1)", id="literal-3000-digits"),
+        pytest.param("1" * 3001 + "*H(x1)", id="literal-3001-digits"),
+        "delta(x1,0)*H(x1) + $",
+    ],
+)
+def test_both_readers_agree(text):
+    assert _outcome(parse_dist, text, 1) == _outcome(_read_tokens, text, 1)
 
 
 polys = st.dictionaries(

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -16,6 +18,7 @@ from eulerdist.atoms import (
 )
 from eulerdist.gausspoly import GaussPoly
 from eulerdist import oracle, theta
+from eulerdist.cli import main
 from eulerdist.grammar import parse_dist, parse_poly
 from eulerdist.oracle import (
     adjoint_check,
@@ -105,6 +108,36 @@ class TestAdjointCheck:
             Polynomial(1, {(1,): F(1), (0,): F(1)}), (F(1, 2),), F(3, 2)
         )
         assert adjoint_check(MonLog(-3, 0, 1), phi) <= 1e-8
+
+    def test_wrong_table_entry_detected(self, monkeypatch, capsys):
+        # Flip the sign of the delta' correction of theta x^-2 H(x).  The
+        # centred Gaussian has phi'(0) = 0 and cannot see it; the suite's
+        # shifted test functions must, and the relative residual must not
+        # hide it.
+        right = oracle.apply_theta
+        bad = MonLog(-2, 0, 1)
+
+        def wrong(a):
+            return [
+                (-c if a == bad and b == Delta(1) else c, b) for c, b in right(a)
+            ]
+
+        monkeypatch.setattr(oracle, "apply_theta", wrong)
+        argv = ["oracle-suite", "--nmax", "2", "--pmax", "0", "--kmax", "0"]
+        assert main(argv) == 1
+        rows = json.loads(capsys.readouterr().out)["outputs"]["rows"]
+        assert [r["atom"] for r in rows if r["residual"] > 1e-6] == [repr(bad)]
+        assert adjoint_check(bad, GAUSS) <= 1e-8
+
+
+class TestMoment:
+    def test_largest_log_power_stays_in_float_range(self):
+        # At p = 170, (m+i+1)^(p+1) overflows; p!/(m+i+1)^(p+1) does not.
+        oracle._moment.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, err = oracle._moment(-1, 170, F(0), F(1))
+        assert math.isfinite(value) and math.isfinite(err)
 
 
 class TestCompareSymbolicNumeric:

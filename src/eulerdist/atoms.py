@@ -10,9 +10,14 @@ One-dimensional atoms:
                       MonLog(n,0,+1) + (-1)^n MonLog(n,0,-1).
   Delta(k)         -- the k-th derivative of the Dirac delta at 0.
 
+Atoms are tagged tuples: MonLog(n, p, s) is (1, n, p, s) and Delta(k) is
+(0, k, 0, 0), so hashing, equality and ordering are tuple's own.  A Delta
+never equals a MonLog, and deltas sort first.
+
 Expressions are finite rational linear combinations of tensor products of
-atoms, kept in a deterministic canonical form.  Everything is an immutable
-value; dimension 0 is allowed (a bare scalar) to make recursion uniform.
+atoms, kept in a deterministic canonical form: terms sorted by their factor
+tuples' own order.  Everything is an immutable value; dimension 0 is allowed
+(a bare scalar) to make recursion uniform.
 """
 
 from __future__ import annotations
@@ -20,42 +25,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionError, TermNotHyperplaneSupported
 from .poly import RationalLike
 
 
-@dataclass(frozen=True)
-class MonLog:
-    n: int
-    p: int = 0
-    s: int = 1
+class MonLog(tuple):
+    """x^n log^p|x| on the half-line of sign s: the tuple (1, n, p, s)."""
 
-    def __post_init__(self):
-        if self.p < 0:
-            raise ValueError(f"log power must be >= 0, got {self.p}")
-        if self.s not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.s}")
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int = 0, s: int = 1) -> "MonLog":
+        if p < 0:
+            raise ValueError(f"log power must be >= 0, got {p}")
+        if s not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {s}")
+        return tuple.__new__(cls, (1, n, p, s))
+
+    n = property(itemgetter(1))
+    p = property(itemgetter(2))
+    s = property(itemgetter(3))
+
+    # copy and pickle call __new__ with these; tuple's own would pass the
+    # whole (1, n, p, s) as n.
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return f"MonLog(n={self.n!r}, p={self.p!r}, s={self.s!r})"
 
 
-@dataclass(frozen=True)
-class Delta:
-    k: int
+class Delta(tuple):
+    """The k-th derivative of the Dirac delta at 0: the tuple (0, k, 0, 0)."""
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"delta order must be >= 0, got {self.k}")
+    __slots__ = ()
+
+    def __new__(cls, k: int) -> "Delta":
+        if k < 0:
+            raise ValueError(f"delta order must be >= 0, got {k}")
+        return tuple.__new__(cls, (0, k, 0, 0))
+
+    k = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.k,)
+
+    def __repr__(self) -> str:
+        return f"Delta(k={self.k!r})"
 
 
 Atom1D = Union[MonLog, Delta]
-
-
-def atom_key(a: Atom1D) -> tuple:
-    """Deterministic total order on atoms (deltas first, then monlogs)."""
-    if isinstance(a, Delta):
-        return (0, a.k, 0, 0)
-    return (1, a.n, a.p, a.s)
 
 
 def eig(a: Atom1D) -> Fraction:
@@ -79,10 +100,6 @@ class TensorTerm:
             if isinstance(f, Delta):
                 return j
         return 0
-
-
-def term_key(t: TensorTerm) -> tuple:
-    return tuple(atom_key(f) for f in t.factors)
 
 
 @dataclass(frozen=True)
@@ -132,7 +149,7 @@ def dist(dim: int, terms: Iterable[TensorTerm]) -> DistExpr:
 def from_coeffs(dim: int, coeffs: dict[tuple[Atom1D, ...], Fraction]) -> DistExpr:
     """The canonical DistExpr of a merged {factors: coefficient} map."""
     out = [TensorTerm(c, f) for f, c in coeffs.items() if c]
-    out.sort(key=term_key)
+    out.sort(key=attrgetter("factors"))
     return DistExpr(dim, tuple(out))
 
 

@@ -48,7 +48,7 @@ from .errors import (
 from .poly import Polynomial
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^(),/]))"
+    r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z]+[0-9]*)|(?P<op>[-+*^(),/]))"
 )
 
 
@@ -244,7 +244,7 @@ def _poly_sum(cur: _Cursor, dim: int) -> Polynomial:
 
 def _max_t_index(src: str) -> int:
     best = 0
-    for m in re.finditer(r"\bt(\d+)\b", src):
+    for m in re.finditer(r"\bt([0-9]+)\b", src):
         best = max(best, int(m.group(1)))
     return best
 
@@ -441,14 +441,14 @@ def _read_tokens(src: str, d: int, max_order: int) -> list[TensorTerm]:
 # One coefficient or factor in the forms format_dist prints (and mono), then
 # the operator after it, or the end.  Orders take at most 4 digits and
 # literals at most MAX_DIGITS, so int() never reads an oversized number.
-_NUM = rf"\d{{1,{MAX_DIGITS}}}"
+_NUM = rf"[0-9]{{1,{MAX_DIGITS}}}"
 _FACTOR_RE = re.compile(
     rf"(?:({_NUM})(?:/({_NUM}))?"
-    r"|x([1-9])(?:\^(-?\d{1,4}))?"
-    r"|log\(x([1-9])\)(?:\^(\d{1,4}))?"
+    r"|x([1-9])(?:\^(-?[0-9]{1,4}))?"
+    r"|log\(x([1-9])\)(?:\^([0-9]{1,4}))?"
     r"|H\((-?)x([1-9])\)"
-    r"|delta\(x([1-9]),(\d{1,4})\)"
-    r"|mono\(x([1-9]),(-?\d{1,4})\))"
+    r"|delta\(x([1-9]),([0-9]{1,4})\)"
+    r"|mono\(x([1-9]),(-?[0-9]{1,4})\))"
     r"\s*(?:([-+*])\s*|\Z)"
 )
 _SIGN_RE = re.compile(r"\s*([-+]?)\s*")

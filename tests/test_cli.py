@@ -102,6 +102,17 @@ class TestParseCommand:
         err = json.loads(out)["error"]
         assert err["type"] == "ParseError" and err["position"] == 8
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("-T", "delta(x\u0661,\u0663)", "-d", "1"), ("-P", "t\u0661^\u0662")],
+        ids=["dist", "poly"],
+    )
+    def test_non_ascii_digits_exit_2(self, capsys, argv):
+        # Arabic-Indic digits are Unicode decimals; the grammar reads 0-9 only.
+        code, out = run(capsys, "parse", *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
     def test_usage_error_exit_2(self, capsys):
         code, _ = run(capsys, "nonsense")
         assert code == 2

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +14,7 @@ from eulerdist.atoms import (
     dist,
     eig,
     eigenvalue,
+    from_coeffs,
     full_monomial,
     single,
 )
@@ -70,6 +73,39 @@ class TestEigenvalue:
     def test_eig_atoms(self):
         assert eig(Delta(4)) == -5
         assert eig(MonLog(-2, 3, -1)) == -2
+
+
+class TestAtomRepresentation:
+    def test_repr_unchanged(self):
+        # oracle-suite rows print repr(atom).
+        assert repr(MonLog(1)) == "MonLog(n=1, p=0, s=1)"
+        assert repr(MonLog(-2, 3, -1)) == "MonLog(n=-2, p=3, s=-1)"
+        assert repr(Delta(2)) == "Delta(k=2)"
+
+    @pytest.mark.parametrize(
+        "make", [lambda: MonLog(0, -1), lambda: MonLog(0, 0, 2), lambda: Delta(-1)]
+    )
+    def test_invalid_atoms_raise(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize(
+        "atom, name", [(MonLog(1, 2, -1), "n"), (MonLog(1), "p"), (Delta(0), "k")]
+    )
+    def test_immutable(self, atom, name):
+        with pytest.raises(AttributeError):
+            setattr(atom, name, 5)
+
+    def test_delta_never_equals_monlog(self):
+        deltas = [Delta(k) for k in range(4)]
+        monlogs = [MonLog(n, p, s) for n in range(-3, 4) for p in range(3) for s in (1, -1)]
+        assert not any(a == b for a in deltas for b in monlogs)
+        assert len(set(deltas + monlogs)) == len(deltas) + len(monlogs)
+
+    @pytest.mark.parametrize("atom", [MonLog(-2, 3, -1), Delta(2)])
+    def test_copy_and_pickle_round_trip(self, atom):
+        for back in (copy.copy(atom), copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
+            assert back == atom and type(back) is type(atom)
 
 
 class TestDecomposeHyperplane:
@@ -139,3 +175,28 @@ def test_decompose_parts_sum(ts):
             assert isinstance(t.factors[j - 1], Delta)
         total = total + part
     assert total == e
+
+
+def _old_atom_key(a):
+    """The canonical atom order as first written out: deltas first."""
+    if isinstance(a, Delta):
+        return (0, a.k, 0, 0)
+    return (1, a.n, a.p, a.s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.dictionaries(st.tuples(*[atoms] * d), st.integers(-3, 3), max_size=12),
+        )
+    )
+)
+def test_canonical_order_is_the_old_key(case):
+    d, coeffs = case
+    got = [t.factors for t in from_coeffs(d, coeffs).terms]
+    want = sorted(
+        (f for f, c in coeffs.items() if c), key=lambda f: [_old_atom_key(a) for a in f]
+    )
+    assert got == want

@@ -9,7 +9,6 @@ from eulerdist.atoms import (
     DistExpr,
     MonLog,
     TensorTerm,
-    atom_key,
     dist,
     full_monomial,
     single,
@@ -38,7 +37,7 @@ def closure(atoms: list[Atom1D]) -> tuple[Atom1D, ...]:
         for _, b in apply_theta(a):
             if b not in seen:
                 todo.append(b)
-    return tuple(sorted(seen, key=atom_key))
+    return tuple(sorted(seen))
 
 
 class TestThetaTable:

@@ -188,7 +188,21 @@ def _cmd_parse(args) -> int:
     return _emit(_report("parse", inputs, {"canonical": canonical}, checks), args)
 
 
+def _ascii(convert):
+    """The option type convert, refusing non-ASCII text: int, float and
+    Fraction would read any Unicode decimal digit (Arabic-Indic ones, say)."""
+
+    def ascii_only(text: str, *args, **kwargs):
+        if not text.isascii():
+            raise argparse.ArgumentTypeError(f"must be ASCII, got {text!r}")
+        return convert(text, *args, **kwargs)
+
+    ascii_only.__name__ = convert.__name__
+    return ascii_only
+
+
 def _int_in(least: int, most: float = math.inf):
+    @_ascii
     def int_in(text: str) -> int:
         n = int(text)
         if not least <= n <= most:
@@ -198,6 +212,7 @@ def _int_in(least: int, most: float = math.inf):
     return int_in
 
 
+@_ascii
 def _cutoff_radius(text: str) -> float:
     r = float(text)
     if not (r > 0 and math.isfinite(r)):
@@ -205,6 +220,7 @@ def _cutoff_radius(text: str) -> float:
     return r
 
 
+@_ascii
 def _rationals_text(text: str, positive: bool = False) -> str:
     """Keep text if it is comma-separated rationals in float range (exactly
     one, > 0, if positive); empty text means no value."""
@@ -247,18 +263,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve P(theta) U = T")
     p.add_argument("-P", required=True)
     p.add_argument("-T", required=True)
-    p.add_argument("-d", dest="dim", type=int, required=True)
+    p.add_argument("-d", dest="dim", type=_ascii(int), required=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check P(theta) U = T exactly")
     p.add_argument("-P", required=True)
     p.add_argument("-U", required=True)
     p.add_argument("-T", required=True)
-    p.add_argument("-d", dest="dim", type=int, required=True)
+    p.add_argument("-d", dest="dim", type=_ascii(int), required=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle-suite", help="adjoint-identity quadrature sweep")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_ascii(float), default=1e-6)
     # Past these a pairing leaves the float range (171! > 1.8e308) or, from
     # --nmax 42 on, its error estimate passes the oracle's gate.
     p.add_argument("--nmax", type=_int_in(0, 40), default=3, help="at most 40")
@@ -268,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wagner-check", help="Malgrange-Ehrenpreis desk check")
     p.add_argument("-P", required=True)
-    p.add_argument("-d", dest="dim", type=int, default=None)
+    p.add_argument("-d", dest="dim", type=_ascii(int), default=None)
     p.add_argument("--center", type=_rationals_text, help="comma-separated rationals")
     p.add_argument(
         "--width",
@@ -280,13 +296,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cutoff", type=_cutoff_radius, default=40.0, help="frequency box radius"
     )
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_ascii(float), default=1e-3)
     p.set_defaults(func=_cmd_wagner_check)
 
     p = sub.add_parser("parse", help="parse and canonically reprint an expression")
     p.add_argument("-P", default=None)
     p.add_argument("-T", default=None)
-    p.add_argument("-d", dest="dim", type=int, default=None)
+    p.add_argument("-d", dest="dim", type=_ascii(int), default=None)
     p.set_defaults(func=_cmd_parse)
     return ap
 

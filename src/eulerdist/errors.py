@@ -22,7 +22,7 @@ class TermNotHyperplaneSupported(EulerDistError):
 
 
 class EscalationExceeded(EulerDistError):
-    """A log-power system was inconsistent or left a delta-free residual (defensive)."""
+    """A continuous solve left a delta-free residual (defensive)."""
 
 
 class QuadratureNoConvergence(EulerDistError):

@@ -16,8 +16,9 @@ coefficient times a product of coordinate factors
     delta(x<j>,<k>) k-th derivative of the delta at the origin
     mono(x<j>,<n>)  full-line monomial sugar, n >= 0
 
-Every exponent, log power and delta order is at most MAX_ORDER in size
-(MAX_SOLUTION_ORDER in a solution read back).
+Every exponent, log power and delta order is at most MAX_ORDER in size, and
+so is the sum of the log powers of one term (MAX_SOLUTION_ORDER in a
+solution read back).
 
 Factors naming one coordinate combine into a single half-line or delta atom
 for that coordinate.  A delta or mono factor owns its coordinate, and a
@@ -35,6 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from string import ascii_letters
 from typing import Iterable
 
 from .atoms import Delta, DistExpr, MonLog, TensorTerm, dist, expand_tensor, full_line
@@ -70,15 +72,13 @@ def _tokenize(src: str) -> list[_Token]:
                 break
             bad = len(src) - len(stripped)
             raise ParseError(f"unexpected character {src[bad]!r}", bad)
-        if m.group("num") is not None:
-            if len(m.group("num")) > MAX_DIGITS:
-                at = m.start("num")
-                raise InputTooLarge(f"literal at {at} has over {MAX_DIGITS} digits")
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(_Token(m.group("op"), m.group("op"), m.start("op")))
+        group = m.lastgroup
+        text, at = m.group(group), m.start(group)
+        # The digits of a literal, or of a name's index, are read by int().
+        if len(text.lstrip(ascii_letters)) > MAX_DIGITS:
+            what = "literal" if group == "num" else group
+            raise InputTooLarge(f"{what} at {at} has over {MAX_DIGITS} digits")
+        tokens.append(_Token(text if group == "op" else group, text, at))
         i = m.end()
     tokens.append(_Token("end", "", len(src)))
     return tokens
@@ -132,7 +132,8 @@ MAX_ORDER = 1000
 # Solving raises orders: delta(x1,k) gives x1^(-k-1), and a root of P of
 # multiplicity v <= MAX_DEGREE adds v to a log power, so a solution is read
 # with a larger bound.  In several variables a log power can also move to
-# another coordinate (t1+t2 on log(x1)^3*H(x1)*H(x2) has a log(x2)^4 term).
+# another coordinate (t1+t2 on log(x1)^3*H(x1)*H(x2) has a log(x2)^4 term),
+# so the bound is on the total log power of a term as well.
 MAX_SOLUTION_ORDER = MAX_ORDER + MAX_DEGREE
 # The longest numeric literal, and the most bits a coefficient may have when
 # it is expanded or printed: both keep every number within Python's
@@ -243,16 +244,19 @@ def _poly_sum(cur: _Cursor, dim: int) -> Polynomial:
 
 
 def _max_t_index(src: str) -> int:
-    best = 0
+    """The largest t<j> index in src, clamped to 1..MAX_DIM: the parser
+    refuses every t<j> past MAX_DIM it reaches."""
+    best = 1
     for m in re.finditer(r"\bt([0-9]+)\b", src):
-        best = max(best, int(m.group(1)))
+        # Two significant digits already pass MAX_DIM; int() reads no more.
+        best = max(best, min(MAX_DIM, int(m.group(1).lstrip("0")[:2] or "0")))
     return best
 
 
 def parse_poly(src: str, dim: int | None = None) -> Polynomial:
     """Parse a polynomial in t1..t9; dim defaults to the largest index used."""
     if dim is None:
-        dim = max(1, _max_t_index(src))
+        dim = _max_t_index(src)
     else:
         _check_dim(dim)
     cur = _Cursor(src)
@@ -336,9 +340,15 @@ def _add_factor(
     max_order: int,
 ) -> None:
     """Record factor kind with integer argument value in x<j>'s group, after
-    the order bound and the ownership and conflict test."""
+    the order bounds and the ownership and conflict test."""
     if abs(value) > max_order:
         raise InputTooLarge(f"{kind} order at offset {pos} is above {max_order}")
+    if kind == "log":
+        total = value + sum(g.get("log", 0) for g in groups.values())
+        if total > max_order:
+            raise InputTooLarge(
+                f"total log power at offset {pos} is above {max_order}"
+            )
     g = groups.setdefault(j, {})
     owned = kind in _OWNS_COORDINATE or not _OWNS_COORDINATE.isdisjoint(g)
     if kind in g or (g and owned):

@@ -198,11 +198,12 @@ def substitute_coord(P: Polynomial, j: int, v: RationalLike) -> Polynomial:
     """Fix z_j to the rational v; remaining variables are renumbered."""
     if not 1 <= j <= P.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{P.dim}")
-    shifted = _shift_coord(P.terms, j, Fraction(v))
-    return Polynomial(
-        P.dim - 1,
-        {a[: j - 1] + a[j:]: c for a, c in shifted.items() if a[j - 1] == 0},
-    )
+    v = Fraction(v)
+    out: dict[Exponent, Fraction] = {}
+    for alpha, c in P.terms.items():
+        rest = alpha[: j - 1] + alpha[j:]
+        out[rest] = out.get(rest, Fraction(0)) + c * v ** alpha[j - 1]
+    return Polynomial(P.dim - 1, out)
 
 
 def factor_out(P: Polynomial, j: int, c: RationalLike) -> tuple[int, Polynomial]:

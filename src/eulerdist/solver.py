@@ -9,8 +9,8 @@ T is canonicalised once; the canonical terms are dispatched in groups:
     resonant subspace;
   * delta-free terms sharing one class (eigenvalue mu, log powers p) -- a
     full-line factor's half-line terms, say -- are solved together in the
-    quotient calculus modulo delta-supported distributions: one exact
-    elimination on the log-polynomial box of total degree |p| + v, v the
+    quotient calculus modulo delta-supported distributions: dividing z^p
+    by the grlex-smallest term z^gamma of P(z + mu), whose order v is the
     vanishing order of P at mu, gives the solution vector for the whole
     class, and the exact delta-supported residual of the class is fed back
     through the solver.
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import perm
+from heapq import heappop, heappush
+from math import perm, prod
+from operator import add, sub
 from typing import Sequence
 
 from .atoms import (
@@ -47,7 +48,6 @@ from .errors import (
 from .poly import (
     Polynomial,
     factor_out,
-    grlex_key,
     substitute_coord,
     taylor_shift,
     vanishing_order,
@@ -73,84 +73,56 @@ def verify(P: Polynomial, U: DistExpr, T: DistExpr) -> bool:
 # -- quotient calculus (log-polynomial) solve ----------------------------
 
 
-def _solve_log_system(S: Polynomial, p_exp: tuple[int, ...], v: int) -> Polynomial:
-    """Solve S(d) u = z^p on the box {q : |q| <= |p| + v}.
+def _solve_log_system(
+    S: Polynomial, p_exp: tuple[int, ...], gamma: tuple[int, ...]
+) -> Polynomial:
+    """Solve S(d) u = z^p by division by the grlex-smallest term z^gamma of S.
 
-    S is the Taylor shift P(z + mu) and v = vanishing_order(P, mu), so every
-    term of S has order >= v and its lowest-order part is a nonzero
-    homogeneous operator of order exactly v, mapping each homogeneous degree
-    g + v onto degree g.  A solution therefore exists on this box, while on
-    any box of total degree below |p| + v the image never reaches z^p.  (A
-    per-coordinate box q_j <= p_j + v does not have this property.)  Column
-    images are closed-form falling factorials,
-    d^beta z^q = prod_j q_j!/(q_j - beta_j)! z^(q - beta).  Returns the
-    particular solution with all free coefficients zero.
+    S is the Taylor shift P(z + mu), so gamma is the witness of
+    vanishing_order(P, mu).  The image of z^(r + gamma) under S(d) has
+    grlex-leading term S[gamma] prod_j (r_j + gamma_j)!/r_j! z^r: a term of
+    higher order lowers the degree, and one of order |gamma| is lex-larger
+    than gamma, so it lowers the monomial in lex order.  Taking off the
+    leading term of the remainder z^p one monomial at a time therefore ends,
+    and gives the unique solution supported on the multiples of z^gamma.
+    That is the solution of the box {q : |q| <= |p| + |gamma|} with all free
+    coefficients zero when its columns are eliminated in grlex order, since
+    the multiples of z^gamma are exactly that elimination's pivot columns:
+    lower-degree columns span every lower-degree row, and as d_j is adjoint
+    to multiplication by z_j under the Fischer pairing, the independent
+    columns of one degree are the lex-initial monomials gamma + N^d of the
+    multiples of S's lowest-order part.
     """
-    d = S.dim
-    total = sum(p_exp) + v
-    cols = sorted(
-        (q for q in product(range(total + 1), repeat=d) if sum(q) <= total),
-        key=grlex_key,
-    )
-    col_index = {q: i for i, q in enumerate(cols)}
-    n = len(cols)
-    # Sparse rows indexed by target monomial: row[c] = coeff of column c.
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    rhs[col_index[p_exp]] = Fraction(1)
-    col_rows: list[set[int]] = [set() for _ in range(n)]
-    for ci, q in enumerate(cols):
-        for beta, c in S.terms.items():
-            if any(b > qj for b, qj in zip(beta, q)):
-                continue
-            for qj, b in zip(q, beta):
-                c *= perm(qj, b)
-            ri = col_index[tuple(qj - b for qj, b in zip(q, beta))]
-            rows[ri][ci] = c
-            col_rows[ci].add(ri)
-    # Gauss-Jordan with fixed column order; the pivot column set (and hence
-    # the zero-free-variable solution) does not depend on pivot row choice,
-    # but the smallest active row id is taken for determinism anyway.
-    pivot_of_col: dict[int, int] = {}
-    pivot_rows: set[int] = set()
-    for c in range(n):
-        live = sorted(
-            ri for ri in col_rows[c] if ri not in pivot_rows and rows[ri].get(c)
-        )
-        if not live:
+    lead = S.terms[gamma]
+    rest = [(beta, c) for beta, c in S.terms.items() if beta != gamma]
+
+    def pops_first(m: tuple[int, ...]) -> tuple:
+        """Heap entry of m: grlex-larger monomials pop first."""
+        return (-sum(m), tuple(-x for x in m), m)
+
+    rem = {p_exp: Fraction(1)}
+    # Each new monomial is grlex-below the one being divided, so none is
+    # pushed twice.
+    heap = [pops_first(p_exp)]
+    u: dict[tuple[int, ...], Fraction] = {}
+    while heap:
+        r = heappop(heap)[2]
+        a = rem.pop(r)
+        if not a:
             continue
-        pr = live[0]
-        prow = rows[pr]
-        inv = Fraction(1) / prow[c]
-        for cc in list(prow):
-            prow[cc] *= inv
-        rhs[pr] *= inv
-        for ri in list(col_rows[c]):
-            if ri == pr:
-                continue
-            f = rows[ri].get(c)
-            if not f:
-                col_rows[c].discard(ri)
-                continue
-            row = rows[ri]
-            for cc, val in prow.items():
-                nv = row.get(cc, Fraction(0)) - f * val
-                if nv:
-                    row[cc] = nv
-                    col_rows[cc].add(ri)
-                else:
-                    row.pop(cc, None)
-            rhs[ri] -= f * rhs[pr]
-        pivot_of_col[c] = pr
-        pivot_rows.add(pr)
-    # Non-pivot columns never gain fill-in after being passed over, so
-    # non-pivot rows are entirely zero here; consistency is their rhs.
-    for ri in range(n):
-        if ri not in pivot_rows and rhs[ri] != 0:
-            raise EscalationExceeded(
-                f"log-power system inconsistent on the degree-{total} box"
-            )
-    return Polynomial(d, {cols[c]: rhs[pr] for c, pr in pivot_of_col.items()})
+        q = tuple(map(add, r, gamma))
+        c = u[q] = a / (lead * prod(map(perm, q, gamma)))
+        for beta, s in rest:
+            # d^beta z^q = prod_j perm(q_j, beta_j) z^(q - beta); perm is 0
+            # where beta_j > q_j.
+            f = prod(map(perm, q, beta))
+            if f:
+                m = tuple(map(sub, q, beta))
+                if m not in rem:
+                    rem[m] = Fraction(0)
+                    heappush(heap, pops_first(m))
+                rem[m] -= c * s * f
+    return Polynomial(S.dim, u)
 
 
 def _log_class(t: TensorTerm) -> tuple[tuple[int, int], ...]:
@@ -164,10 +136,11 @@ def solve_continuous_term(
     """Solve P(theta) U = sum(ts) modulo delta-supported terms.
 
     The terms must be delta-free and share one (eigenvalue, log powers)
-    class; they may differ in half-line signs and coefficients.  One exact
-    elimination on the log-polynomial box of total degree |p| + v, v =
-    vanishing_order(P, mu) at the class eigenvalue mu, gives one vector u
-    that solves every term of the class.  Returns (U_partial, residual, v);
+    class; they may differ in half-line signs and coefficients.  Dividing
+    z^p by the grlex-smallest term z^gamma of S = P(z + mu), mu the class
+    eigenvalue and v = |gamma| = vanishing_order(P, mu), gives one vector u
+    with S(d) u = z^p that solves every term of the class.  Returns
+    (U_partial, residual, v);
     the residual sum(ts) - P(theta) U_partial is computed in the full
     calculus and is always delta-supported.
     """
@@ -183,8 +156,8 @@ def solve_continuous_term(
         )
     d = len(key)
     S = taylor_shift(P, eigenvalue(ts[0]))
-    v, _ = vanishing_order(S, (0,) * d)
-    u = _solve_log_system(S, tuple(p for _, p in key), v)
+    v, gamma = vanishing_order(S, (0,) * d)
+    u = _solve_log_system(S, tuple(p for _, p in key), gamma)
     terms = [
         TensorTerm(
             c * t.coeff, tuple(MonLog(f.n, qj, f.s) for f, qj in zip(t.factors, q))

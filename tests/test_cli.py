@@ -113,6 +113,31 @@ class TestParseCommand:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["parse", "-T", "delta(x1,3)", "-d", "\u0661"], id="parse-d"),
+            pytest.param(
+                ["solve", "-P", "t1+1", "-T", "delta(x1,0)", "-d", "\u0661"], id="solve-d"
+            ),
+            pytest.param(["oracle-suite", "--nmax", "\u0661"], id="nmax"),
+            pytest.param(["oracle-suite", "--tol", "\u0661"], id="suite-tol"),
+            pytest.param(
+                ["wagner-check", "-P", "t1", "--grid", "\u0665\u0661\u0662"], id="grid"
+            ),
+            pytest.param(
+                ["wagner-check", "-P", "t1", "--grid", "512", "--tol", "\u0661"], id="tol"
+            ),
+            pytest.param(["wagner-check", "-P", "t1", "--cutoff", "\u0664\u0660"], id="cutoff"),
+            pytest.param(["wagner-check", "-P", "t1", "--width", "\u0661"], id="width"),
+            pytest.param(["wagner-check", "-P", "t1", "--center", "\u0660"], id="center"),
+        ],
+    )
+    def test_non_ascii_digits_in_options_exit_2(self, capsys, argv):
+        # int, float and Fraction read any Unicode decimal digit.
+        code, out = run(capsys, *argv)
+        assert code == 2 and out == ""
+
     def test_usage_error_exit_2(self, capsys):
         code, _ = run(capsys, "nonsense")
         assert code == 2
@@ -203,6 +228,7 @@ class TestWagnerCommand:
 
 
 BIG = "7" * 5000
+ONES = "1" * 5000
 
 
 class TestInputLimits:
@@ -249,6 +275,20 @@ class TestInputLimits:
                 "InputTooLarge",
                 id="denominator",
             ),
+            # Names whose index is longer than that limit.
+            pytest.param(
+                ["parse", "-T", f"x{ONES}", "-d", "1"], "InputTooLarge", id="x-name"
+            ),
+            pytest.param(["parse", "-P", f"t{ONES}"], "InputTooLarge", id="t-name"),
+            pytest.param(
+                ["solve", "-P", "t1", "-T", f"H(x{ONES})", "-d", "1"],
+                "InputTooLarge",
+                id="H-name",
+            ),
+            # Without -d the dimension is the largest t<j>, at most 9.
+            pytest.param(
+                ["parse", "-P", f"1+t{'9' * 30}"], "ParseError", id="t-index"
+            ),
             pytest.param(
                 ["parse", "-P", "(2*t1)^200000"], "InputTooLarge", id="degree"
             ),
@@ -280,6 +320,12 @@ class TestInputLimits:
                 id="log-power",
             ),
             pytest.param(
+                ["solve", "-P", "t1+t2", "-T", "log(x1)^500*log(x2)^501*H(x1)*H(x2)"]
+                + ["-d", "2"],
+                "InputTooLarge",
+                id="total-log-power",
+            ),
+            pytest.param(
                 ["parse", "-T", "mono(x1,1001)", "-d", "1"],
                 "InputTooLarge",
                 id="mono-order",
@@ -305,17 +351,39 @@ class TestInputLimits:
         assert json.loads(out)["error"]["type"] == error
 
     @pytest.mark.parametrize(
-        "P, T",
-        [("t1+1001", "delta(x1,1000)"), ("t1^2", "log(x1)^1000*H(x1)")],
-        ids=["power", "log-power"],
+        "P, T, d",
+        [
+            ("t1+1001", "delta(x1,1000)", "1"),
+            ("t1^2", "log(x1)^1000*H(x1)", "1"),
+            ("t1+t2", "log(x1)^500*log(x2)^500*H(x1)*H(x2)", "2"),
+            ("t1+t2", "log(x1)^1000*H(x1)*H(x2)", "2"),
+        ],
+        ids=["power", "log-power", "total-log-power", "moved-log-power"],
     )
-    def test_every_printed_solution_reads_back(self, capsys, P, T):
-        # Solving raises orders past grammar.MAX_ORDER (x1^-1001*H(x1) and
-        # log(x1)^1002*H(x1) here), and verify reads them back.
-        code, out = run(capsys, "solve", "-P", P, "-T", T, "-d", "1")
+    def test_every_printed_solution_reads_back(self, capsys, P, T, d):
+        # Solving raises orders past grammar.MAX_ORDER (x1^-1001*H(x1),
+        # log(x1)^1002*H(x1) and log(x2)^1001*H(x2) here), and verify reads
+        # them back.
+        code, out = run(capsys, "solve", "-P", P, "-T", T, "-d", d)
         assert code == 0
         U = json.loads(out)["outputs"]["solution"]
-        code, out = run(capsys, "verify", "-P", P, f"-U={U}", "-T", T, "-d", "1")
+        code, out = run(capsys, "verify", "-P", P, f"-U={U}", "-T", T, "-d", d)
+        assert code == 0 and json.loads(out)["outputs"]["verified"]
+
+    @pytest.mark.parametrize(
+        "P, T, d",
+        [
+            ("+".join(f"t{j}" for j in range(1, 10)), "log(x1)^8*H(x1)", "9"),
+            ("t1+t2", "log(x1)^1000*H(x1)", "2"),
+        ],
+        ids=["d9", "log-power-1000"],
+    )
+    def test_log_power_systems_are_solved_quickly(self, capsys, P, T, d):
+        # Division by the lowest-order term of P touches only the monomials
+        # the remainder reaches, not the whole total-degree box.
+        start = time.monotonic()
+        code, out = run(capsys, "solve", "-P", P, "-T", T, "-d", d)
+        assert time.monotonic() - start < 10.0
         assert code == 0 and json.loads(out)["outputs"]["verified"]
 
     def test_high_power_is_solved(self, capsys):

@@ -1,13 +1,17 @@
 from fractions import Fraction as F
+from itertools import product
+from math import perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, Rational
 
 from eulerdist.atoms import Delta, MonLog, TensorTerm, dist, full_monomial, single
 from eulerdist.errors import UnsupportedInput, ZeroPolynomial
 from eulerdist.grammar import format_dist, parse_dist, parse_poly
-from eulerdist.poly import Polynomial
+from eulerdist.poly import Polynomial, grlex_key, vanishing_order
 from eulerdist.solver import (
+    _solve_log_system,
     resonant_1d,
     solve,
     solve_continuous_term,
@@ -154,6 +158,68 @@ class TestSolveContinuousTerm:
         )
         assert residual.is_zero()
         assert v == 2
+
+
+def _reference_log_system(S, p, v):
+    """The solution of S(d) u = z^p on the box {q : |q| <= |p| + v} with
+    every free variable zero, from sympy's rref of the box's columns in
+    grlex order."""
+    d = S.dim
+    total = sum(p) + v
+    cols = sorted(
+        (q for q in product(range(total + 1), repeat=d) if sum(q) <= total),
+        key=grlex_key,
+    )
+    row = {q: i for i, q in enumerate(cols)}
+    n = len(cols)
+    A = [[Rational(0)] * (n + 1) for _ in range(n)]
+    A[row[p]][n] = Rational(1)
+    for c, q in enumerate(cols):
+        for beta, s in S.terms.items():
+            if all(b <= qj for b, qj in zip(beta, q)):
+                for qj, b in zip(q, beta):
+                    s *= perm(qj, b)
+                target = tuple(qj - b for qj, b in zip(q, beta))
+                A[row[target]][c] = Rational(s.numerator, s.denominator)
+    R, pivots = Matrix(A).rref()
+    assert n not in pivots  # the system is consistent
+    return Polynomial(
+        d, {cols[c]: F(int(R[i, n].p), int(R[i, n].q)) for i, c in enumerate(pivots)}
+    )
+
+
+@st.composite
+def _exponent(draw, d, degree):
+    """A d-variable exponent of the given total degree."""
+    alpha = [0] * d
+    for j in draw(st.lists(st.integers(0, d - 1), min_size=degree, max_size=degree)):
+        alpha[j] += 1
+    return tuple(alpha)
+
+
+@st.composite
+def _log_system(draw):
+    """(S, p) with d <= 3, vanishing order v <= 4 at 0 and |p| <= 4."""
+    d = draw(st.integers(1, 3))
+    v = draw(st.integers(0, 4))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    terms = {draw(_exponent(d, v)): draw(small)}
+    for _ in range(draw(st.integers(0, 4))):
+        degree = draw(st.integers(v, v + 2))
+        terms[draw(_exponent(d, degree))] = draw(small)
+    p = draw(_exponent(d, draw(st.integers(0, 4))))
+    return Polynomial(d, terms), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_log_system())
+def test_log_system_division_matches_elimination(system):
+    """Division by the grlex-smallest term gives the free-variables-zero
+    solution of the grlex-ordered box elimination."""
+    S, p = system
+    v, gamma = vanishing_order(S, (0,) * S.dim)
+    u = _solve_log_system(S, p, gamma)
+    assert u == _reference_log_system(S, p, v)
 
 
 # A delta-free class: per coordinate (eigenvalue n, log power p).

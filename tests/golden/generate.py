@@ -18,7 +18,11 @@ residuals choose).  The cases are drawn with a fixed seed and cover:
     escalation of half-line terms at a root of P, and nested substitutions
     through deltas in two or three coordinates;
   * verify of printed solutions up to d = 7, and up to d = 3 also of the
-    solution with the magnitude of its first term added.
+    solution with the magnitude of its first term added;
+  * the distribution reader's edge cases (whitespace, signs, zero
+    denominators, leading zeros, limits, a bad character), and printed texts
+    with whitespace put in or one character replaced or deleted, which pin
+    its error types, messages and offsets.
 
 Regenerating is an explicit step: state the reason and the diff of
 corpus.json whenever it changes.
@@ -34,6 +38,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from eulerdist.cli import main
+from eulerdist.grammar import format_dist, parse_dist
 
 CORPUS = Path(__file__).with_name("corpus.json")
 SEED = 20171111
@@ -285,13 +290,68 @@ def verify_cases(solved: list[dict]) -> list[list[str]]:
     return argvs
 
 
+# Distribution texts at the edges of the grammar, each parsed at d = 1.
+READER_EDGES = [
+    "",
+    " -x1*H(x1) ",
+    "x1^2*H(x1)\n",
+    "x1^ 2*H(x1)",
+    "1/0*H(x1)",
+    "0/0",
+    "2 3*H(x1)",
+    "x1 + -x1",
+    "x1*",
+    "--x1",
+    "x1/2",
+    "x01*H(x1)",
+    "x12*H(x1)",
+    "x2*H(x1)",
+    "x0",
+    "delta(x1,-0)",
+    "mono(x1,-0)",
+    "mono(x1,-1)",
+    "log(x1)^0*H(x1)",
+    "log(x1)^-1*H(x1)",
+    "H(+x1)",
+    "x1^1000*H(x1)",
+    "x1^1001*H(x1)",
+    "x1^10000*H(x1)",
+    "x1^00002*H(x1)",
+    "delta(x1,0)*H(x1)",
+    "0*delta(x1,0)*delta(x1,0)",
+    "1" * 3000 + "*H(x1)",
+    "1" * 3001 + "*H(x1)",
+    "delta(x1,0)*H(x1) + $",
+]
+
+
+def mutated_cases(rng: random.Random, count: int = 240) -> list[list[str]]:
+    """Printed distributions with whitespace put in, or one character
+    replaced or deleted, at a random place."""
+    argvs = []
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        text = format_dist(parse_dist(_dist(rng, d, rng.randint(1, 3)), d))
+        i = rng.randint(0, len(text))
+        edit = rng.choice(["space", "replace", "delete"])
+        if edit == "space":
+            text = text[:i] + rng.choice(" \t\n") + text[i:]
+        else:
+            new = rng.choice("0123456789x-+*/^(),.H \n$t") if edit == "replace" else ""
+            text = text[:i] + new + text[i + 1 :]
+        argvs.append(["parse", "-T", text, "-d", str(d)])
+    return argvs
+
+
 def corpus() -> list[dict]:
     rng = random.Random(SEED)
     cases = [run_case(a) for a in README + parse_cases(rng) + wagner_cases()]
     solves = [run_case(a) for a in escalate_cases(rng) + resonance_cases(rng)]
     fanout = [run_case(a) for a in fanout_cases(rng)]
     verifies = [run_case(a) for a in verify_cases(fanout + solves[::3])]
-    return cases + solves + fanout + verifies
+    edges = [["parse", "-T", text, "-d", "1"] for text in READER_EDGES]
+    reader = [run_case(a) for a in edges + mutated_cases(rng)]
+    return cases + solves + fanout + verifies + reader
 
 
 if __name__ == "__main__":

@@ -28,98 +28,27 @@ to |x_j|, matching the reflected-atom convention.  A group with no H factor
 denotes the full-line object and expands into the two half-line atoms with
 the parity sign (-1)^n on the left piece.  Coordinates absent from a term
 default to the full-line constant 1.
+
+One reader serves both grammars.  A single regex search finds the first
+lexical error, a character no token has or a run of more than MAX_DIGITS
+digits, so lexical errors win over syntax errors.  A single findall then
+splits the text into literals, names and operators, and the grammar
+functions walk that list by index.  A ParseError gives the offset of the
+token it names.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm
 from string import ascii_letters
 from typing import Iterable
 
 from .atoms import Delta, DistExpr, MonLog, TensorTerm, dist, expand_tensor, full_line
-from .errors import (
-    CoordinateConflict,
-    DimensionError,
-    EulerDistError,
-    InputTooLarge,
-    ParseError,
-)
+from .errors import CoordinateConflict, DimensionError, InputTooLarge, ParseError
 from .poly import Polynomial
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z]+[0-9]*)|(?P<op>[-+*^(),/]))"
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | one of "+-*^(),/" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            stripped = src[i:].lstrip()
-            if not stripped:
-                break
-            bad = len(src) - len(stripped)
-            raise ParseError(f"unexpected character {src[bad]!r}", bad)
-        group = m.lastgroup
-        text, at = m.group(group), m.start(group)
-        # The digits of a literal, or of a name's index, are read by int().
-        if len(text.lstrip(ascii_letters)) > MAX_DIGITS:
-            what = "literal" if group == "num" else group
-            raise InputTooLarge(f"{what} at {at} has over {MAX_DIGITS} digits")
-        tokens.append(_Token(text if group == "op" else group, text, at))
-        i = m.end()
-    tokens.append(_Token("end", "", len(src)))
-    return tokens
-
-
-class _Cursor:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def accept(self, kind: str) -> bool:
-        """Consume the current token if it is of this kind."""
-        if self.tok.kind != kind:
-            return False
-        self.i += 1
-        return True
-
-    def expect(self, kind: str) -> _Token:
-        if self.tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {self.tok.text or 'end of input'!r}",
-                self.tok.pos,
-            )
-        return self.advance()
-
-    def fail(self, expected: str) -> ParseError:
-        found = self.tok.text or "end of input"
-        return ParseError(f"expected {expected}, found {found!r}", self.tok.pos)
-
-
-# -- polynomials -----------------------------------------------------------
 
 # t1..t9 are the only variables the polynomial grammar can name.
 MAX_DIM = 9
@@ -140,6 +69,62 @@ MAX_SOLUTION_ORDER = MAX_ORDER + MAX_DEGREE
 # 4300-digit limit on int-string conversion (3000 digits < 10000 bits).
 MAX_DIGITS = 3000
 MAX_BITS = 10_000
+
+# A literal, a name (letters, then the digits of an index) or an operator;
+# findall skips the whitespace between them.
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z]+[0-9]*|[-+*^(),/]")
+# The first lexical error: a run of more than MAX_DIGITS digits (int() reads
+# a literal or a name's index), or a character no token or whitespace has.
+_LEX_ERROR_RE = re.compile(
+    rf"(?<![0-9])[0-9]{{{MAX_DIGITS + 1}}}|[^-+*^(),/A-Za-z0-9\s]"
+)
+
+
+class _Tokens:
+    """The token texts of src, then "" for the end of input.
+
+    The grammar functions walk toks by index: each takes the index of its
+    first token and returns the index after its last.  Lexical errors win
+    over syntax errors, as the whole text is checked first, and a token's
+    offset in src is found only for an error message."""
+
+    def __init__(self, src: str):
+        bad = _LEX_ERROR_RE.search(src)
+        if bad is not None:
+            at = bad.start()
+            if len(bad.group()) == 1:
+                raise ParseError(f"unexpected character {src[at]!r}", at)
+            # A digit run right after letters is the index of a name.
+            name = len(src[:at].rstrip(ascii_letters))
+            what = "literal" if name == at else "name"
+            raise InputTooLarge(f"{what} at {name} has over {MAX_DIGITS} digits")
+        self.src = src
+        self.toks = _TOKEN_RE.findall(src)
+        self.toks.append("")
+
+    def offset(self, i: int) -> int:
+        """The offset in src of token i."""
+        m = next(islice(_TOKEN_RE.finditer(self.src), i, None), None)
+        return len(self.src) if m is None else m.start()
+
+    def fail(self, i: int, expected: str) -> ParseError:
+        found = self.toks[i] or "end of input"
+        return ParseError(f"expected {expected}, found {found!r}", self.offset(i))
+
+    def expect(self, i: int, op: str) -> int:
+        if self.toks[i] != op:
+            raise self.fail(i, repr(op))
+        return i + 1
+
+    def number(self, i: int) -> tuple[int, int]:
+        """The value of the unsigned literal at i."""
+        t = self.toks[i]
+        if not t[:1].isdigit():
+            raise self.fail(i, "'num'")
+        return int(t), i + 1
+
+
+# -- polynomials -----------------------------------------------------------
 
 
 def _check_dim(d: int) -> None:
@@ -173,96 +158,92 @@ def _check_terms(dim: int, degree: int, count: int) -> None:
         )
 
 
-def _rational(cur: _Cursor) -> Fraction:
+def _rational(tk: _Tokens, i: int) -> tuple[Fraction, int]:
     """An `n` or `n/m` literal."""
-    value = Fraction(int(cur.expect("num").text))
-    if cur.accept("/"):
-        den = cur.expect("num")
-        if int(den.text) == 0:
-            raise ParseError("zero denominator", den.pos)
-        value /= int(den.text)
-    return value
+    num, i = tk.number(i)
+    if tk.toks[i] != "/":
+        return Fraction(num), i
+    den, i = tk.number(i + 1)
+    if den == 0:
+        raise ParseError("zero denominator", tk.offset(i - 1))
+    return Fraction(num, den), i
 
 
-def _poly_atom(cur: _Cursor, dim: int) -> Polynomial:
-    t = cur.tok
-    if cur.accept("("):
-        p = _poly_sum(cur, dim)
-        cur.expect(")")
-        return p
-    if t.kind == "num":
-        return Polynomial.constant(dim, _rational(cur))
-    if t.kind == "name":
-        if not (t.text.startswith("t") and t.text[1:].isdigit()):
-            raise cur.fail("a t<j> variable")
-        j = int(t.text[1:])
+def _poly_atom(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
+    t = tk.toks[i]
+    if t == "(":
+        p, i = _poly_sum(tk, i + 1, dim)
+        return p, tk.expect(i, ")")
+    if t[:1].isdigit():
+        c, i = _rational(tk, i)
+        return Polynomial.constant(dim, c), i
+    if t[:1].isalpha():
+        if not (t[0] == "t" and t[1:].isdigit()):
+            raise tk.fail(i, "a t<j> variable")
+        j = int(t[1:])
         if not 1 <= j <= 9:
-            raise ParseError(f"variable index out of range 1..9: {t.text}", t.pos)
+            raise ParseError(f"variable index out of range 1..9: {t}", tk.offset(i))
         if j > dim:
             raise DimensionError(f"variable t{j} exceeds dimension {dim}")
-        cur.advance()
-        return Polynomial.variable(dim, j)
-    raise cur.fail("a number, variable, or '('")
+        return Polynomial.variable(dim, j), i + 1
+    raise tk.fail(i, "a number, variable, or '('")
 
 
-def _poly_power(cur: _Cursor, dim: int) -> Polynomial:
+def _poly_power(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
     """An atom with an optional exponent; a unary minus negates the power."""
-    if cur.accept("-"):
-        return -_poly_power(cur, dim)
-    base = _poly_atom(cur, dim)
-    if not cur.accept("^"):
-        return base
-    n = int(cur.expect("num").text)
+    if tk.toks[i] == "-":
+        p, i = _poly_power(tk, i + 1, dim)
+        return -p, i
+    base, i = _poly_atom(tk, i, dim)
+    if tk.toks[i] != "^":
+        return base, i
+    n, i = tk.number(i + 1)
     if base.terms:
         # Each term of base^n comes from a multiset of n terms of base; with
         # two or more terms the degree check keeps n small enough for comb.
         _check_size(n * base.degree, n * _coeff_bits(base))
         _check_terms(dim, n * base.degree, comb(len(base.terms) + n - 1, n))
-    return base**n
+    return base**n, i
 
 
-def _poly_product(cur: _Cursor, dim: int) -> Polynomial:
-    p = _poly_power(cur, dim)
-    while cur.accept("*"):
-        q = _poly_power(cur, dim)
+def _poly_product(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
+    p, i = _poly_power(tk, i, dim)
+    while tk.toks[i] == "*":
+        q, i = _poly_power(tk, i + 1, dim)
         _check_size(p.degree + q.degree, _coeff_bits(p) + _coeff_bits(q))
         _check_terms(dim, p.degree + q.degree, len(p.terms) * len(q.terms))
         p = p * q
-    return p
+    return p, i
 
 
-def _poly_sum(cur: _Cursor, dim: int) -> Polynomial:
+def _poly_sum(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
     """A sum of products, accumulated in one term map (linear in its length)."""
     acc: dict[tuple[int, ...], Fraction] = {}
     sign = 1
     while True:
-        for alpha, c in _poly_product(cur, dim).terms.items():
+        p, i = _poly_product(tk, i, dim)
+        for alpha, c in p.terms.items():
             acc[alpha] = acc.get(alpha, 0) + sign * c
-        if cur.tok.kind not in "+-":
-            return Polynomial(dim, acc)
-        sign = 1 if cur.advance().kind == "+" else -1
-
-
-def _max_t_index(src: str) -> int:
-    """The largest t<j> index in src, clamped to 1..MAX_DIM: the parser
-    refuses every t<j> past MAX_DIM it reaches."""
-    best = 1
-    for m in re.finditer(r"\bt([0-9]+)\b", src):
-        # Two significant digits already pass MAX_DIM; int() reads no more.
-        best = max(best, min(MAX_DIM, int(m.group(1).lstrip("0")[:2] or "0")))
-    return best
+        if tk.toks[i] not in ("+", "-"):
+            return Polynomial(dim, acc), i
+        sign = 1 if tk.toks[i] == "+" else -1
+        i += 1
 
 
 def parse_poly(src: str, dim: int | None = None) -> Polynomial:
     """Parse a polynomial in t1..t9; dim defaults to the largest index used."""
-    if dim is None:
-        dim = _max_t_index(src)
-    else:
+    if dim is not None:
         _check_dim(dim)
-    cur = _Cursor(src)
-    p = _poly_sum(cur, dim)
-    if cur.tok.kind != "end":
-        raise cur.fail("end of input or an operator")
+    tk = _Tokens(src)
+    if dim is None:
+        # Clamped to MAX_DIM: the parser refuses every t<j> past it that it
+        # reaches.  Two significant digits already pass MAX_DIM, so int()
+        # reads no more.
+        idx = [t[1:] for t in tk.toks if t[:1] == "t" and t[1:].isdigit()]
+        dim = min(MAX_DIM, max([1, *(int(j.lstrip("0")[:2] or "0") for j in idx)]))
+    p, i = _poly_sum(tk, 0, dim)
+    if tk.toks[i]:
+        raise tk.fail(i, "end of input or an operator")
     return p
 
 
@@ -307,28 +288,29 @@ _CONFLICT = {
 }
 
 
-def _x_index(t: _Token, d: int) -> int | None:
+def _x_index(t: str, d: int) -> int | None:
     """j for a coordinate name x<j> with 1 <= j <= d; None for other names."""
-    if not (t.text.startswith("x") and t.text[1:].isdigit()):
+    if not (t[:1] == "x" and t[1:].isdigit()):
         return None
-    j = int(t.text[1:])
+    j = int(t[1:])
     if not 1 <= j <= d:
         raise DimensionError(f"coordinate x{j} exceeds dimension {d}")
     return j
 
 
-def _coord_arg(cur: _Cursor, d: int) -> int:
-    """The x<j> argument of log, H, delta and mono."""
-    name = cur.expect("name")
-    j = _x_index(name, d)
+def _coord_arg(tk: _Tokens, i: int, d: int) -> int:
+    """j for the x<j> argument of log, H, delta and mono at token i."""
+    j = _x_index(tk.toks[i], d)
     if j is None:
-        raise ParseError(f"expected x<j>, found {name.text!r}", name.pos)
+        raise tk.fail(i, "x<j>" if tk.toks[i][:1].isalpha() else "'name'")
     return j
 
 
-def _signed_int(cur: _Cursor) -> int:
-    sign = -1 if cur.accept("-") else 1
-    return sign * int(cur.expect("num").text)
+def _signed_int(tk: _Tokens, i: int) -> tuple[int, int]:
+    if tk.toks[i] != "-":
+        return tk.number(i)
+    n, i = tk.number(i + 1)
+    return -n, i
 
 
 def _add_factor(
@@ -336,63 +318,72 @@ def _add_factor(
     j: int,
     kind: str,
     value: int,
-    pos: int,
     max_order: int,
+    tk: _Tokens,
+    at: int,
 ) -> None:
     """Record factor kind with integer argument value in x<j>'s group, after
-    the order bounds and the ownership and conflict test."""
+    the order bounds and the ownership and conflict test; at is the index of
+    the factor's first token, for the messages."""
     if abs(value) > max_order:
-        raise InputTooLarge(f"{kind} order at offset {pos} is above {max_order}")
+        raise InputTooLarge(f"{kind} order at offset {tk.offset(at)} is above {max_order}")
     if kind == "log":
         total = value + sum(g.get("log", 0) for g in groups.values())
         if total > max_order:
             raise InputTooLarge(
-                f"total log power at offset {pos} is above {max_order}"
+                f"total log power at offset {tk.offset(at)} is above {max_order}"
             )
     g = groups.setdefault(j, {})
     owned = kind in _OWNS_COORDINATE or not _OWNS_COORDINATE.isdisjoint(g)
     if kind in g or (g and owned):
-        raise CoordinateConflict(f"{_CONFLICT[kind]} for x{j} (at offset {pos})")
+        raise CoordinateConflict(
+            f"{_CONFLICT[kind]} for x{j} (at offset {tk.offset(at)})"
+        )
     g[kind] = value
 
 
+# The factors written as a name and an argument in parentheses.
+_CALLS = frozenset({"log", "H", "delta", "mono"})
+
+
 def _dist_factor(
-    cur: _Cursor, d: int, groups: dict[int, dict[str, int]], max_order: int
-) -> None:
-    """Read one factor into groups[j][kind], its integer argument."""
-    t = cur.expect("name")
-    j = _x_index(t, d)
-    if j is not None:
-        kind, value = "power", _signed_int(cur) if cur.accept("^") else 1
-    elif t.text == "log":
-        kind, value = "log", 1
-        cur.expect("(")
-        j = _coord_arg(cur, d)
-        cur.expect(")")
-        if cur.accept("^"):
-            value = int(cur.expect("num").text)
-            if value < 1:
-                raise ParseError("log power must be >= 1", t.pos)
-    elif t.text == "H":
-        cur.expect("(")
-        kind, value = "H", -1 if cur.accept("-") else 1
-        j = _coord_arg(cur, d)
-        cur.expect(")")
-    elif t.text in ("delta", "mono"):
-        kind = t.text
-        cur.expect("(")
-        j = _coord_arg(cur, d)
-        cur.expect(",")
+    tk: _Tokens, i: int, d: int, groups: dict[int, dict[str, int]], max_order: int
+) -> int:
+    """Read the factor at token i into groups[j][kind], its integer argument."""
+    toks, at = tk.toks, i
+    kind = toks[i]
+    if kind in _CALLS:
+        i = tk.expect(i + 1, "(")
+        value = 1
+        if kind == "H" and toks[i] == "-":
+            value, i = -1, i + 1
+        j = _coord_arg(tk, i, d)
         # A delta order is an unsigned literal; only mono can read a '-'.
-        value = int(cur.expect("num").text) if kind == "delta" else _signed_int(cur)
-        cur.expect(")")
-        if value < 0:
-            raise ParseError("mono needs a nonnegative exponent", t.pos)
+        if kind == "delta":
+            value, i = tk.number(tk.expect(i + 1, ","))
+        elif kind == "mono":
+            value, i = _signed_int(tk, tk.expect(i + 1, ","))
+        else:
+            i += 1
+        i = tk.expect(i, ")")
+        if kind == "log" and toks[i] == "^":
+            value, i = tk.number(i + 1)
+            if value < 1:
+                raise ParseError("log power must be >= 1", tk.offset(at))
+        elif kind == "mono" and value < 0:
+            raise ParseError("mono needs a nonnegative exponent", tk.offset(at))
     else:
-        raise ParseError(
-            f"expected a factor (x<j>, log, H, delta, mono), found {t.text!r}", t.pos
-        )
-    _add_factor(groups, j, kind, value, t.pos, max_order)
+        j = _x_index(kind, d)
+        if j is None:
+            raise ParseError(
+                f"expected a factor (x<j>, log, H, delta, mono), found {kind!r}",
+                tk.offset(at),
+            )
+        kind, value, i = "power", 1, i + 1
+        if toks[i] == "^":
+            value, i = _signed_int(tk, i + 1)
+    _add_factor(groups, j, kind, value, max_order, tk, at)
+    return i
 
 
 def _group_atoms(g: dict[str, int]) -> list[tuple[int, object]]:
@@ -417,118 +408,43 @@ def _term_tensors(
 
 
 def _dist_term(
-    cur: _Cursor, d: int, coeff: Fraction, max_order: int
-) -> list[TensorTerm]:
+    tk: _Tokens, i: int, d: int, coeff: Fraction, max_order: int
+) -> tuple[list[TensorTerm], int]:
     """The tensor terms of one product; coeff is the sign in front of it."""
+    toks = tk.toks
     groups: dict[int, dict[str, int]] = {}
     while True:
-        if cur.tok.kind == "num":
-            coeff *= _rational(cur)
-        elif cur.tok.kind == "name":
-            _dist_factor(cur, d, groups, max_order)
+        t = toks[i]
+        if t[:1].isalpha():
+            i = _dist_factor(tk, i, d, groups, max_order)
+        elif t[:1].isdigit():
+            c, i = _rational(tk, i)
+            coeff *= c
         else:
-            raise cur.fail("a coefficient or factor")
-        if not cur.accept("*"):
-            break
-    return _term_tensors(coeff, groups, d)
-
-
-def _read_tokens(src: str, d: int, max_order: int) -> list[TensorTerm]:
-    """The token reader: the whole grammar, with every error it can raise."""
-    cur = _Cursor(src)
-    sign = Fraction(-1 if cur.tok.kind == "-" else 1)
-    if cur.tok.kind in "+-":
-        cur.advance()
-    terms = _dist_term(cur, d, sign, max_order)
-    while cur.tok.kind in "+-":
-        sign = Fraction(-1 if cur.advance().kind == "-" else 1)
-        terms += _dist_term(cur, d, sign, max_order)
-    if cur.tok.kind != "end":
-        raise cur.fail("end of input, '+', or '-'")
-    return terms
-
-
-# One coefficient or factor in the forms format_dist prints (and mono), then
-# the operator after it, or the end.  Orders take at most 4 digits and
-# literals at most MAX_DIGITS, so int() never reads an oversized number.
-_NUM = rf"[0-9]{{1,{MAX_DIGITS}}}"
-_FACTOR_RE = re.compile(
-    rf"(?:({_NUM})(?:/({_NUM}))?"
-    r"|x([1-9])(?:\^(-?[0-9]{1,4}))?"
-    r"|log\(x([1-9])\)(?:\^([0-9]{1,4}))?"
-    r"|H\((-?)x([1-9])\)"
-    r"|delta\(x([1-9]),([0-9]{1,4})\)"
-    r"|mono\(x([1-9]),(-?[0-9]{1,4})\))"
-    r"\s*(?:([-+*])\s*|\Z)"
-)
-_SIGN_RE = re.compile(r"\s*([-+]?)\s*")
-
-
-def _scan(src: str, d: int, max_order: int) -> list[TensorTerm] | None:
-    """The terms of src read one factor per _FACTOR_RE match, or None where
-    the token reader is needed: whitespace inside a factor, any other form,
-    a zero denominator, or a factor over a limit or in conflict."""
-    m = _SIGN_RE.match(src)
-    coeff = Fraction(-1 if m.group(1) == "-" else 1)
-    pos = m.end()
-    groups: dict[int, dict[str, int]] = {}
-    terms: list[TensorTerm] = []
-    while True:
-        m = _FACTOR_RE.match(src, pos)
-        if m is None:
-            return None
-        # A literal, or the coordinate and argument of a power, log, H,
-        # delta or mono factor; then the operator.
-        num, den, pj, pn, lj, lp, hs, hj, dj, dk, mj, mn, op = m.groups()
-        if num is not None:
-            q = int(den) if den else 1
-            if q == 0:
-                return None
-            coeff *= Fraction(int(num), q)
-        else:
-            if pj:
-                j, kind, value = pj, "power", int(pn) if pn else 1
-            elif lj:
-                j, kind, value = lj, "log", int(lp) if lp else 1
-                if value < 1:
-                    return None
-            elif hj:
-                j, kind, value = hj, "H", -1 if hs else 1
-            elif dj:
-                j, kind, value = dj, "delta", int(dk)
-            else:
-                j, kind, value = mj, "mono", int(mn)
-                if value < 0:
-                    return None
-            j = int(j)
-            if j > d:
-                return None
-            try:
-                _add_factor(groups, j, kind, value, pos, max_order)
-            except EulerDistError:
-                return None
-        pos = m.end()
-        if op == "*":
-            continue
-        terms += _term_tensors(coeff, groups, d)
-        if op is None:
-            return terms
-        coeff = Fraction(-1 if op == "-" else 1)
-        groups = {}
+            raise tk.fail(i, "a coefficient or factor")
+        if toks[i] != "*":
+            return _term_tensors(coeff, groups, d), i
+        i += 1
 
 
 def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
     """Parse a distribution expression of dimension d into canonical form;
-    max_order bounds every exponent, log power and delta order.
-
-    Text in the forms format_dist prints is read by _scan; anything else,
-    every error included, by the token reader."""
+    max_order bounds every exponent, log power and delta order."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
     _check_dim(d)
-    terms = _scan(src, d, max_order)
-    if terms is None:
-        terms = _read_tokens(src, d, max_order)
+    tk = _Tokens(src)
+    toks, i, terms = tk.toks, 0, []
+    while True:
+        sign = -1 if toks[i] == "-" else 1
+        if toks[i] in ("+", "-"):
+            i += 1
+        more, i = _dist_term(tk, i, d, Fraction(sign), max_order)
+        terms += more
+        if toks[i] not in ("+", "-"):
+            break
+    if toks[i]:
+        raise tk.fail(i, "end of input, '+', or '-'")
     return dist(d, terms)
 
 

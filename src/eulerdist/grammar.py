@@ -120,7 +120,7 @@ class _Tokens:
         """The value of the unsigned literal at i."""
         t = self.toks[i]
         if not t[:1].isdigit():
-            raise self.fail(i, "'num'")
+            raise self.fail(i, "a number")
         return int(t), i + 1
 
 
@@ -302,7 +302,7 @@ def _coord_arg(tk: _Tokens, i: int, d: int) -> int:
     """j for the x<j> argument of log, H, delta and mono at token i."""
     j = _x_index(tk.toks[i], d)
     if j is None:
-        raise tk.fail(i, "x<j>" if tk.toks[i][:1].isalpha() else "'name'")
+        raise tk.fail(i, "x<j>")
     return j
 
 

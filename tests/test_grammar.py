@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -137,6 +138,20 @@ def test_factor_pair_on_one_coordinate(first, second):
     else:
         reordered = f"2*x2*{second_src} * {first_src}"
         assert parse_dist(src, 2) == parse_dist(reordered, 2)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_dist, "x1^+2*H(x1)", "expected a number, found '+' (at offset 3)"),
+        (parse_poly, "t1^-1", "expected a number, found '-' (at offset 3)"),
+        (parse_dist, "log(3)*H(x1)", "expected x<j>, found '3' (at offset 4)"),
+        (parse_dist, "H(x1", "expected ')', found 'end of input' (at offset 4)"),
+    ],
+)
+def test_syntax_errors_say_what_was_expected(parse, text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text, 1)
 
 
 class TestRoundTrip:

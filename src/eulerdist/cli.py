@@ -212,12 +212,18 @@ def _int_in(least: int, most: float = math.inf):
     return int_in
 
 
-@_ascii
-def _cutoff_radius(text: str) -> float:
-    r = float(text)
-    if not (r > 0 and math.isfinite(r)):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return r
+def _finite(positive: bool):
+    """The option type of a finite float, > 0 if positive and >= 0 if not."""
+
+    @_ascii
+    def finite(text: str) -> float:
+        x = float(text)
+        if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
+            least = "> 0" if positive else ">= 0"
+            raise argparse.ArgumentTypeError(f"must be finite and {least}, got {text}")
+        return x
+
+    return finite
 
 
 @_ascii
@@ -274,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle-suite", help="adjoint-identity quadrature sweep")
-    p.add_argument("--tol", type=_ascii(float), default=1e-6)
+    p.add_argument("--tol", type=_finite(positive=False), default=1e-6)
     # Past these a pairing leaves the float range (171! > 1.8e308) or, from
     # --nmax 42 on, its error estimate passes the oracle's gate.
     p.add_argument("--nmax", type=_int_in(0, 40), default=3, help="at most 40")
@@ -294,9 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--grid", type=_int_in(2), default=None, help="nodes per axis")
     p.add_argument(
-        "--cutoff", type=_cutoff_radius, default=40.0, help="frequency box radius"
+        "--cutoff",
+        type=_finite(positive=True),
+        default=40.0,
+        help="frequency box radius",
     )
-    p.add_argument("--tol", type=_ascii(float), default=1e-3)
+    p.add_argument("--tol", type=_finite(positive=False), default=1e-3)
     p.set_defaults(func=_cmd_wagner_check)
 
     p = sub.add_parser("parse", help="parse and canonically reprint an expression")

@@ -167,8 +167,9 @@ def pair_E(
     The xi-integral is a trapezoid rule on N points per axis over [-R, R]^d;
     a grid node falling on a zero of the symbol triggers one deterministic
     half-cell shift before raising PoleOnGrid.  A chi whose twisted Gaussian
-    weights leave the float range raises FloatOverflow, and a grid of more
-    than MAX_GRID_POINTS nodes raises InputTooLarge before any allocation.
+    weights, or a cutoff whose grid values, leave the float range raises
+    FloatOverflow, and a grid of more than MAX_GRID_POINTS nodes raises
+    InputTooLarge before any allocation.
     """
     if P.is_zero():
         raise ZeroPolynomial("pair_E requires a nonzero polynomial")
@@ -179,13 +180,14 @@ def pair_E(
             f"{int(grid[0])}^{P.dim} grid points exceed the budget of {MAX_GRID_POINTS}"
         )
     try:
-        try:
-            return _pair_E_on_grid(P, params, chi, grid, 0.0)
-        except PoleOnGrid:
-            return _pair_E_on_grid(P, params, chi, grid, 0.5)
-    except OverflowError as exc:
+        with np.errstate(over="raise"):
+            try:
+                return _pair_E_on_grid(P, params, chi, grid, 0.0)
+            except PoleOnGrid:
+                return _pair_E_on_grid(P, params, chi, grid, 0.5)
+    except (OverflowError, FloatingPointError) as exc:
         raise FloatOverflow(
-            f"pairing leaves the float range ({exc}) at this center and width"
+            f"pairing leaves the float range ({exc}) at this center, width and cutoff"
         ) from None
 
 

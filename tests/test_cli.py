@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -225,6 +226,33 @@ class TestWagnerCommand:
     def test_bad_grid_or_cutoff_exit_2(self, capsys, argv):
         code, _ = run(capsys, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "P, cutoff",
+        [
+            ("t1", "1e300"),
+            ("t1", "1e160"),
+            ("t1^4+1", "1e100"),
+            ("t1^2+t2^2-1", "1e154"),
+        ],
+    )
+    def test_huge_cutoff_is_a_quiet_float_overflow(self, capsys, P, cutoff):
+        argv = ["wagner-check", "-P", P, "--cutoff", cutoff, "--grid", "64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "FloatOverflow"
+        assert err == ""
+
+
+@pytest.mark.parametrize("command", [["oracle-suite"], ["wagner-check", "-P", "t1"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+def test_tol_must_be_finite_and_nonnegative(capsys, command, tol):
+    code, out = run(capsys, *command, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
 
 
 BIG = "7" * 5000

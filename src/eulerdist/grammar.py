@@ -62,7 +62,10 @@ MAX_ORDER = 1000
 # multiplicity v <= MAX_DEGREE adds v to a log power, so a solution is read
 # with a larger bound.  In several variables a log power can also move to
 # another coordinate (t1+t2 on log(x1)^3*H(x1)*H(x2) has a log(x2)^4 term),
-# so the bound is on the total log power of a term as well.
+# so the bound is on the total log power of a term as well.  A residual that
+# is solved again can raise it once more: a solution's total log power stays
+# within |p| + d * deg P on random cases up to d = 3 and deg P = 4
+# (tests/test_solver.py), a bound that is tested, not proved.
 MAX_SOLUTION_ORDER = MAX_ORDER + MAX_DEGREE
 # The longest numeric literal, and the most bits a coefficient may have when
 # it is expanded or printed: both keep every number within Python's

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, Rational
 
-from eulerdist.atoms import Delta, MonLog, TensorTerm, dist, full_monomial, single
+from eulerdist.atoms import (
+    Delta,
+    MonLog,
+    TensorTerm,
+    dist,
+    eig,
+    full_monomial,
+    single,
+)
 from eulerdist.errors import UnsupportedInput, ZeroPolynomial
-from eulerdist.grammar import format_dist, parse_dist, parse_poly
+from eulerdist.grammar import MAX_SOLUTION_ORDER, format_dist, parse_dist, parse_poly
 from eulerdist.poly import Polynomial, grlex_key, vanishing_order
 from eulerdist.solver import (
     _solve_log_system,
@@ -220,6 +228,50 @@ def test_log_system_division_matches_elimination(system):
     v, gamma = vanishing_order(S, (0,) * S.dim)
     u = _solve_log_system(S, p, gamma)
     assert u == _reference_log_system(S, p, v)
+
+
+def _log_power(t):
+    """The total log power of a tensor term."""
+    return sum(a.p for a in t.factors if isinstance(a, MonLog))
+
+
+@st.composite
+def _cascading_solve(draw):
+    """(P, T): one term T in d <= 3 coordinates with log powers <= 2, and P
+    a product of 1 to 4 linear factors, most of which vanish at T's
+    eigenvalue, so that solving escalates logs and leaves residuals."""
+    d = draw(st.integers(1, 3))
+    atoms = st.one_of(
+        st.builds(Delta, st.integers(0, 2)),
+        st.builds(
+            MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from((1, -1))
+        ),
+    )
+    factors = draw(st.tuples(*[atoms] * d))
+    mu = [eig(a) for a in factors]
+    P = const(d, 1)
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d).filter(any))
+        at_mu = sum(x * m for x, m in zip(a, mu))
+        c = draw(st.sampled_from([-at_mu, -at_mu, -at_mu, draw(st.integers(-3, 3))]))
+        P = P * sum((zvar(d, j) * x for j, x in enumerate(a, 1)), const(d, c))
+    return P, single(factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cascading_solve())
+def test_solution_log_power_stays_within_bound(case):
+    """A solution term's total log power is at most |p| + d * deg P, residual
+    cascades included, and the printed solution reads back under
+    MAX_SOLUTION_ORDER.  MAX_SOLUTION_ORDER rests on this bound, which is
+    tested here, not proved."""
+    P, T = case
+    rep = solve(P, T)
+    assert rep.verified
+    bound = _log_power(T.terms[0]) + P.dim * P.degree
+    assert all(_log_power(t) <= bound for t in rep.solution.terms)
+    text = format_dist(rep.solution)
+    assert parse_dist(text, P.dim, MAX_SOLUTION_ORDER) == rep.solution
 
 
 # A delta-free class: per coordinate (eigenvalue n, log power p).

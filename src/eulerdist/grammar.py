@@ -329,7 +329,9 @@ def _add_factor(
     the order bounds and the ownership and conflict test; at is the index of
     the factor's first token, for the messages."""
     if abs(value) > max_order:
-        raise InputTooLarge(f"{kind} order at offset {tk.offset(at)} is above {max_order}")
+        raise InputTooLarge(
+            f"{kind} order at offset {tk.offset(at)} is above {max_order}"
+        )
     if kind == "log":
         total = value + sum(g.get("log", 0) for g in groups.values())
         if total > max_order:

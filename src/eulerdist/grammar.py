@@ -291,11 +291,18 @@ _CONFLICT = {
 }
 
 
+# The coordinate names format_dist prints, looked up before int() reads a
+# name such as x01 or x12.
+_COORDS = {f"x{j}": j for j in range(1, MAX_DIM + 1)}
+
+
 def _x_index(t: str, d: int) -> int | None:
     """j for a coordinate name x<j> with 1 <= j <= d; None for other names."""
-    if not (t[:1] == "x" and t[1:].isdigit()):
-        return None
-    j = int(t[1:])
+    j = _COORDS.get(t)
+    if j is None:
+        if not (t[:1] == "x" and t[1:].isdigit()):
+            return None
+        j = int(t[1:])
     if not 1 <= j <= d:
         raise DimensionError(f"coordinate x{j} exceeds dimension {d}")
     return j

@@ -308,12 +308,12 @@ def _x_index(t: str, d: int) -> int | None:
     return j
 
 
-def _coord_arg(tk: _Tokens, i: int, d: int) -> int:
+def _coord_arg(tk: _Tokens, i: int, d: int) -> tuple[int, int]:
     """j for the x<j> argument of log, H, delta and mono at token i."""
     j = _x_index(tk.toks[i], d)
     if j is None:
         raise tk.fail(i, "x<j>")
-    return j
+    return j, i + 1
 
 
 def _signed_int(tk: _Tokens, i: int) -> tuple[int, int]:
@@ -369,14 +369,12 @@ def _dist_factor(
         value = 1
         if kind == "H" and toks[i] == "-":
             value, i = -1, i + 1
-        j = _coord_arg(tk, i, d)
+        j, i = _coord_arg(tk, i, d)
         # A delta order is an unsigned literal; only mono can read a '-'.
         if kind == "delta":
-            value, i = tk.number(tk.expect(i + 1, ","))
+            value, i = tk.number(tk.expect(i, ","))
         elif kind == "mono":
-            value, i = _signed_int(tk, tk.expect(i + 1, ","))
-        else:
-            i += 1
+            value, i = _signed_int(tk, tk.expect(i, ","))
         i = tk.expect(i, ")")
         if kind == "log" and toks[i] == "^":
             value, i = tk.number(i + 1)
@@ -441,7 +439,10 @@ def _dist_term(
 
 def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
     """Parse a distribution expression of dimension d into canonical form;
-    max_order bounds every exponent, log power and delta order."""
+    max_order bounds every exponent, log power and delta order.
+
+    A lexical error anywhere in src wins over a syntax error, and a
+    ParseError gives the offset of the token it names."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
     _check_dim(d)

@@ -15,20 +15,21 @@ Atoms are tagged tuples: MonLog(n, p, s) is (1, n, p, s) and Delta(k) is
 never equals a MonLog, and deltas sort first.
 
 Expressions are finite rational linear combinations of tensor products of
-atoms, kept in a deterministic canonical form: terms sorted by their factor
-tuples' own order.  Everything is an immutable value; dimension 0 is allowed
-(a bare scalar) to make recursion uniform.
+atoms, kept in a deterministic canonical form: terms are sorted (factors,
+coefficient) pairs, with distinct factor tuples and nonzero coefficients,
+so the pairs sort by the factor tuples' own order.  Everything is an
+immutable value; dimension 0 is allowed (a bare scalar) to make recursion
+uniform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionError, TermNotHyperplaneSupported
+from .errors import DimensionError
 from .poly import RationalLike
 
 
@@ -77,35 +78,29 @@ class Delta(tuple):
 
 
 Atom1D = Union[MonLog, Delta]
+# One tensor term: its factor tuple (one atom per coordinate) and coefficient.
+Term = tuple[tuple[Atom1D, ...], Fraction]
 
 
-def eig(a: Atom1D) -> Fraction:
-    """The theta-eigenvalue of an atom: n for MonLog, -(k+1) for Delta."""
-    if isinstance(a, Delta):
-        return Fraction(-(a.k + 1))
-    return Fraction(a.n)
+def delta_coord(factors: tuple[Atom1D, ...]) -> int:
+    """The 1-based coordinate of the first delta factor; 0 if there is none."""
+    for j, f in enumerate(factors, 1):
+        if isinstance(f, Delta):
+            return j
+    return 0
 
 
-@dataclass(frozen=True)
-class TensorTerm:
-    coeff: Fraction
-    factors: tuple[Atom1D, ...]
-
-    def scaled(self, c: RationalLike) -> "TensorTerm":
-        return TensorTerm(self.coeff * Fraction(c), self.factors)
-
-    def delta_coord(self) -> int:
-        """The 1-based coordinate of the first delta factor; 0 if there is none."""
-        for j, f in enumerate(self.factors, 1):
-            if isinstance(f, Delta):
-                return j
-        return 0
+def eigenvalue(factors: tuple[Atom1D, ...]) -> tuple[Fraction, ...]:
+    """Per-coordinate theta-eigenvalue: n for MonLog, -(k+1) for Delta."""
+    return tuple(
+        Fraction(-(f.k + 1)) if isinstance(f, Delta) else Fraction(f.n) for f in factors
+    )
 
 
 @dataclass(frozen=True)
 class DistExpr:
     dim: int
-    terms: tuple[TensorTerm, ...]
+    terms: tuple[Term, ...]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,92 +115,32 @@ class DistExpr:
 
     def scaled(self, c: RationalLike) -> "DistExpr":
         c = Fraction(c)
-        return dist(self.dim, (t.scaled(c) for t in self.terms))
+        return dist(self.dim, ((f, a * c) for f, a in self.terms))
 
     @classmethod
     def zero(cls, dim: int) -> "DistExpr":
         return cls(dim, ())
 
 
-def coeff_map(terms: Iterable[TensorTerm]) -> dict[tuple[Atom1D, ...], Fraction]:
+def coeff_map(terms: Iterable[Term]) -> dict[tuple[Atom1D, ...], Fraction]:
     """The coefficients of terms summed per factor tuple (zero sums kept)."""
     acc: dict[tuple[Atom1D, ...], Fraction] = {}
-    for t in terms:
-        f = t.factors
-        c = acc.get(f)
-        acc[f] = t.coeff if c is None else c + t.coeff
+    for f, c in terms:
+        old = acc.get(f)
+        acc[f] = c if old is None else old + c
     return acc
 
 
-def dist(dim: int, terms: Iterable[TensorTerm]) -> DistExpr:
-    """Build a DistExpr in canonical form (merged, zero-free, sorted)."""
+def dist(dim: int, terms: Iterable[Term]) -> DistExpr:
+    """Build a DistExpr in canonical form: merged, zero-free, sorted by factors."""
     acc = coeff_map(terms)
     for f in acc:
         if len(f) != dim:
             raise DimensionError(f"term has dim {len(f)}, expression dim {dim}")
-    return from_coeffs(dim, acc)
-
-
-def from_coeffs(dim: int, coeffs: dict[tuple[Atom1D, ...], Fraction]) -> DistExpr:
-    """The canonical DistExpr of a merged {factors: coefficient} map."""
-    out = [TensorTerm(c, f) for f, c in coeffs.items() if c]
-    out.sort(key=attrgetter("factors"))
-    return DistExpr(dim, tuple(out))
+    factors = sorted([f for f, c in acc.items() if c])
+    return DistExpr(dim, tuple([(f, acc[f]) for f in factors]))
 
 
 def single(atoms: Sequence[Atom1D], coeff: RationalLike = 1) -> DistExpr:
     """Expression with one tensor term."""
-    return dist(len(atoms), [TensorTerm(Fraction(coeff), tuple(atoms))])
-
-
-def full_line(n: int, p: int = 0) -> list[tuple[int, MonLog]]:
-    """x^n log^p|x| on the whole line: MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1)."""
-    return [(1, MonLog(n, p, 1)), (-1 if n % 2 else 1, MonLog(n, p, -1))]
-
-
-def expand_tensor(
-    coeff: Fraction, alternatives: Sequence[Sequence[tuple[int, Atom1D]]]
-) -> list[TensorTerm]:
-    """The terms of coeff * prod_j (sum of coordinate j's (sign, atom) pairs),
-    each sign +1 or -1."""
-    terms = []
-    negated = -coeff
-    for combo in product(*alternatives):
-        sign = 1
-        for s, _ in combo:
-            sign *= s
-        c = coeff if sign > 0 else negated
-        terms.append(TensorTerm(c, tuple(a for _, a in combo)))
-    return terms
-
-
-def full_monomial(alpha: Sequence[int], d: int | None = None) -> DistExpr:
-    """The full-line monomial x^alpha as a sum over half-line sign patterns."""
-    alpha = tuple(int(a) for a in alpha)
-    if d is None:
-        d = len(alpha)
-    if len(alpha) != d or any(a < 0 for a in alpha):
-        raise DimensionError(f"bad monomial multi-index {alpha} for dim {d}")
-    return dist(d, expand_tensor(Fraction(1), [full_line(n) for n in alpha]))
-
-
-def eigenvalue(t: TensorTerm) -> tuple[Fraction, ...]:
-    """Per-coordinate theta-eigenvalue vector of a tensor term."""
-    return tuple(eig(f) for f in t.factors)
-
-
-def decompose_hyperplane(e: DistExpr) -> list[tuple[int, DistExpr]]:
-    """Split a Z_0-supported expression into per-hyperplane parts.
-
-    Each term is assigned to its smallest delta-bearing coordinate (1-based);
-    parts sum exactly to the input.
-    """
-    buckets: dict[int, list[TensorTerm]] = {}
-    for t in e.terms:
-        j = t.delta_coord()
-        if not j:
-            raise TermNotHyperplaneSupported(
-                f"term {t} has no delta factor; not supported on a hyperplane"
-            )
-        buckets.setdefault(j, []).append(t)
-    return [(j, dist(e.dim, buckets[j])) for j in sorted(buckets)]
+    return dist(len(atoms), [(tuple(atoms), Fraction(coeff))])

@@ -17,10 +17,6 @@ class UnsupportedInput(EulerDistError):
     """Input is outside the structured distribution class."""
 
 
-class TermNotHyperplaneSupported(EulerDistError):
-    """A term has no delta factor, so it is not supported on a coordinate hyperplane."""
-
-
 class EscalationExceeded(EulerDistError):
     """A continuous solve left a delta-free residual (defensive)."""
 

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import comb, lcm
 from string import ascii_letters
 from typing import Iterable
 
-from .atoms import Delta, DistExpr, MonLog, TensorTerm, dist, expand_tensor, full_line
+from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, dist
 from .errors import CoordinateConflict, DimensionError, InputTooLarge, ParseError
 from .poly import Polynomial
 
@@ -396,7 +396,7 @@ def _dist_factor(
     return i
 
 
-def _group_atoms(g: dict[str, int]) -> list[tuple[int, object]]:
+def _group_atoms(g: dict[str, int]) -> list[tuple[int, Atom1D]]:
     """Expand one coordinate group into (sign, atom) alternatives."""
     if "delta" in g:
         return [(1, Delta(g["delta"]))]
@@ -404,22 +404,30 @@ def _group_atoms(g: dict[str, int]) -> list[tuple[int, object]]:
     p = g.get("log", 0)
     if "H" in g:
         return [(1, MonLog(n, p, g["H"]))]
-    return full_line(n, p)
+    # The full line: MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1).
+    return [(1, MonLog(n, p, 1)), (-1 if n % 2 else 1, MonLog(n, p, -1))]
 
 
 def _term_tensors(
     coeff: Fraction, groups: dict[int, dict[str, int]], d: int
-) -> list[TensorTerm]:
+) -> list[Term]:
     """The tensor terms of coeff times the product of the coordinate groups."""
     if coeff == 0:
         return []
     alternatives = [_group_atoms(groups.get(j, {})) for j in range(1, d + 1)]
-    return expand_tensor(coeff, alternatives)
+    terms = []
+    negated = -coeff
+    for combo in product(*alternatives):
+        sign = 1
+        for s, _ in combo:
+            sign *= s
+        terms.append((tuple(a for _, a in combo), coeff if sign > 0 else negated))
+    return terms
 
 
 def _dist_term(
     tk: _Tokens, i: int, d: int, coeff: Fraction, max_order: int
-) -> tuple[list[TensorTerm], int]:
+) -> tuple[list[Term], int]:
     """The tensor terms of one product; coeff is the sign in front of it."""
     toks = tk.toks
     groups: dict[int, dict[str, int]] = {}
@@ -476,6 +484,5 @@ def _format_atom(j: int, a) -> str:
 def format_dist(e: DistExpr) -> str:
     """Canonical text form; parse_dist(format_dist(e), e.dim) == e."""
     return _signed_sum(
-        (t.coeff, [_format_atom(j, a) for j, a in enumerate(t.factors, start=1)])
-        for t in e.terms
+        (c, [_format_atom(j, a) for j, a in enumerate(f, start=1)]) for f, c in e.terms
     )

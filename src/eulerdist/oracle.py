@@ -122,11 +122,11 @@ def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
         raise ValueError(f"tolerance must be positive, got {tol}")
     total = 0.0
     total_err = 0.0
-    for t in e.terms:
+    for f, coeff in e.terms:
         for alpha, pc in phi.poly.sorted_terms():
-            val = float(t.coeff * pc)
+            val = float(coeff * pc)
             err = 0.0
-            for atom, a, c in zip(t.factors, alpha, phi.center):
+            for atom, a, c in zip(f, alpha, phi.center):
                 v, er = _pair1d(atom, a, c, phi.width)
                 err = err * abs(v) + abs(val) * er
                 val *= v

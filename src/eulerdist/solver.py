@@ -17,8 +17,9 @@ T is canonicalised once; the canonical terms are dispatched in groups:
 
 The recursion needs no cap: every nested solve lowers the dimension
 (substitution), the degree (factor extraction), or solves a delta-supported
-residual, which only ever takes the first two routes.  Every solve verifies
-its output by forward application before returning.
+residual, which only ever takes the first two routes.  The top-level solve
+verifies its output by forward application before returning; the nested
+solves of the recursion do not verify their parts.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .atoms import (
     Delta,
     DistExpr,
     MonLog,
-    TensorTerm,
+    Term,
+    delta_coord,
     dist,
     eigenvalue,
 )
@@ -125,13 +127,13 @@ def _solve_log_system(
     return Polynomial(S.dim, u)
 
 
-def _log_class(t: TensorTerm) -> tuple[tuple[int, int], ...]:
+def _log_class(factors: tuple[Atom1D, ...]) -> tuple[tuple[int, int], ...]:
     """(eigenvalue, log power) per coordinate of a delta-free term."""
-    return tuple((f.n, f.p) for f in t.factors)
+    return tuple((f.n, f.p) for f in factors)
 
 
 def solve_continuous_term(
-    P: Polynomial, ts: Sequence[TensorTerm]
+    P: Polynomial, ts: Sequence[Term]
 ) -> tuple[DistExpr, DistExpr, int]:
     """Solve P(theta) U = sum(ts) modulo delta-supported terms.
 
@@ -146,30 +148,28 @@ def solve_continuous_term(
     """
     if not ts:
         raise UnsupportedInput("solve_continuous_term needs at least one term")
-    for t in ts:
-        if t.delta_coord():
+    for f, _ in ts:
+        if delta_coord(f):
             raise UnsupportedInput("solve_continuous_term requires delta-free terms")
-    key = _log_class(ts[0])
-    if any(_log_class(t) != key for t in ts):
+    key = _log_class(ts[0][0])
+    if any(_log_class(f) != key for f, _ in ts):
         raise UnsupportedInput(
             "solve_continuous_term requires one (eigenvalue, log powers) class"
         )
     d = len(key)
-    S = taylor_shift(P, eigenvalue(ts[0]))
+    S = taylor_shift(P, eigenvalue(ts[0][0]))
     v, gamma = vanishing_order(S, (0,) * d)
     u = _solve_log_system(S, tuple(p for _, p in key), gamma)
     terms = [
-        TensorTerm(
-            c * t.coeff, tuple(MonLog(f.n, qj, f.s) for f, qj in zip(t.factors, q))
-        )
-        for t in ts
+        (tuple(MonLog(a.n, qj, a.s) for a, qj in zip(f, q)), c * tc)
+        for f, tc in ts
         for q, c in u.terms.items()
     ]
     U_partial = dist(d, terms)
     image = apply_polynomial(P, U_partial)
-    residual = dist(d, [*ts, *(TensorTerm(-r.coeff, r.factors) for r in image.terms)])
-    for rt in residual.terms:
-        if not rt.delta_coord():
+    residual = dist(d, [*ts, *((f, -c) for f, c in image.terms)])
+    for f, _ in residual.terms:
+        if not delta_coord(f):
             raise EscalationExceeded(
                 "continuous residual contains a delta-free term (internal error)"
             )
@@ -194,8 +194,8 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
     # (theta_j + k + 1) m0 = sum_{i <= k} corr[Delta(i)] Delta(i).
     corr = {a: c for c, a in apply_theta(m0) if isinstance(a, Delta)}
     groups: dict[tuple[Atom1D, ...], dict[Atom1D, Fraction]] = {}
-    for t in V.terms:
-        a = t.factors[j - 1]
+    for f, c in V.terms:
+        a = f[j - 1]
         ok = (isinstance(a, Delta) and a.k <= k) or (
             isinstance(a, MonLog) and a.n == -(k + 1)
         )
@@ -203,9 +203,9 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
             raise UnsupportedInput(
                 f"factor {a} in coordinate {j} is outside the resonant subspace"
             )
-        rest = t.factors[: j - 1] + t.factors[j:]
+        rest = f[: j - 1] + f[j:]
         g = groups.setdefault(rest, {})
-        g[a] = g.get(a, Fraction(0)) + t.coeff
+        g[a] = g.get(a, Fraction(0)) + c
     out_terms = []
     for rest, comp in groups.items():
         w: dict[Atom1D, Fraction] = {}
@@ -226,8 +226,7 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
             if ci != 0:
                 w[Delta(i)] = w.get(Delta(i), Fraction(0)) + ci
         for a, c in w.items():
-            factors = rest[: j - 1] + (a,) + rest[j - 1 :]
-            out_terms.append(TensorTerm(c, factors))
+            out_terms.append((rest[: j - 1] + (a,) + rest[j - 1 :], c))
     return dist(V.dim, out_terms)
 
 
@@ -245,18 +244,18 @@ def _solve(
     if T.is_zero():
         return DistExpr.zero(T.dim)
     if P.degree == 0:
-        inv = Fraction(1) / P.terms[(0,) * P.dim]
-        return DistExpr(T.dim, tuple(t.scaled(inv) for t in T.terms))
-    parts: list[TensorTerm] = []
-    groups: dict[tuple[int, int], list[TensorTerm]] = {}
-    classes: dict[tuple[tuple[int, int], ...], list[TensorTerm]] = {}
-    residuals: list[TensorTerm] = []
+        return T.scaled(1 / P.terms[(0,) * P.dim])
+    parts: list[Term] = []
+    groups: dict[tuple[int, int], list[Term]] = {}
+    classes: dict[tuple[tuple[int, int], ...], list[Term]] = {}
+    residuals: list[Term] = []
     for t in T.terms:
-        j = t.delta_coord()
+        f = t[0]
+        j = delta_coord(f)
         if j:
-            groups.setdefault((j, t.factors[j - 1].k), []).append(t)
+            groups.setdefault((j, f[j - 1].k), []).append(t)
         else:
-            classes.setdefault(_log_class(t), []).append(t)
+            classes.setdefault(_log_class(f), []).append(t)
     for ts in classes.values():
         up, residual, v = solve_continuous_term(P, ts)
         esc[0] = max(esc[0], v)
@@ -280,21 +279,17 @@ def _solve_delta_group(
     P1 = substitute_coord(P, j, -(k + 1))
     if not P1.is_zero():
         trace.append(("substitute", j, -(k + 1)))
-        rest = tuple(
-            TensorTerm(t.coeff, t.factors[: j - 1] + t.factors[j:]) for t in G.terms
-        )
+        rest = tuple((f[: j - 1] + f[j:], c) for f, c in G.terms)
         sub = _solve(P1, DistExpr(G.dim - 1, rest), trace, esc)
-        terms = tuple(
-            TensorTerm(s.coeff, s.factors[: j - 1] + (Delta(k),) + s.factors[j - 1 :])
-            for s in sub.terms
-        )
+        dk = (Delta(k),)
+        terms = tuple((f[: j - 1] + dk + f[j - 1 :], c) for f, c in sub.terms)
         return DistExpr(G.dim, terms)
     r, Q = factor_out(P, j, k + 1)
     trace.append(("factor_out", j, k + 1, r))
     W = _solve(Q, G, trace, esc)
     for _ in range(r):
         trace.append(("resonant_1d", j, k))
-        had_log = any(isinstance(s.factors[j - 1], MonLog) for s in W.terms)
+        had_log = any(isinstance(f[j - 1], MonLog) for f, _ in W.terms)
         W = resonant_1d(j, k, W)
         if had_log:
             esc[0] = max(esc[0], 1)

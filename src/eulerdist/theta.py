@@ -19,16 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .atoms import (
-    Atom1D,
-    Delta,
-    DistExpr,
-    MonLog,
-    TensorTerm,
-    coeff_map,
-    dist,
-    from_coeffs,
-)
+from .atoms import Atom1D, Delta, DistExpr, MonLog, coeff_map, dist
 from .errors import DimensionError
 from .poly import Polynomial
 
@@ -49,18 +40,6 @@ def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
                 c = -c
             out.append((c, Delta(i)))
     return out
-
-
-def apply_theta_expr(j: int, e: DistExpr) -> DistExpr:
-    """theta_j applied to a whole expression."""
-    if not 1 <= j <= e.dim:
-        raise DimensionError(f"coordinate {j} out of range 1..{e.dim}")
-    terms = []
-    for t in e.terms:
-        for c, a in apply_theta(t.factors[j - 1]):
-            factors = t.factors[: j - 1] + (a,) + t.factors[j:]
-            terms.append(TensorTerm(t.coeff * c, factors))
-    return dist(e.dim, terms)
 
 
 def _theta_coeffs(
@@ -109,7 +88,7 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
         for f, v in theta_power(alpha).items():
             old = total.get(f)
             total[f] = c * v if old is None else old + c * v
-    return from_coeffs(e.dim, total)
+    return dist(e.dim, total.items())
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:
@@ -121,6 +100,6 @@ def equal(a: DistExpr, b: DistExpr) -> bool:
     if a.dim != b.dim:
         raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
     acc = coeff_map(a.terms)
-    for t in b.terms:
-        acc[t.factors] = acc.get(t.factors, 0) - t.coeff
+    for f, c in b.terms:
+        acc[f] = acc.get(f, 0) - c
     return not any(acc.values())

@@ -61,6 +61,9 @@ def choose_eta(P: Polynomial) -> tuple[int, ...]:
         raise ZeroPolynomial("choose_eta requires a nonzero polynomial")
     Pm = principal_part(P)
     d = P.dim
+    # In dimension 0 every shell is empty, so the scan would never end.
+    if d < 1:
+        raise DimensionError(f"dimension must be positive, got {d}")
     s = 0
     while True:
         s += 1
@@ -325,9 +328,9 @@ def y_seminorm(
 def _eval_quadrant(e: DistExpr, y: Sequence[float]) -> float:
     """Pointwise value of an expression on the open positive quadrant."""
     total = 0.0
-    for t in e.terms:
-        v = float(t.coeff)
-        for f, yj in zip(t.factors, y):
+    for factors, c in e.terms:
+        v = float(c)
+        for f, yj in zip(factors, y):
             if isinstance(f, Delta):
                 v = 0.0
                 break

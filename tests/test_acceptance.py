@@ -13,17 +13,7 @@ from itertools import product
 
 import pytest
 
-from eulerdist.atoms import (
-    Delta,
-    DistExpr,
-    MonLog,
-    TensorTerm,
-    decompose_hyperplane,
-    dist,
-    eigenvalue,
-    full_monomial,
-    single,
-)
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist, eigenvalue, single
 from eulerdist.cli import main as cli_main
 from eulerdist.gausspoly import GaussPoly
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
@@ -37,6 +27,7 @@ from eulerdist.wagner import (
     me_check,
     wagner_coefficients,
 )
+from paperchecks import decompose_hyperplane, full_monomial
 
 
 H = MonLog(0, 0, 1)
@@ -109,7 +100,7 @@ def _random_atom(rng, allow_delta=True):
 
 def _random_term(rng, d, allow_delta=True):
     coeff = F(rng.randint(-5, 5) or 1, rng.randint(1, 3))
-    return TensorTerm(coeff, tuple(_random_atom(rng, allow_delta) for _ in range(d)))
+    return tuple(_random_atom(rng, allow_delta) for _ in range(d)), coeff
 
 
 def _random_rhs(rng, d, max_terms=4, allow_delta=True):
@@ -157,9 +148,9 @@ def test_acceptance_randomized_solver():
         instances.append((_random_poly(rng, d, 4), _random_rhs(rng, d)))
     for _ in range(35):  # forced-resonant at a continuous term eigenvalue
         d = rng.randint(1, 2)
-        t = _random_term(rng, d, allow_delta=False)
-        t = TensorTerm(t.coeff, tuple(MonLog(a.n, min(a.p, 1), a.s) for a in t.factors))
-        mu = tuple(eigenvalue(t))
+        f, c = _random_term(rng, d, allow_delta=False)
+        t = tuple(MonLog(a.n, min(a.p, 1), a.s) for a in f), c
+        mu = eigenvalue(t[0])
         P = _resonant_factor(rng, d, mu) * _random_poly(rng, d, 2, max_terms=2)
         instances.append((P, dist(d, [t])))
     for _ in range(30):  # explicit (z_j + k + 1)^r * Q instances
@@ -171,7 +162,7 @@ def test_acceptance_randomized_solver():
         P = (zvar(d, j) + Polynomial.constant(d, k + 1)) ** r * Q
         factors = [_random_atom(rng) for _ in range(d)]
         factors[j - 1] = Delta(k)
-        T = dist(d, [TensorTerm(F(1), tuple(factors))])
+        T = dist(d, [(tuple(factors), F(1))])
         instances.append((P, T))
     assert len(instances) >= 100
     for P, T in instances:
@@ -328,17 +319,17 @@ def test_acceptance_hyperplane_decomposition():
             if not any(isinstance(a, Delta) for a in factors):
                 factors[rng.randrange(d)] = Delta(rng.randint(0, 4))
             coeff = F(rng.randint(-5, 5) or 1, rng.randint(1, 3))
-            terms.append(TensorTerm(coeff, tuple(factors)))
+            terms.append((tuple(factors), coeff))
         e = dist(d, terms)
         if e.is_zero():
             continue
         parts = decompose_hyperplane(e)
         total = DistExpr.zero(d)
         for j, part in parts:
-            for t in part.terms:
-                assert isinstance(t.factors[j - 1], Delta)
+            for f, _ in part.terms:
+                assert isinstance(f[j - 1], Delta)
                 for i in range(j - 1):
-                    assert not isinstance(t.factors[i], Delta)
+                    assert not isinstance(f[i], Delta)
             total = total + part
         assert total == e
 

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -171,6 +175,18 @@ class TestWagnerCommand:
         rep = json.loads(out)
         assert rep["inputs"]["width"] == "3/2"
         assert rep["inputs"]["center"] == "1/2"
+
+    def test_dimension_zero_exits_2(self):
+        # Dimension 0 has no nonzero lattice vector, so choose_eta's shell
+        # scan would never end; a subprocess bounds the run.
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "eulerdist.cli", "wagner-check", "-P", "3", "-d", "0"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=30,
+        )
+        assert out.returncode == 2
+        assert json.loads(out.stdout)["error"]["type"] == "DimensionError"
 
     def test_parse_error_without_dim_exit_2(self, capsys):
         code, out = run(capsys, "wagner-check", "-P", "t1 +")

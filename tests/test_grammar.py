@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerdist.atoms import Delta, MonLog, TensorTerm, dist, full_monomial, single
+from eulerdist.atoms import Delta, MonLog, dist, single
 from eulerdist.errors import (
     CoordinateConflict,
     DimensionError,
@@ -13,6 +13,7 @@ from eulerdist.errors import (
 )
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
 from eulerdist.poly import Polynomial
+from paperchecks import full_monomial
 
 
 def zvar(d, j):
@@ -217,7 +218,7 @@ def printed_texts(draw):
     """(d, e, text, want): a canonical e, and format_dist(e) followed by
     terms of mono factors, with want the expression that text denotes."""
     d = draw(st.integers(1, 3))
-    terms = st.builds(TensorTerm, coeffs, st.tuples(*[atoms] * d))
+    terms = st.tuples(st.tuples(*[atoms] * d), coeffs)
     e = dist(d, draw(st.lists(terms, max_size=4)))
     text, want = format_dist(e), e
     for _ in range(draw(st.integers(0, 2))):

@@ -7,15 +7,7 @@ from fractions import Fraction as F
 import pytest
 from scipy.integrate import quad
 
-from eulerdist.atoms import (
-    Delta,
-    DistExpr,
-    MonLog,
-    TensorTerm,
-    dist,
-    full_monomial,
-    single,
-)
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
 from eulerdist.gausspoly import GaussPoly
 from eulerdist import oracle, theta
 from eulerdist.cli import main
@@ -28,6 +20,7 @@ from eulerdist.oracle import (
 )
 from eulerdist.poly import Polynomial
 from eulerdist.solver import solve
+from paperchecks import full_monomial
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -178,8 +171,8 @@ class TestCompareSymbolicNumeric:
         P, T = parse_poly(P, 2), parse_dist(T, 2)
         U = solve(P, T).solution
         assert compare_symbolic_numeric(P, U, T, self.SUITE_2D) <= 1e-9
-        t = U.terms[0]
-        bad = DistExpr(2, (TensorTerm(t.coeff * F(11, 10), t.factors),) + U.terms[1:])
+        f, c = U.terms[0]
+        bad = DistExpr(2, ((f, c * F(11, 10)),) + U.terms[1:])
         assert compare_symbolic_numeric(P, bad, T, self.SUITE_2D) > 1e-3
 
     def test_theta_table_error_detected(self, monkeypatch):

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, Rational
 
-from eulerdist.atoms import (
-    Delta,
-    MonLog,
-    TensorTerm,
-    dist,
-    eig,
-    full_monomial,
-    single,
-)
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist, eigenvalue, single
 from eulerdist.errors import UnsupportedInput, ZeroPolynomial
 from eulerdist.grammar import MAX_SOLUTION_ORDER, format_dist, parse_dist, parse_poly
 from eulerdist.poly import Polynomial, grlex_key, vanishing_order
@@ -26,6 +18,7 @@ from eulerdist.solver import (
     verify,
 )
 from eulerdist.theta import apply_polynomial
+from paperchecks import full_monomial
 
 
 H = MonLog(0, 0, 1)
@@ -116,14 +109,14 @@ class TestSolve:
 class TestSolveContinuousTerm:
     def test_simple_resonance(self):
         P = zvar() - const(1, 2)
-        U, residual, v = solve_continuous_term(P, [TensorTerm(F(1), (MonLog(2, 0, 1),))])
+        U, residual, v = solve_continuous_term(P, [((MonLog(2, 0, 1),), F(1))])
         assert U == single((MonLog(2, 1, 1),))
         assert residual.is_zero()
         assert v == 1
 
     def test_mixed_bump(self):
         P = zvar(2, 1) * zvar(2, 2)
-        U, residual, v = solve_continuous_term(P, [TensorTerm(F(1), (H, H))])
+        U, residual, v = solve_continuous_term(P, [((H, H), F(1))])
         assert U == single((MonLog(0, 1, 1), MonLog(0, 1, 1)))
         assert residual.is_zero()
         assert v == 2
@@ -132,16 +125,16 @@ class TestSolveContinuousTerm:
         # Under this regularization the p >= 1 ladder carries no delta
         # correction, so the residual of the lifted finite part vanishes.
         P = zvar() + const(1, 1)
-        U, residual, v = solve_continuous_term(P, [TensorTerm(F(1), (PF,))])
+        U, residual, v = solve_continuous_term(P, [((PF,), F(1))])
         assert U == single((MonLog(-1, 1, 1),))
         assert residual.is_zero()
 
     def test_rejects_delta(self):
         with pytest.raises(UnsupportedInput):
-            solve_continuous_term(zvar(), [TensorTerm(F(1), (Delta(0),))])
+            solve_continuous_term(zvar(), [((Delta(0),), F(1))])
 
     def test_rejects_delta_among_continuous_terms(self):
-        ts = [TensorTerm(F(1), (H, H)), TensorTerm(F(2), (H, Delta(0)))]
+        ts = [((H, H), F(1)), ((H, Delta(0)), F(2))]
         with pytest.raises(UnsupportedInput):
             solve_continuous_term(zvar(2, 1), ts)
 
@@ -149,7 +142,7 @@ class TestSolveContinuousTerm:
         P = zvar(2, 1) + const(2, 1)
         # Same eigenvalue, different log powers; then different eigenvalues.
         for other in (MonLog(0, 1, -1), MonLog(1, 0, 1)):
-            ts = [TensorTerm(F(1), (H, H)), TensorTerm(F(1), (H, other))]
+            ts = [((H, H), F(1)), ((H, other), F(1))]
             with pytest.raises(UnsupportedInput):
                 solve_continuous_term(P, ts)
 
@@ -157,12 +150,12 @@ class TestSolveContinuousTerm:
         # The two sign patterns of one class get the same u, scaled by
         # their own coefficients.
         P = zvar(2, 1) * zvar(2, 2)
-        ts = [TensorTerm(F(3), (H, MonLog(0, 0, -1))), TensorTerm(F(-1, 2), (H, H))]
+        ts = [((H, MonLog(0, 0, -1)), F(3)), ((H, H), F(-1, 2))]
         U, residual, v = solve_continuous_term(P, ts)
         L1 = MonLog(0, 1, 1)
         assert U == dist(
             2,
-            [TensorTerm(F(3), (L1, MonLog(0, 1, -1))), TensorTerm(F(-1, 2), (L1, L1))],
+            [((L1, MonLog(0, 1, -1)), F(3)), ((L1, L1), F(-1, 2))],
         )
         assert residual.is_zero()
         assert v == 2
@@ -230,9 +223,9 @@ def test_log_system_division_matches_elimination(system):
     assert u == _reference_log_system(S, p, v)
 
 
-def _log_power(t):
-    """The total log power of a tensor term."""
-    return sum(a.p for a in t.factors if isinstance(a, MonLog))
+def _log_power(factors):
+    """The total log power of a tensor term's factors."""
+    return sum(a.p for a in factors if isinstance(a, MonLog))
 
 
 @st.composite
@@ -248,7 +241,7 @@ def _cascading_solve(draw):
         ),
     )
     factors = draw(st.tuples(*[atoms] * d))
-    mu = [eig(a) for a in factors]
+    mu = eigenvalue(factors)
     P = const(d, 1)
     for _ in range(draw(st.integers(1, 4))):
         a = draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d).filter(any))
@@ -268,10 +261,44 @@ def test_solution_log_power_stays_within_bound(case):
     P, T = case
     rep = solve(P, T)
     assert rep.verified
-    bound = _log_power(T.terms[0]) + P.dim * P.degree
-    assert all(_log_power(t) <= bound for t in rep.solution.terms)
+    bound = _log_power(T.terms[0][0]) + P.dim * P.degree
+    assert all(_log_power(f) <= bound for f, _ in rep.solution.terms)
     text = format_dist(rep.solution)
     assert parse_dist(text, P.dim, MAX_SOLUTION_ORDER) == rep.solution
+
+
+def _assert_canonical(e):
+    """Every term is a (factors, Fraction) pair with one factor per
+    coordinate and a nonzero coefficient, in strictly increasing order of
+    the factor tuples."""
+    for t in e.terms:
+        assert type(t) is tuple and len(t) == 2
+        f, c = t
+        assert type(f) is tuple and len(f) == e.dim
+        assert type(c) is F and c != 0
+    fs = [f for f, _ in e.terms]
+    assert all(a < b for a, b in zip(fs, fs[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cascading_solve())
+def test_every_producer_returns_canonical_terms(case):
+    """dist, the printed-text round trip, apply_polynomial and solve return
+    canonical terms.  The solver builds some of its results directly, on
+    the claim that they are canonical by construction."""
+    P, T = case
+    U = solve(P, T).solution
+    d = P.dim
+    raw = DistExpr(d, U.terms + T.terms + U.terms)
+    for e in (
+        U,
+        solve(const(d, 3), T).solution,
+        dist(d, [*raw.terms, *((f, -c) for f, c in T.terms)]),
+        parse_dist(format_dist(U), d, MAX_SOLUTION_ORDER),
+        apply_polynomial(P, U),
+        apply_polynomial(P, raw),
+    ):
+        _assert_canonical(e)
 
 
 # A delta-free class: per coordinate (eigenvalue n, log power p).
@@ -304,7 +331,7 @@ def test_solution_is_additive_over_terms(cls, data):
         )
         for sv in signs:
             factors = tuple(MonLog(n, p, s) for (n, p), s in zip(key, sv))
-            terms.append(TensorTerm(data.draw(coeffs), factors))
+            terms.append((factors, data.draw(coeffs)))
     T = dist(d, terms)
     # P vanishes to order r at the first class's eigenvalue (r = 0: generic).
     mu = [n for n, _ in cls[0]]
@@ -346,7 +373,7 @@ class TestResonant1D:
 
     def test_k1_closed_form(self):
         W = resonant_1d(1, 1, single((Delta(1),)))
-        as_map = {t.factors[0]: t.coeff for t in W.terms}
+        as_map = {f[0]: c for f, c in W.terms}
         assert as_map == {MonLog(-2, 0, 1): F(-1), Delta(0): F(1)}
         P = zvar() + const(1, 2)
         assert apply_polynomial(P, W) == single((Delta(1),))

@@ -37,10 +37,6 @@ class PoleOnGrid(EulerDistError):
     """A quadrature grid node hit a zero of the symbol; retry with a shifted grid."""
 
 
-class DuplicateLambda(EulerDistError):
-    """The exponential-shift parameters must be pairwise distinct."""
-
-
 class ParseError(EulerDistError):
     """Syntax error in a polynomial or distribution expression."""
 

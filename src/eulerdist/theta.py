@@ -83,12 +83,14 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
             val = powers[beta] = _theta_coeffs(j, val)
         return val
 
-    total: dict[tuple[Atom1D, ...], Fraction] = {}
-    for alpha, c in P.terms.items():
-        for f, v in theta_power(alpha).items():
-            old = total.get(f)
-            total[f] = c * v if old is None else old + c * v
-    return dist(e.dim, total.items())
+    return dist(
+        e.dim,
+        (
+            (f, c * v)
+            for alpha, c in P.terms.items()
+            for f, v in theta_power(alpha).items()
+        ),
+    )
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:

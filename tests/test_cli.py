@@ -188,6 +188,19 @@ class TestWagnerCommand:
         assert out.returncode == 2
         assert json.loads(out.stdout)["error"]["type"] == "DimensionError"
 
+    def test_product_of_nine_variables_finishes(self):
+        # The first shell with P_m(eta) != 0 is |eta|_1 = 9, whose bounding
+        # box has 19^9 points; a subprocess bounds the run.
+        src = Path(__file__).resolve().parent.parent / "src"
+        P = "*".join(f"t{j}" for j in range(1, 10))
+        out = subprocess.run(
+            [sys.executable, "-m", "eulerdist.cli", "wagner-check", "-P", P, "--grid", "3"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=30,
+        )
+        assert out.returncode in (0, 1)
+        assert json.loads(out.stdout)["outputs"]["eta"] == [1] * 9
+
     def test_parse_error_without_dim_exit_2(self, capsys):
         code, out = run(capsys, "wagner-check", "-P", "t1 +")
         assert code == 2

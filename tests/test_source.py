@@ -80,3 +80,32 @@ def test_cli_and_oracle_run_without_scipy():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert out.stdout == "0 []\n"
+
+
+def test_every_package_definition_is_reached_from_the_package():
+    # What only tests reach lives in tests/paperchecks.py, not the package.
+    # compare_symbolic_numeric stays: it is the acceptance gate's check of
+    # solver output that does not go through the theta-table.
+    allowed = {"compare_symbolic_numeric"}
+    defs = []
+    # (statement, names it reads): a definition counts as reached when a
+    # top-level statement other than its own reads its name.
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path.name, stmt))
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            reads.append((stmt, names))
+    unreached = [
+        f"{module}:{d.name}"
+        for module, d in defs
+        if d.name not in allowed
+        and not any(d.name in names for stmt, names in reads if stmt is not d)
+    ]
+    assert not unreached, f"not reached from src/eulerdist: {unreached}"

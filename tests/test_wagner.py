@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 from functools import cache
@@ -6,22 +7,27 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from eulerdist.atoms import MonLog, single
-from eulerdist.errors import DuplicateLambda, PoleOnGrid
 from eulerdist.gausspoly import GaussPoly, apply_transposed
+from eulerdist.grammar import parse_poly
 from eulerdist.poly import Polynomial
 from eulerdist.wagner import (
-    SeminormSpec,
     WagnerParams,
     choose_eta,
-    exp_conjugation_check,
-    fourier_transform_values,
-    hy_strip_check,
     me_check,
     pair_E,
     wagner_coefficients,
+)
+from paperchecks import (
+    SeminormSpec,
+    choose_eta_scan,
+    exp_conjugation_check,
+    fourier_transform_values,
+    hy_strip_check,
     y_seminorm,
 )
 
@@ -31,6 +37,18 @@ def zvar(d=1, j=1):
 
 
 GAUSS1 = GaussPoly.gaussian(1, (F(0),), F(1))
+
+
+def _products(d):
+    factor = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * d),
+        st.sampled_from([-2, -1, 1, 2]),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: Polynomial(d, terms))
+    return st.lists(factor, min_size=1, max_size=3).map(
+        lambda fs: math.prod(fs[1:], start=fs[0])
+    )
 
 
 class TestChooseEta:
@@ -44,27 +62,41 @@ class TestChooseEta:
     def test_one_dim(self):
         assert choose_eta(zvar()) == (1,)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(_products))
+    @example(parse_poly("t1*t2*t3*t4", 4))
+    @example(parse_poly("(t1-t2)*(t1+t2-t3)^2", 3))
+    @example(parse_poly("t1*t2-t3*t4", 4))
+    def test_matches_brute_force_scan(self, P):
+        # Products of sparse factors give principal parts that vanish on
+        # whole lattice hyperplanes, so the search cuts many branches.
+        assert choose_eta(P) == choose_eta_scan(P)
+
 
 class TestWagnerCoefficients:
     def test_m1(self):
-        assert wagner_coefficients(1, (1, 2)) == (F(-1), F(1))
+        assert wagner_coefficients(1) == (F(-1), F(1))
 
     def test_m0(self):
-        assert wagner_coefficients(0, (1,)) == (F(1),)
+        assert wagner_coefficients(0) == (F(1),)
 
     def test_m2(self):
-        assert wagner_coefficients(2, (1, 2, 3)) == (F(1, 2), F(-1), F(1, 2))
+        assert wagner_coefficients(2) == (F(1, 2), F(-1), F(1, 2))
 
-    def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateLambda):
-            wagner_coefficients(2, (1, 2, 2))
-
-    @pytest.mark.parametrize("m", range(7))
+    @pytest.mark.parametrize("m", [*range(7), 30, 60])
     def test_vandermonde_exact(self, m):
         lam = tuple(F(j + 1) for j in range(m + 1))
-        a = wagner_coefficients(m, lam)
+        a = wagner_coefficients(m)
         for i in range(m + 1):
             assert sum(aj * lj**i for aj, lj in zip(a, lam)) == (1 if i == m else 0)
+
+    def test_params_at_degree_400_are_fast(self):
+        P = parse_poly("t1^400", 1)
+        t0 = time.monotonic()
+        params = WagnerParams.for_polynomial(P)
+        assert time.monotonic() - t0 < 1.0
+        assert len(params.a) == 401
+        assert params.a[0] == params.a[-1] == F(1, math.factorial(400))
 
 
 class TestPairE:

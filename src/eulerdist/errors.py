@@ -21,6 +21,10 @@ class EscalationExceeded(EulerDistError):
     """A continuous solve left a delta-free residual (defensive)."""
 
 
+class TableEntryError(EulerDistError):
+    """A theta-table entry does not scale to an integer in the exact walk."""
+
+
 class QuadratureNoConvergence(EulerDistError):
     """A numerical pairing failed to reach the requested tolerance."""
 

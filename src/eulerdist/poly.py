@@ -5,13 +5,20 @@ A polynomial in d variables z_1..z_d is a map from exponent multi-indices
 polynomial has an empty term map.  Term order is graded lexicographic and
 all printing/iteration is deterministic.
 
+Products, Taylor shifts and substitutions do not add or multiply
+Fractions, whose every operation costs a gcd.  They write the operands over
+one common denominator (the content and primitive part of Knuth, TAOCP
+vol. 2, 4.6.1), run on the integer numerators, and reduce once per output
+coefficient: `_to_ints` and `_from_ints` are the only conversions.
+
 Coordinate indices in the public API are 1-based (j = 1..d).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .errors import DimensionError, ZeroPolynomial
@@ -37,11 +44,12 @@ class Polynomial:
             raise DimensionError(f"dimension must be >= 0, got {dim}")
         clean: dict[Exponent, Fraction] = {}
         for alpha, c in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != dim or any(a < 0 for a in alpha):
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != dim or min(alpha, default=0) < 0:
                 raise DimensionError(f"bad exponent {alpha} for dim {dim}")
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 clean[alpha] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
@@ -137,12 +145,14 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_dim(other)
-        out: dict[Exponent, Fraction] = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                alpha = tuple(x + y for x, y in zip(a1, a2))
-                out[alpha] = out.get(alpha, Fraction(0)) + c1 * c2
-        return Polynomial(self.dim, out)
+        n1, d1 = _to_ints(self.terms)
+        n2, d2 = _to_ints(other.terms)
+        out: dict[Exponent, int] = {}
+        for a1, c1 in n1.items():
+            for a2, c2 in n2.items():
+                alpha = tuple(map(add, a1, a2))
+                out[alpha] = out.get(alpha, 0) + c1 * c2
+        return Polynomial(self.dim, _from_ints(out, d1 * d2))
 
     __rmul__ = __mul__
 
@@ -176,6 +186,28 @@ class Polynomial:
         return Polynomial(self.dim, out)
 
 
+# -- integer numerators over one denominator -------------------------------
+
+
+def _to_ints(terms: Mapping[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
+    """Integer numerators over the least common denominator of the terms."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {a: c.numerator * (den // c.denominator) for a, c in terms.items()}, den
+
+
+def _from_ints(nums: Mapping[Exponent, int], den: int) -> dict[Exponent, Fraction]:
+    """The nonzero numerators of nums over den, in lowest terms."""
+    return {a: Fraction(v, den) for a, v in nums.items() if v}
+
+
+def _powers(x: int, n: int) -> list[int]:
+    """[x^0, x^1, ..., x^n]."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
 # -- module operations ----------------------------------------------------
 
 
@@ -199,11 +231,17 @@ def substitute_coord(P: Polynomial, j: int, v: RationalLike) -> Polynomial:
     if not 1 <= j <= P.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{P.dim}")
     v = Fraction(v)
-    out: dict[Exponent, Fraction] = {}
-    for alpha, c in P.terms.items():
+    nums, den = _to_ints(P.terms)
+    # c v^e = c a^e b^(n-e) / b^n for v = a/b and n the top exponent of z_j.
+    n = max((alpha[j - 1] for alpha in nums), default=0)
+    apow = _powers(v.numerator, n)
+    bpow = _powers(v.denominator, n)
+    out: dict[Exponent, int] = {}
+    for alpha, c in nums.items():
+        e = alpha[j - 1]
         rest = alpha[: j - 1] + alpha[j:]
-        out[rest] = out.get(rest, Fraction(0)) + c * v ** alpha[j - 1]
-    return Polynomial(P.dim - 1, out)
+        out[rest] = out.get(rest, 0) + c * apow[e] * bpow[n - e]
+    return Polynomial(P.dim - 1, _from_ints(out, den * bpow[n]))
 
 
 def factor_out(P: Polynomial, j: int, c: RationalLike) -> tuple[int, Polynomial]:
@@ -217,12 +255,12 @@ def factor_out(P: Polynomial, j: int, c: RationalLike) -> tuple[int, Polynomial]
     if not 1 <= j <= P.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{P.dim}")
     c = Fraction(c)
-    shifted = _shift_coord(P.terms, j, -c)
+    shifted, den = _shift_coord(*_to_ints(P.terms), j, -c)
     r = min(a[j - 1] for a in shifted)
     lowered = {
         a[: j - 1] + (a[j - 1] - r,) + a[j:]: cf for a, cf in shifted.items()
     }
-    return r, Polynomial(P.dim, _shift_coord(lowered, j, c))
+    return r, Polynomial(P.dim, _from_ints(*_shift_coord(lowered, den, j, c)))
 
 
 def principal_part(P: Polynomial) -> Polynomial:
@@ -234,18 +272,37 @@ def principal_part(P: Polynomial) -> Polynomial:
 
 
 def _shift_coord(
-    terms: Mapping[Exponent, Fraction], j: int, m: Fraction
-) -> Mapping[Exponent, Fraction]:
-    """Terms of P(z + m e_j), P given by its terms, expanded binomially in z_j."""
+    nums: Mapping[Exponent, int], den: int, j: int, m: Fraction
+) -> tuple[Mapping[Exponent, int], int]:
+    """P(z + m e_j) for P = nums / den, again as integer numerators over one
+    denominator.
+
+    The terms are grouped by their other exponents, and each univariate
+    slice is shifted by Horner's synthetic division.  For m = a/b and n the
+    top exponent of z_j, scaling coefficient t by b^(n-t) turns p(z) into
+    b^n p(y/b); shifting that by the integer a and putting y = b z gives
+    b^n p(z + a/b), whose coefficient t is the shifted one times b^t.
+    """
     if m == 0:
-        return terms
-    out: dict[Exponent, Fraction] = {}
-    for alpha, c in terms.items():
-        a = alpha[j - 1]
-        for t in range(a + 1):
-            beta = alpha[: j - 1] + (t,) + alpha[j:]
-            out[beta] = out.get(beta, Fraction(0)) + c * comb(a, t) * m ** (a - t)
-    return {b: c for b, c in out.items() if c != 0}
+        return nums, den
+    a, b = m.numerator, m.denominator
+    i = j - 1
+    slices: dict[Exponent, dict[int, int]] = {}
+    for alpha, c in nums.items():
+        slices.setdefault(alpha[:i] + alpha[i + 1 :], {})[alpha[i]] = c
+    n = max((alpha[i] for alpha in nums), default=0)
+    bpow = _powers(b, n)
+    out: dict[Exponent, int] = {}
+    for rest, coeffs in slices.items():
+        top = max(coeffs)
+        cs = [coeffs.get(t, 0) * bpow[n - t] for t in range(top + 1)]
+        for lo in range(top):
+            for t in range(top - 1, lo - 1, -1):
+                cs[t] += a * cs[t + 1]
+        for t, c in enumerate(cs):
+            if c:
+                out[rest[:i] + (t,) + rest[i:]] = c * bpow[t]
+    return out, den * bpow[n]
 
 
 def taylor_shift(P: Polynomial, mu: Sequence[RationalLike]) -> Polynomial:
@@ -253,10 +310,10 @@ def taylor_shift(P: Polynomial, mu: Sequence[RationalLike]) -> Polynomial:
     entries = tuple(map(Fraction, mu))
     if len(entries) != P.dim:
         raise DimensionError(f"shift has {len(entries)} entries, polynomial dim {P.dim}")
-    terms = P.terms
+    nums, den = _to_ints(P.terms)
     for j, m in enumerate(entries, 1):
-        terms = _shift_coord(terms, j, m)
-    return Polynomial(P.dim, terms)
+        nums, den = _shift_coord(nums, den, j, m)
+    return Polynomial(P.dim, _from_ints(nums, den))
 
 
 def vanishing_order(P: Polynomial, mu: Sequence[RationalLike]) -> tuple[int, Exponent]:

@@ -17,11 +17,16 @@ reflection); the oracle's adjoint-identity suite certifies every entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from .atoms import Atom1D, Delta, DistExpr, MonLog, coeff_map, dist
-from .errors import DimensionError
+from .errors import DimensionError, TableEntryError
 from .poly import Polynomial
+
+# theta on integer numerators: {factors: numerator} maps, and per atom the
+# (integer entry, atom) pairs of one coordinate's scaled table.
+Numerators = dict[tuple[Atom1D, ...], int]
+IntTable = dict[Atom1D, list[tuple[int, Atom1D]]]
 
 
 def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
@@ -42,55 +47,120 @@ def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
     return out
 
 
-def _theta_coeffs(
-    j: int, coeffs: dict[tuple[Atom1D, ...], Fraction]
-) -> dict[tuple[Atom1D, ...], Fraction]:
-    """theta_j on a merged {factors: coefficient} map (zero entries skipped)."""
-    i = j - 1
-    out: dict[tuple[Atom1D, ...], Fraction] = {}
-    for f, c in coeffs.items():
-        if not c:
+def _int_tables(e: DistExpr) -> tuple[list[IntTable], list[int]]:
+    """Per coordinate j, the weight L_j and the theta-table scaled to integers.
+
+    L_j = (max(-n) - 1)! over the finite-part atoms MonLog(n <= -1, ., .)
+    that theta_j reaches from coordinate j of e (1 if there are none), so
+    every correction 1/i!, i < -n, becomes the integer L_j/i!.  A term over
+    weight w(f), the product of L_j over the coordinates where f holds a
+    Delta, moves to weight w(f) L_j when theta_j takes a MonLog to a Delta,
+    so that entry is multiplied by L_j (and divided by it the other way).
+    The table is read from apply_theta on every call.
+    """
+    rows: dict[Atom1D, list[tuple[Fraction, Atom1D]]] = {}
+    tables, weights = [], []
+    for j in range(e.dim):
+        reach = set()
+        todo = {f[j] for f, _ in e.terms}
+        while todo:
+            a = todo.pop()
+            reach.add(a)
+            if a not in rows:
+                rows[a] = apply_theta(a)
+            todo.update(b for _, b in rows[a] if b not in reach)
+        top = max((-a.n for a in reach if isinstance(a, MonLog) and a.n < 0), default=1)
+        L = factorial(top - 1)
+        wt = {a: L if isinstance(a, Delta) else 1 for a in reach}
+        table: IntTable = {}
+        for a in reach:
+            out = table[a] = []
+            for tc, b in rows[a]:
+                x, r = divmod(tc.numerator * wt[b], tc.denominator * wt[a])
+                if r:
+                    raise TableEntryError(
+                        f"theta-table entry {tc} for {a!r} -> {b!r} does not "
+                        f"scale to an integer with L = {L}"
+                    )
+                out.append((x, b))
+        tables.append(table)
+        weights.append(L)
+    return tables, weights
+
+
+def _theta_step(i: int, nums: Numerators, table: IntTable) -> Numerators:
+    """theta_(i+1) on a merged {factors: numerator} map (zero entries skipped)."""
+    out: Numerators = {}
+    for f, v in nums.items():
+        if not v:
             continue
-        for tc, a in apply_theta(f[i]):
-            g = f[:i] + (a,) + f[i + 1 :]
-            old = out.get(g)
-            out[g] = c * tc if old is None else old + c * tc
+        head, tail = f[:i], f[i + 1 :]
+        for tc, a in table[f[i]]:
+            g = head + (a,) + tail
+            out[g] = out.get(g, 0) + v * tc
     return out
 
 
 def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     """The Euler operator P(theta) applied exactly to an expression.
 
-    theta^alpha is iterated factor-wise on merged {factors: coefficient}
-    maps; intermediate results are shared across the monomials of P by
-    lowering the first nonzero exponent, and the sum is sorted once.
+    With P = sum_k z_1^k P_k(z_2..z_d), P(theta) e is taken by Horner's
+    rule in theta_1: acc = theta_1 acc + P_k(theta') e, from the top power
+    of z_1 down.  The theta'-powers of e are iterated factor-wise on merged
+    {factors: numerator} maps and shared across the P_k by lowering the
+    first nonzero exponent.  So theta_1 acts once per power of z_1, P's
+    coefficients multiply theta'-powers of e only, and the sum is sorted
+    once.
+
+    The walk runs on integers: a term f of e is scaled by D_e w(f) (D_e the
+    common denominator of e, w(f) the weight of `_int_tables`), P by its
+    common denominator D_P, and each output term is one Fraction over
+    D_e D_P w(f).  Fractions enter and leave the walk only here and in
+    `_int_tables`.
     """
     if P.dim != e.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {e.dim}")
     if P.is_zero() or e.is_zero():
         return DistExpr.zero(e.dim)
-    powers = {(0,) * e.dim: coeff_map(e.terms)}
+    tables, weights = _int_tables(e)
 
-    def theta_power(alpha: tuple[int, ...]) -> dict[tuple[Atom1D, ...], Fraction]:
-        # Walk down to the nearest known power, then apply theta back up.
+    def weight(f: tuple[Atom1D, ...]) -> int:
+        return prod(L for L, a in zip(weights, f) if isinstance(a, Delta))
+
+    den_e = lcm(*(c.denominator for _, c in e.terms))
+    start: Numerators = {}
+    for f, c in e.terms:
+        start[f] = start.get(f, 0) + c.numerator * (den_e // c.denominator) * weight(f)
+    # theta'^beta e, beta the exponents of coordinates 2..d.
+    powers = {(0,) * (e.dim - 1): start}
+
+    def theta_power(beta: tuple[int, ...]) -> Numerators:
+        # Walk down to the nearest known power, then apply theta back up;
+        # beta[j] acts on factor j + 1.
         chain = []
-        while alpha not in powers:
-            j = next(i for i, a in enumerate(alpha) if a > 0)
-            chain.append((alpha, j + 1))
-            alpha = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-        val = powers[alpha]
-        for beta, j in reversed(chain):
-            val = powers[beta] = _theta_coeffs(j, val)
+        while beta not in powers:
+            j = next(i for i, b in enumerate(beta) if b > 0)
+            chain.append((beta, j + 1))
+            beta = beta[:j] + (beta[j] - 1,) + beta[j + 1 :]
+        val = powers[beta]
+        for gamma, i in reversed(chain):
+            val = powers[gamma] = _theta_step(i, val, tables[i])
         return val
 
-    return dist(
-        e.dim,
-        (
-            (f, c * v)
-            for alpha, c in P.terms.items()
-            for f, v in theta_power(alpha).items()
-        ),
-    )
+    den_p = lcm(*(c.denominator for c in P.terms.values()))
+    slices: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for alpha, c in P.terms.items():
+        k, beta = (alpha[0], alpha[1:]) if alpha else (0, ())
+        slices.setdefault(k, []).append((beta, c.numerator * (den_p // c.denominator)))
+    acc: Numerators = {}
+    for k in range(max(slices), -1, -1):
+        if acc:
+            acc = _theta_step(0, acc, tables[0])
+        for beta, c in slices.get(k, ()):
+            for f, v in theta_power(beta).items():
+                acc[f] = acc.get(f, 0) + c * v
+    den = den_e * den_p
+    return dist(e.dim, ((f, Fraction(v, den * weight(f))) for f, v in acc.items() if v))
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:

@@ -451,6 +451,16 @@ class TestInputLimits:
         assert time.monotonic() - start < 1.0
         assert code == 0 and json.loads(out)["outputs"]["verified"]
 
+    def test_high_degree_resonant_path_is_quick(self, capsys):
+        # factor_out shifts a degree-300 polynomial twice and verify walks
+        # 300 theta-powers of a 300-term solution, all on integers over one
+        # denominator; with a Fraction per coefficient this took about 2 s.
+        start = time.monotonic()
+        argv = ["solve", "-P", "(t1+1)^300", "-T", "delta(x1,0)", "-d", "1"]
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - start < 1.5
+        assert code == 0 and json.loads(out)["outputs"]["verified"]
+
     def test_negated_power_is_solved(self, capsys):
         argv = ["solve", "-P", "-t1^2+1", "-T", "delta(x1,0)", "-d", "1"]
         code, out = run(capsys, *argv)

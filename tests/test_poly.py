@@ -1,6 +1,8 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from eulerdist.errors import DimensionError, ZeroPolynomial
@@ -161,6 +163,72 @@ def test_vanishing_order_invariants(P, mu):
     assert sum(beta) == val
     shifted = taylor_shift(P, mu)
     assert shifted.terms.get(beta, F(0)) != 0
+
+
+def _to_sympy(P, zs):
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * prod(z**a for z, a in zip(zs, alpha))
+            for alpha, c in P.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def _from_sympy(expr, zs):
+    expr = sympy.expand(expr)
+    if not zs:
+        return Polynomial(0, {(): F(int(expr.p), int(expr.q))})
+    return Polynomial(
+        len(zs),
+        {m: F(int(c.p), int(c.q)) for m, c in sympy.Poly(expr, *zs).terms()},
+    )
+
+
+@st.composite
+def high_degree_polys(draw, dim, max_deg=8):
+    """Up to 6 terms of total degree <= max_deg, coefficient denominators <= 6."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        alpha, left = [], max_deg
+        for _ in range(dim):
+            alpha.append(draw(st.integers(0, left)))
+            left -= alpha[-1]
+        terms[tuple(alpha)] = draw(rational)
+    return Polynomial(dim, terms)
+
+
+shifts = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shifts_match_sympy(data):
+    # Shifts with denominators up to 5 exercise the b^(n-t) scaling of the
+    # integer Horner shift on every slice.
+    d = data.draw(st.integers(1, 3))
+    P = data.draw(high_degree_polys(d))
+    mu = data.draw(st.tuples(*[shifts] * d))
+    j = data.draw(st.integers(1, d))
+    zs = sympy.symbols(f"z1:{d + 1}")
+    expr = _to_sympy(P, zs)
+    ms = [sympy.Rational(m.numerator, m.denominator) for m in mu]
+    moved = expr.subs({z: z + m for z, m in zip(zs, ms)}, simultaneous=True)
+    assert taylor_shift(P, mu) == _from_sympy(moved, zs)
+    z, m = zs[j - 1], ms[j - 1]
+    rest = zs[: j - 1] + zs[j:]
+    assert substitute_coord(P, j, mu[j - 1]) == _from_sympy(expr.subs(z, m), rest)
+    if P.is_zero():
+        return
+    # (z_j + m)^k P has exactly the cofactor that sympy's division leaves.
+    k = data.draw(st.integers(0, 3))
+    lin = z + m
+    r, Q = factor_out(_from_sympy(expr * lin**k, zs), j, mu[j - 1])
+    q, rem = sympy.div(sympy.expand(expr * lin**k), sympy.expand(lin**r), *zs)
+    assert r >= k and rem == 0
+    assert Q == _from_sympy(q, zs)
+    assert sympy.expand(q.subs(z, -m)) != 0
 
 
 def test_power_makes_no_product_larger_than_its_result(monkeypatch):

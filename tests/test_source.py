@@ -44,12 +44,51 @@ def test_traced_benchmark_names_resolve():
     spec.loader.exec_module(tracer)
     places = [place for layer in tracer.LAYERS.values() for place in layer]
     assert places
+    # install() also counts the calls of Polynomial.partial.
+    places.append((tracer.poly.Polynomial, "partial"))
     missing = [
-        f"{module.__name__}.{name}"
-        for module, name in places
-        if not callable(getattr(module, name, None))
+        f"{owner.__name__}.{name}"
+        for owner, name in places
+        if not callable(getattr(owner, name, None))
     ]
     assert not missing, f"perfbench/tracer.py looks up missing names: {missing}"
+
+
+# The exact inner loops run on Python ints over one common denominator; a
+# Fraction there would cost a gcd on every multiply and add again.  Each
+# module converts to and from Fraction outside these loops.
+INTEGER_KERNELS = [
+    ("poly.py", "_shift_coord"),
+    ("poly.py", "Polynomial.__mul__"),
+    ("theta.py", "_theta_step"),
+    ("theta.py", "apply_polynomial"),
+]
+
+
+def _function(tree, qualname):
+    body = tree.body
+    for part in qualname.split("."):
+        node = next(
+            n for n in body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part
+        )
+        body = node.body
+    return node
+
+
+@pytest.mark.parametrize("module, qualname", INTEGER_KERNELS, ids=lambda x: x)
+def test_integer_kernels_do_not_name_fraction(module, qualname):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    loops = [n for n in ast.walk(_function(tree, qualname)) if isinstance(n, ast.For)]
+    assert loops, f"{module}:{qualname} has no loop"
+    named = sorted(
+        node.lineno
+        for loop in loops
+        for node in ast.walk(loop)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    )
+    assert not named, f"{module}:{qualname} names Fraction in a loop at lines {named}"
 
 
 def test_third_party_imports_are_the_runtime_dependencies():

@@ -1,10 +1,14 @@
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulerdist import theta
 from eulerdist.atoms import Atom1D, Delta, DistExpr, MonLog, dist, single
+from eulerdist.errors import EulerDistError, TableEntryError
 from eulerdist.poly import Polynomial, poly_eval
+from eulerdist.solver import solve
 from eulerdist.theta import apply_polynomial, apply_theta, equal
 from paperchecks import apply_theta_expr, full_monomial
 
@@ -78,6 +82,26 @@ class TestApplyPolynomial:
         )
         e = single((Delta(0), Delta(0)))
         assert apply_polynomial(P, e).is_zero()
+
+    def test_entry_that_is_no_integer_over_its_weight_raises(self, monkeypatch):
+        # The walk scales theta x^-3 H(x)'s corrections by L = 2!; a 1/7
+        # correction would have to be truncated, so it is refused.
+        right = theta.apply_theta
+        bad = MonLog(-3, 0, 1)
+
+        def wrong(a):
+            return [(F(1, 7) if a == bad and b == Delta(2) else c, b) for c, b in right(a)]
+
+        P = Polynomial.variable(1, 1) + Polynomial.constant(1, 3)
+        other = single((MonLog(-2, 0, 1),))
+        before = apply_polynomial(P, other)
+        monkeypatch.setattr(theta, "apply_theta", wrong)
+        with pytest.raises(TableEntryError, match="1/7"):
+            apply_polynomial(P, single((bad,)))
+        with pytest.raises(EulerDistError):
+            solve(P, single((Delta(2),)))
+        # A walk that never reaches the entry is unaffected.
+        assert apply_polynomial(P, other) == before
 
 
 class TestEqual:
@@ -218,4 +242,48 @@ def test_apply_polynomial_matches_monomial_reference(P, ts):
     # atom_strategy covers n <= -1 finite parts (with delta corrections)
     # and deltas; the raw term list may repeat factors or carry zeros.
     e = DistExpr(2, tuple(ts))
+    assert apply_polynomial(P, e) == _reference_apply(P, e)
+
+
+# -- the integer theta-walk against the term-by-term reference --------------
+
+finite_parts = st.builds(
+    MonLog, st.integers(-6, -1), st.integers(0, 2), st.sampled_from((1, -1))
+)
+wide_atoms = st.one_of(
+    st.builds(Delta, st.integers(0, 5)),
+    finite_parts,
+    st.builds(MonLog, st.integers(0, 3), st.integers(0, 2), st.sampled_from((1, -1))),
+)
+coefficients = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+
+
+@st.composite
+def raw_terms_3d(draw):
+    """A raw 3-D term list: every drawn factor tuple once, then some again;
+    coordinate 1 holds a delta in one tuple and a finite part in another,
+    and coefficients may be zero."""
+    triples = st.tuples(wide_atoms, wide_atoms, wide_atoms)
+    tuples = draw(st.lists(triples, min_size=2, max_size=3))
+    tuples[0] = (draw(st.builds(Delta, st.integers(0, 5))),) + tuples[0][1:]
+    tuples[1] = (draw(finite_parts),) + tuples[1][1:]
+    tuples += draw(st.lists(st.sampled_from(tuples), max_size=3))
+    return [(f, draw(coefficients)) for f in tuples]
+
+
+polys_3d = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    max_size=4,
+).map(lambda terms: Polynomial(3, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys_3d, raw_terms_3d())
+def test_integer_walk_matches_reference_in_three_dimensions(P, ts):
+    # n down to -6 puts weights up to 5! on the deltas; P's denominators go
+    # up to 6.
+    e = DistExpr(3, tuple(ts))
     assert apply_polynomial(P, e) == _reference_apply(P, e)

@@ -9,8 +9,9 @@ to stdout (or --output FILE).  Reports are byte-identical across runs with
 identical inputs; wall_time_ms is null unless --timing is given, since a
 measured time would break that determinism.  Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 parse or usage error (including a
-zero polynomial P, a wagner-check center or width out of float range, and
-an input over a stated size limit), 3 internal error.
+zero polynomial P, a wagner-check center, width or cutoff out of float
+range, and an input, or a solution to print, over a stated size limit), 3
+internal error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ from .errors import (
     ZeroPolynomial,
 )
 from .gausspoly import GaussPoly
-from .grammar import MAX_SOLUTION_ORDER, format_dist, format_poly, parse_dist, parse_poly
+from .grammar import (
+    MAX_SOLUTION_ORDER,
+    check_orders,
+    format_dist,
+    format_poly,
+    parse_dist,
+    parse_poly,
+)
 from .oracle import adjoint_check
 from .poly import Polynomial
 from .solver import solve, verify
@@ -74,6 +82,8 @@ def _cmd_solve(args) -> int:
     P = parse_poly(args.P, args.dim)
     T = parse_dist(args.T, args.dim)
     rep = solve(P, T)
+    # What solve prints, verify -U reads back.
+    check_orders(rep.solution, MAX_SOLUTION_ORDER)
     outputs = {
         "solution": format_dist(rep.solution),
         "verified": rep.verified,

@@ -37,10 +37,6 @@ class InputTooLarge(EulerDistError):
     """An input exceeds a stated size limit (terms, degree, digits, bits, grid)."""
 
 
-class PoleOnGrid(EulerDistError):
-    """A quadrature grid node hit a zero of the symbol; retry with a shifted grid."""
-
-
 class ParseError(EulerDistError):
     """Syntax error in a polynomial or distribution expression."""
 

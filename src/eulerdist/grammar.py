@@ -65,7 +65,8 @@ MAX_ORDER = 1000
 # so the bound is on the total log power of a term as well.  A residual that
 # is solved again can raise it once more: a solution's total log power stays
 # within |p| + d * deg P on random cases up to d = 3 and deg P = 4
-# (tests/test_solver.py), a bound that is tested, not proved.
+# (tests/test_solver.py), a bound that is tested, not proved, so the solve
+# command checks its own output against this bound before printing it.
 MAX_SOLUTION_ORDER = MAX_ORDER + MAX_DEGREE
 # The longest numeric literal, and the most bits a coefficient may have when
 # it is expanded or printed: both keep every number within Python's
@@ -467,6 +468,20 @@ def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
     if toks[i]:
         raise tk.fail(i, "end of input, '+', or '-'")
     return dist(d, terms)
+
+
+def check_orders(e: DistExpr, max_order: int) -> None:
+    """Raise InputTooLarge unless parse_dist(format_dist(e), e.dim, max_order)
+    reads back every order of e: each exponent and delta order, and each
+    term's total log power, at most max_order."""
+    for f, _ in e.terms:
+        # An atom is (kind, n or k, p, s); a delta's log power p is 0.
+        order = max(max(abs(a[1]) for a in f), sum(a[2] for a in f))
+        if order > max_order:
+            raise InputTooLarge(
+                f"a solution term has an order or total log power of {order}, "
+                f"above {max_order}"
+            )
 
 
 def _format_atom(j: int, a) -> str:

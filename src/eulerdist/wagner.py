@@ -9,21 +9,30 @@ Fourier multipliers,
 with P_m the principal part, P_m(eta) != 0, lambda_j = j + 1 and the
 divided-difference coefficients in closed form,
 a_j = 1 / prod_{k != j} (lambda_j - lambda_k) = (-1)^(m-j) / (j! (m-j)!),
-which solve the Vandermonde system sum_j a_j lambda_j^i = [i = m].
-Pairings <E, chi> move the inverse Fourier transform onto the GaussPoly
-side in closed form, so only absolutely convergent integrals of a
-modulus-1 multiplier against a Gaussian-decaying function are ever
-computed.  That side is a sum of products of 1-D transforms, so the
-xi-sum contracts the symbol, the one array on the full grid, one axis at
-a time.  The transform pair here is the non-unitary one
-(F f = int f e^{-i xi x} dx, Finv g = (2 pi)^{-d} int g e^{i x xi} d xi).
+which solve the Vandermonde system sum_j a_j lambda_j^i = [i = m].  The
+transform pair is the non-unitary one (F f = int f e^{-i xi x} dx,
+Finv g = (2 pi)^{-d} int g e^{i x xi} d xi).
 
-The multiplier formula is validated only through the reproducing property
-|<E, P(-d)phi> - phi(0)| (the source display has unbalanced parentheses and
-is read as the conjugate of Pj over Pj).  Real coefficients only.  No
-subcommand runs the paper's other diagnostics (Y-seminorms, the
-exponential conjugation identity, the Fourier-image strip check); they live
-beside the tests, in tests/paperchecks.py.
+wagner-check pairs E against P(-d)phi for a Gaussian-polynomial phi.  With
+beta = lambda_j eta, integration by parts gives
+int e^{(beta + i xi).x} P(-d)phi dx = Pj(xi) int e^{(beta + i xi).x} phi dx,
+so the quotient cancels node by node and the integrand is
+P(beta - i xi) times the closed-form transform of e^{beta.x} phi.  Both
+factors are sums of products of 1-D factors, so the trapezoid sum over the
+xi-grid is, per monomial of P and term of phi, a product of d 1-D sums;
+neither P(-d)phi nor any array over the N^d grid is formed.
+
+What the check means: the reproducing identity <E, P(-d)phi> = phi(0)
+holds exactly, since it reduces to
+(1 / P_m(2 eta)) sum_j a_j (P(2 lambda_j eta + d)phi)(0), a polynomial in
+lambda_j whose lambda^m coefficient is P_m(2 eta) phi(0) and whose other
+powers the a_j cancel.  So the residual measures only the xi-quadrature:
+truncation at the cutoff R, the node spacing and rounding.  The source
+display has unbalanced parentheses and is read as the conjugate of Pj over
+Pj.  Real coefficients only.  No subcommand runs the paper's other
+diagnostics (Y-seminorms, the exponential conjugation identity, the
+Fourier-image strip check); they live beside the tests, in
+tests/paperchecks.py, with the grid pairing of E against a general chi.
 """
 
 from __future__ import annotations
@@ -31,25 +40,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    FloatOverflow,
-    InputTooLarge,
-    PoleOnGrid,
-    QuadratureNoConvergence,
-    ZeroPolynomial,
-)
-from .gausspoly import GaussPoly, apply_transposed
+from .errors import DimensionError, FloatOverflow, InputTooLarge, ZeroPolynomial
+from .gausspoly import GaussPoly
 from .poly import Polynomial, poly_eval, principal_part, substitute_coord
 # perfbench/tracer.py wraps wagner.apply_polynomial by name, so the import stays.
 from .theta import apply_polynomial  # noqa: F401
 
-_POLE_EPS = 1e-12
-# The most xi-grid points pair_E allocates (32 MB per complex array).
+# The most xi-grid nodes per axis pair_E allocates (32 MB per complex array).
 MAX_GRID_POINTS = 2**21
 
 
@@ -141,118 +141,114 @@ def _gauss_ft_1d(gmax: int, mu: float, w: float, xi: np.ndarray) -> np.ndarray:
     return np.stack(T, axis=-1)
 
 
-def _eval_poly_complex(P: Polynomial, coords: list[np.ndarray]) -> np.ndarray:
-    """Evaluate P on broadcastable complex coordinate arrays."""
-    out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=complex)
-    for alpha, c in P.terms.items():
-        term = complex(c)
-        for z, a in zip(coords, alpha):
-            if a:
-                term = term * z**a
-        out += term
-    return out
+def _finite(compute) -> float:
+    """compute(), with any float overflow, invalid operation or non-finite
+    result raised as FloatOverflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value = compute()
+        if math.isfinite(value):
+            return value
+    except (OverflowError, FloatingPointError) as exc:
+        value = exc
+    raise FloatOverflow(
+        f"pairing leaves the float range ({value}) at this center, width and cutoff"
+    )
+
+
+def _power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n for an integer n >= 1 by repeated squaring: numpy's complex power
+    is ten times slower for most integer exponents, and slower still for high
+    ones."""
+    out = None
+    while True:
+        if n & 1:
+            out = z if out is None else out * z
+        n >>= 1
+        if not n:
+            return out
+        z = z * z
 
 
 def pair_E(
-    P: Polynomial, params: WagnerParams, chi: GaussPoly, grid: tuple[int, float]
+    P: Polynomial, params: WagnerParams, phi: GaussPoly, grid: tuple[int, float]
 ) -> float:
-    """Numerical pairing <E, chi> of the elementary solution against chi.
+    """Numerical pairing <E, P(-d)phi> of the elementary solution.
 
-    The xi-integral is a trapezoid rule on N points per axis over [-R, R]^d;
-    a grid node falling on a zero of the symbol triggers one deterministic
-    half-cell shift before raising PoleOnGrid.  A chi whose twisted Gaussian
-    weights, or a cutoff whose grid values, leave the float range raises
-    FloatOverflow, and a grid of more than MAX_GRID_POINTS nodes raises
-    InputTooLarge before any allocation.
+    The xi-integral is a trapezoid rule on N points per axis over [-R, R]^d.
+    A phi whose twisted Gaussian weights, or a cutoff whose powers, leave
+    the float range raises FloatOverflow, as does any other non-finite
+    value; more than MAX_GRID_POINTS nodes per axis raise InputTooLarge
+    before any allocation.
     """
     if P.is_zero():
         raise ZeroPolynomial("pair_E requires a nonzero polynomial")
-    if P.dim != chi.dim:
-        raise DimensionError(f"polynomial dim {P.dim} vs test function dim {chi.dim}")
-    if int(grid[0]) ** P.dim > MAX_GRID_POINTS:
-        raise InputTooLarge(
-            f"{int(grid[0])}^{P.dim} grid points exceed the budget of {MAX_GRID_POINTS}"
-        )
-    try:
-        with np.errstate(over="raise"):
-            try:
-                return _pair_E_on_grid(P, params, chi, grid, 0.0)
-            except PoleOnGrid:
-                return _pair_E_on_grid(P, params, chi, grid, 0.5)
-    except (OverflowError, FloatingPointError) as exc:
-        raise FloatOverflow(
-            f"pairing leaves the float range ({exc}) at this center, width and cutoff"
-        ) from None
+    if P.dim != phi.dim:
+        raise DimensionError(f"polynomial dim {P.dim} vs test function dim {phi.dim}")
+    N = int(grid[0])
+    if N > MAX_GRID_POINTS:
+        raise InputTooLarge(f"{N} grid points per axis exceed {MAX_GRID_POINTS}")
+    return _finite(lambda: _pair_on_axes(P, params, phi, N, float(grid[1])))
 
 
-def _pair_E_on_grid(
-    P: Polynomial, params: WagnerParams, chi: GaussPoly, grid: tuple, offset: float
+def _pair_on_axes(
+    P: Polynomial, params: WagnerParams, phi: GaussPoly, N: int, R: float
 ) -> float:
-    """One trapezoid pass of pair_E, with the nodes shifted by offset cells.
+    """The trapezoid sum of pair_E, one axis at a time.
 
-    Only the symbol G_j lives on the full grid.  The rest of the integrand,
-    e^{beta.x} chi with beta = lambda_j eta, is a sum of products of 1-D
-    factors: F_k[xi, a] transforms x^a e^{beta_k x} e^{-(x-c_k)^2/w^2}, with
-    the trapezoid weights and cell width folded in, and _contract sums them.
+    Per lambda_j and axis k, F_k[xi, g] transforms x^g e^{beta_k x}
+    e^{-(x-c_k)^2/w^2} with the trapezoid weights folded in, and
+    M_k[a][g] = sum_xi (beta_k - i xi)^a F_k[xi, g] for the exponents a
+    that occur on axis k in P.  The xi-sum is then
+    sum over (gamma, c) in P and (alpha, p) in phi of
+    c p prod_k M_k[gamma_k][alpha_k].
     """
     d = P.dim
-    N, R = int(grid[0]), float(grid[1])
-    w = float(chi.width)
+    w = float(phi.width)
     # A float power raises OverflowError where w * w would give inf.
     w2 = w**2
     h = 2.0 * R / (N - 1)
-    axes = [(-R + (np.arange(N) + offset) * h) for _ in range(d)]
+    xi = -R + np.arange(N) * h
     weights = np.full(N, h)
     weights[0] = weights[-1] = 0.5 * h
-    terms = sorted((alpha, float(pc)) for alpha, pc in chi.poly.terms.items())
-    top = [max((alpha[k] for alpha, _ in terms), default=0) for k in range(d)]
+    sym = [(gamma, float(c)) for gamma, c in P.terms.items()]
+    test = [(alpha, float(c)) for alpha, c in phi.poly.terms.items()]
+    top = [max((alpha[k] for alpha, _ in test), default=0) for k in range(d)]
+    powers = [sorted({gamma[k] for gamma, _ in sym}) for k in range(d)]
     total = 0.0
-    for j in range(params.m + 1):
-        lam = float(params.lam[j])
-        beta = [lam * e for e in params.eta]
-        coords = [
-            (1j * ax + beta[k]).reshape((1,) * k + (N,) + (1,) * (d - k - 1))
-            for k, ax in enumerate(axes)
-        ]
-        # Pj on the grid, then G_j = conj(Pj)/Pj in the same array.
-        G = _eval_poly_complex(P, coords)
-        if np.min(np.abs(G)) < _POLE_EPS:
-            raise PoleOnGrid(
-                f"symbol magnitude below {_POLE_EPS} on the grid (lambda={lam})"
-            )
-        np.divide(np.conj(G), G, out=G)
-        if not float(np.max(np.abs(np.abs(G) - 1.0))) <= 1e-12:
-            raise QuadratureNoConvergence(
-                f"symbol ratio is not unimodular on the grid (lambda={lam})"
-            )
-        F = []
+    # Largest lambda first: its powers of beta - i xi are the largest, so a
+    # pairing that leaves the float range does so in the first pass.
+    for lam, a in zip(reversed(params.lam), reversed(params.a)):
+        beta = [float(lam) * e for e in params.eta]
+        M = []
         for k in range(d):
-            ck = float(chi.center[k])
+            ck = float(phi.center[k])
             mu = ck + beta[k] * w2 / 2.0
             const = math.exp(beta[k] * ck + beta[k] * beta[k] * w2 / 4.0)
-            Fk = _gauss_ft_1d(top[k], mu, w, axes[k])
-            F.append(Fk * (const * weights)[:, None])
-        total += float(params.a[j]) * _contract(G, terms, F).real
+            F = _gauss_ft_1d(top[k], mu, w, xi) * (const * weights)[:, None]
+            z = beta[k] - 1j * xi
+            # Each occurring power from the one before, not z**p afresh.
+            zp, prev, Mk = np.ones(N), 0, {}
+            for p in powers[k]:
+                if p > prev:
+                    zp, prev = zp * _power(z, p - prev), p
+                Mk[p] = (zp @ F).tolist()
+            M.append(Mk)
+        s = sum(
+            c * pc * math.prod(M[k][gamma[k]][alpha[k]] for k in range(d))
+            for gamma, c in sym
+            for alpha, pc in test
+        )
+        total += float(a) * s.real
+        if not math.isfinite(total):
+            break  # no later pass can make it finite; _finite reports it
     return total / ((2.0 * math.pi) ** d * float(params.normalizer))
-
-
-def _contract(M: np.ndarray, terms: list, F: list[np.ndarray]) -> complex:
-    """Sum over the sorted terms (alpha, c) of c times M (N^len(F) values)
-    contracted with F[0][:, alpha_0], F[1][:, alpha_1], ...  Depth first, one
-    power at a time, so the arrays alive below M hold fewer values than M."""
-    N = len(F[0])
-    total = 0j
-    for a, group in groupby(terms, lambda t: t[0][0]):
-        row = F[0][:, a] @ M.reshape(N, -1)
-        sub = [(alpha[1:], c) for alpha, c in group]
-        total += _contract(row, sub, F[1:]) if F[1:] else sub[0][1] * row[0]
-    return total
 
 
 def me_check(
     P: Polynomial, params: WagnerParams, phi: GaussPoly, grid: tuple[int, float]
 ) -> float:
     """Residual |<E, P(-d)phi> - phi(0)|; params is for_polynomial(P)."""
-    chi = apply_transposed(P, phi, GaussPoly.derivative)
-    value = pair_E(P, params, chi, grid)
-    return abs(value - phi.value((0.0,) * phi.dim))
+    # Called through the module global, where a tracer can wrap it.
+    value = pair_E(P, params, phi, grid)
+    return _finite(lambda: abs(value - phi.value((0.0,) * phi.dim)))

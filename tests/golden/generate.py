@@ -12,8 +12,8 @@ residuals choose).  The cases are drawn with a fixed seed and cover:
     minus) and distributions, and parse, dimension and size errors;
   * the benchmark's strata at corpus size: escalation solves of L^m * Q at
     d 2-3 with log right-hand sides, fan-out solves of one delta at d 5-9,
-    and wagner-check's exact parameters at d 1-3 (the d = 3 default grid is
-    refused);
+    and wagner-check's exact parameters and pass flags at d 1-3, the d = 3
+    default grid included;
   * resonant finite parts ((t_j + k + 1)^r against delta(x_j, k)), log
     escalation of half-line terms at a root of P, and nested substitutions
     through deltas in two or three coordinates;

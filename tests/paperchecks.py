@@ -8,6 +8,9 @@ the package:
   term-by-term reference that `theta.apply_polynomial` is tested against;
 - the brute-force lattice scan that `wagner.choose_eta`'s depth-first
   search is tested against;
+- the pairing of Wagner's elementary solution against a general chi on the
+  full xi-grid, with the symbol quotient conj(Pj)/Pj at every node, the
+  reference that `wagner.pair_E` is tested against;
 - the Y-space seminorm estimate, the exponential conjugation identity
   P(d)(f o Exp) = (P(theta) f) o Exp, and the Fourier-image strip check,
   with the unitary transform it samples.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,11 +31,15 @@ from eulerdist.errors import DimensionError, EulerDistError, UnsupportedInput
 from eulerdist.gausspoly import GaussPoly
 from eulerdist.poly import Polynomial, poly_eval, principal_part
 from eulerdist.theta import apply_polynomial, apply_theta
-from eulerdist.wagner import _gauss_ft_1d
+from eulerdist.wagner import WagnerParams, _gauss_ft_1d
 
 
 class TermNotHyperplaneSupported(EulerDistError):
     """A term has no delta factor, so it is not supported on a coordinate hyperplane."""
+
+
+class SymbolZeroOnGrid(EulerDistError):
+    """A node of the reference xi-grid falls on a zero of the symbol Pj."""
 
 
 def full_monomial(alpha: Sequence[int], d: int | None = None) -> DistExpr:
@@ -98,6 +105,77 @@ def choose_eta_scan(P: Polynomial) -> tuple[int, ...]:
         for eta in sorted(shell, reverse=True):
             if poly_eval(Pm, eta) != 0:
                 return eta
+
+
+# -- the Wagner pairing on the full xi-grid ----------------------------------
+
+_POLE_EPS = 1e-12
+
+
+def pair_E_grid(
+    P: Polynomial, params: WagnerParams, chi: GaussPoly, grid: tuple[int, float]
+) -> float:
+    """<E, chi> for a general chi by the trapezoid rule on N^d nodes over
+    [-R, R]^d: sum_j a_j Re sum_xi wt(xi) G_j(xi) F[e^{beta.x} chi](xi), over
+    (2 pi)^d P_m(2 eta), with G_j = conj(Pj)/Pj on the whole grid.
+
+    A node within _POLE_EPS of a zero of Pj raises SymbolZeroOnGrid.  For
+    chi = P(-d)phi this is wagner.pair_E(P, params, phi, grid) up to rounding.
+    """
+    d = P.dim
+    N, R = int(grid[0]), float(grid[1])
+    w = float(chi.width)
+    w2 = w * w
+    h = 2.0 * R / (N - 1)
+    axis = -R + np.arange(N) * h
+    weights = np.full(N, h)
+    weights[0] = weights[-1] = 0.5 * h
+    terms = sorted((alpha, float(pc)) for alpha, pc in chi.poly.terms.items())
+    top = [max((alpha[k] for alpha, _ in terms), default=0) for k in range(d)]
+    total = 0.0
+    for lam, a in zip(params.lam, params.a):
+        beta = [float(lam) * e for e in params.eta]
+        coords = [
+            (1j * axis + beta[k]).reshape((1,) * k + (N,) + (1,) * (d - k - 1))
+            for k in range(d)
+        ]
+        G = _eval_poly_complex(P, coords)
+        if np.min(np.abs(G)) < _POLE_EPS:
+            raise SymbolZeroOnGrid(f"|Pj| below {_POLE_EPS} on the grid (lambda={lam})")
+        np.divide(np.conj(G), G, out=G)
+        F = []
+        for k in range(d):
+            ck = float(chi.center[k])
+            mu = ck + beta[k] * w2 / 2.0
+            const = math.exp(beta[k] * ck + beta[k] * beta[k] * w2 / 4.0)
+            F.append(_gauss_ft_1d(top[k], mu, w, axis) * (const * weights)[:, None])
+        total += float(a) * _contract(G, terms, F).real
+    return total / ((2.0 * math.pi) ** d * float(params.normalizer))
+
+
+def _eval_poly_complex(P: Polynomial, coords: list[np.ndarray]) -> np.ndarray:
+    """Evaluate P on broadcastable complex coordinate arrays."""
+    out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=complex)
+    for alpha, c in P.terms.items():
+        term = complex(c)
+        for z, a in zip(coords, alpha):
+            if a:
+                term = term * z**a
+        out += term
+    return out
+
+
+def _contract(M: np.ndarray, terms: list, F: list[np.ndarray]) -> complex:
+    """Sum over the sorted terms (alpha, c) of c times M (N^len(F) values)
+    contracted with F[0][:, alpha_0], F[1][:, alpha_1], ...  Depth first, one
+    power at a time."""
+    N = len(F[0])
+    total = 0j
+    for a, group in groupby(terms, lambda t: t[0][0]):
+        row = F[0][:, a] @ M.reshape(N, -1)
+        sub = [(alpha[1:], c) for alpha, c in group]
+        total += _contract(row, sub, F[1:]) if F[1:] else sub[0][1] * row[0]
+    return total
 
 
 # -- Y-space diagnostics ---------------------------------------------------

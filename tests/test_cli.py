@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eulerdist import cli
 from eulerdist.cli import main
 
 
@@ -262,7 +264,6 @@ class TestWagnerCommand:
             ("t1", "1e300"),
             ("t1", "1e160"),
             ("t1^4+1", "1e100"),
-            ("t1^2+t2^2-1", "1e154"),
         ],
     )
     def test_huge_cutoff_is_a_quiet_float_overflow(self, capsys, P, cutoff):
@@ -274,6 +275,36 @@ class TestWagnerCommand:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "FloatOverflow"
         assert err == ""
+
+    def test_huge_cutoff_that_misses_the_gaussian_fails_quietly(self, capsys):
+        # P is never summed on the grid, so xi ~ 1e154 stays in float range;
+        # the 64 nodes, 3e152 apart, miss the Gaussian and the pairing is 0.
+        argv = ["wagner-check", "-P", "t1^2+t2^2-1", "--cutoff", "1e154", "--grid", "64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert check["name"] == "me_residual" and not check["pass"]
+        assert check["value"] == 1.0
+        assert err == ""
+
+    def test_high_degree_overflow_is_quick(self, capsys):
+        # P(-d)phi is never formed symbolically, so t1^1000 reaches the
+        # overflow of (beta - i xi)^1000 at once.
+        start = time.monotonic()
+        code, out = run(capsys, "wagner-check", "-P", "t1^1000", "--grid", "8")
+        assert time.monotonic() - start < 0.5
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "FloatOverflow"
+
+    def test_default_grid_at_d3_passes(self, capsys):
+        # N = 512 per axis: no array over the 512^3 grid is formed.
+        code, out = run(capsys, "wagner-check", "-P", "t1^2+t2^2+t3^2+1")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["inputs"]["grid"] == 512 and rep["checks"][0]["pass"]
 
 
 @pytest.mark.parametrize("command", [["oracle-suite"], ["wagner-check", "-P", "t1"]])
@@ -310,15 +341,16 @@ class TestInputLimits:
                 "InputTooLarge",
                 id="product",
             ),
-            pytest.param(
-                ["wagner-check", "-P", "t1^2+t2^2+t3^2-1"],
-                "InputTooLarge",
-                id="grid-d3-default",
-            ),
+            # More than wagner.MAX_GRID_POINTS nodes per axis.
             pytest.param(
                 ["wagner-check", "-P", "t1", "--grid", "3000000"],
                 "InputTooLarge",
                 id="grid-d1",
+            ),
+            pytest.param(
+                ["wagner-check", "-P", "t1^2+t2^2+t3^2+1", "--grid", "3000000"],
+                "InputTooLarge",
+                id="grid-d3",
             ),
             # Each literal is longer than Python's 4300-digit int-string limit.
             pytest.param(["parse", "-P", f"t1^{BIG}"], "InputTooLarge", id="exponent"),
@@ -426,6 +458,21 @@ class TestInputLimits:
         U = json.loads(out)["outputs"]["solution"]
         code, out = run(capsys, "verify", "-P", P, f"-U={U}", "-T", T, "-d", d)
         assert code == 0 and json.loads(out)["outputs"]["verified"]
+
+    @pytest.mark.parametrize("bound, code", [(5, 0), (4, 2)])
+    def test_solve_prints_only_what_verify_reads(self, capsys, monkeypatch, bound, code):
+        # The residual of the continuous class is solved again, and that
+        # raises the total log power once more: this solution has a
+        # log(x3)^5 term from |p| = 3 and deg P = 1.  Below that, solve
+        # refuses its own solution instead of printing it.
+        monkeypatch.setattr(cli, "MAX_SOLUTION_ORDER", bound)
+        T = "x1^-1*log(x1)^2*H(x1)*x2^2*log(x2)*H(x2)*H(x3)"
+        got, out = run(capsys, "solve", "-P", "-t1+t2-t3-3", "-T", T, "-d", "3")
+        assert got == code
+        if code:
+            assert json.loads(out)["error"]["type"] == "InputTooLarge"
+        else:
+            assert "log(x3)^5" in json.loads(out)["outputs"]["solution"]
 
     @pytest.mark.parametrize(
         "P, T, d",
@@ -570,3 +617,52 @@ def test_fuzzed_argv_never_exits_3(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     assert code in (0, 1, 2), f"exit {code} for {argv}: {out}"
+
+
+# -- fuzzing wagner-check: every report is finite JSON ----------------------
+
+# Half the draws stay below 100, where most runs get past the float range.
+_magnitude = (st.floats(-3.0, 2.0) | st.floats(-3.0, 300.0)).map(lambda e: repr(10.0**e))
+
+
+@st.composite
+def _wagner_argv(draw):
+    d = draw(st.integers(1, 3))
+    monomials = []
+    for _ in range(draw(st.integers(1, 4))):
+        axes = draw(st.lists(st.integers(1, d), max_size=4))
+        factors = [f"t{j}^{axes.count(j)}" for j in sorted(set(axes))]
+        monomials.append(draw(_coeff) + ("*".join(factors) or "1"))
+    center = ",".join(
+        draw(st.sampled_from(["", "-"])) + draw(st.sampled_from(["0", "1/3"]) | _magnitude)
+        for _ in range(d)
+    )
+    return [
+        "wagner-check", "-P", " + ".join(monomials), "-d", str(d),
+        "--center", center, "--width", draw(_magnitude),
+        "--cutoff", draw(_magnitude), "--grid", str(draw(st.integers(2, 4096))),
+    ]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+@settings(
+    max_examples=150,
+    deadline=5000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(_wagner_argv())
+def test_fuzzed_wagner_check_reports_are_finite(capsys, argv):
+    # P of degree <= 4 at d <= 3; center, width and cutoff from 1e-3 to 1e300.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), f"exit {code} for {argv}: {out}"
+    rep = json.loads(out, parse_constant=_no_constant)
+    if code != 2:
+        residual = rep["outputs"]["residual"]
+        assert math.isfinite(residual) and rep["checks"][0]["value"] == residual

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -24,10 +24,12 @@ from eulerdist.wagner import (
 )
 from paperchecks import (
     SeminormSpec,
+    SymbolZeroOnGrid,
     choose_eta_scan,
     exp_conjugation_check,
     fourier_transform_values,
     hy_strip_check,
+    pair_E_grid,
     y_seminorm,
 )
 
@@ -103,30 +105,79 @@ class TestPairE:
     def test_linearity_zero(self):
         P = zvar()
         params = WagnerParams.for_polynomial(P)
-        chi = GAUSS1.with_poly(Polynomial.zero(1))
-        assert pair_E(P, params, chi, (512, 40.0)) == 0.0
+        phi = GAUSS1.with_poly(Polynomial.zero(1))
+        assert pair_E(P, params, phi, (512, 40.0)) == 0.0
 
     def test_reproduces_point_value(self):
+        # P = t1, so P(-d)phi = -phi'; pair_E forms it implicitly, the grid
+        # reference explicitly.
         P = zvar()
         params = WagnerParams.for_polynomial(P)
         chi = GAUSS1.derivative(1).with_poly(GAUSS1.derivative(1).poly.scale(-1))
-        got = pair_E(P, params, chi, (2048, 40.0))
-        assert got == pytest.approx(1.0, abs=1e-6)
+        assert pair_E(P, params, GAUSS1, (2048, 40.0)) == pytest.approx(1.0, abs=1e-6)
+        assert pair_E_grid(P, params, chi, (2048, 40.0)) == pytest.approx(1.0, abs=1e-6)
 
-    def test_pole_shift_recovers(self):
-        # With eta = (1,) and lambda_0 = 1 the symbol z at i*xi + 1 never
-        # vanishes, so shrink the margin artificially via a symbol with a
-        # root on the default grid line instead: P = z^2 + 1 has
-        # P(i*xi + lam) = 0 only off the real grid, so this documents the
-        # non-raising path.
-        P = zvar() ** 2 + Polynomial.constant(1, 1)
+    def test_node_on_a_symbol_zero_is_harmless(self):
+        # P = t1 - 1 has eta = (1,), so at lambda_0 = 1 the symbol
+        # P(i xi + 1) = i xi vanishes at the node xi = 0 of an odd grid.  The
+        # quotient conj(Pj)/Pj is undefined there, but pair_E never forms it.
+        P = zvar() - Polynomial.constant(1, 1)
         params = WagnerParams.for_polynomial(P)
-        val = pair_E(P, params, GAUSS1, (512, 40.0))
-        assert math.isfinite(val)
+        chi = apply_transposed(P, GAUSS1, GaussPoly.derivative)
+        with pytest.raises(SymbolZeroOnGrid):
+            pair_E_grid(P, params, chi, (2049, 40.0))
+        assert pair_E(P, params, GAUSS1, (2049, 40.0)) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.tuples(
+                st.dictionaries(
+                    st.lists(st.integers(0, d - 1), max_size=4).map(
+                        lambda axes: tuple(axes.count(k) for k in range(d))
+                    ),
+                    st.sampled_from([F(-3), F(-2), F(-1), F(1, 2), F(1), F(3, 2), F(3)]),
+                    min_size=1,
+                    max_size=5,
+                ).map(lambda terms: Polynomial(d, terms)),
+                st.lists(st.fractions(-1, 1, max_denominator=8), min_size=d, max_size=d),
+            )
+        ),
+        st.fractions(F(1, 2), 2, max_denominator=8),
+        st.integers(2, 40),
+        st.floats(0.5, 20.0),
+    )
+    def test_matches_grid_reference(self, P_center, width, N, R):
+        # The two paths sum the same node values, so they differ only by
+        # rounding: at most 1e-12 of a bound on the summed magnitudes,
+        # sum_j |a_j| e^{beta.c + |beta|^2 w^2/4} (w sqrt(pi))^d
+        # sum_gamma |c_gamma| (|beta|_max + R)^|gamma| (2R)^d,
+        # over (2 pi)^d |P_m(2 eta)|.
+        P, center = P_center
+        d = P.dim
+        params = WagnerParams.for_polynomial(P)
+        phi = GaussPoly.gaussian(d, center, width)
+        chi = apply_transposed(P, phi, GaussPoly.derivative)
+        try:
+            want = pair_E_grid(P, params, chi, (N, R))
+        except SymbolZeroOnGrid:
+            assume(False)
+        got = pair_E(P, params, phi, (N, R))
+        w = float(width)
+        scale = 0.0
+        for lam, a in zip(params.lam, params.a):
+            beta = [float(lam) * e for e in params.eta]
+            top = max(abs(b) for b in beta) + R
+            twist = sum(b * float(c) + b * b * w * w / 4.0 for b, c in zip(beta, center))
+            sym = sum(abs(float(c)) * top ** sum(g) for g, c in P.terms.items())
+            scale += abs(float(a)) * math.exp(twist) * sym
+        scale *= (w * math.sqrt(math.pi) * 2.0 * R / (2.0 * math.pi)) ** d
+        scale /= abs(float(params.normalizer))
+        assert abs(got - want) <= 1e-12 * scale
 
 
-# An asymmetric P and an off-centre chi whose powers differ per axis: a 1-D
-# factor applied along the wrong axis changes the pairing.
+# An asymmetric P and an off-centre Gaussian polynomial whose powers differ
+# per axis: a 1-D factor applied along the wrong axis changes the pairing.
 P3 = Polynomial(
     3,
     {
@@ -161,18 +212,21 @@ def twisted_transform(a, beta, c, w, xi):
 
 class TestPairEAtDim3:
     def test_matches_explicit_trapezoid_sum(self):
-        # sum_j a_j Re sum_xi wt(xi) conj(Pj)/Pj psi_j(xi) / ((2 pi)^3 P_m(2 eta)),
-        # node by node, with psi_j a product of quadrature transforms.
+        # Node by node, with psi_j a product of quadrature transforms of
+        # e^{beta.x} CHI3 and wt the trapezoid weights:
+        # sum_j a_j Re sum_xi wt(xi) conj(Pj)/Pj psi_j(xi) / ((2 pi)^3 P_m(2 eta))
+        # is <E, CHI3>, the grid reference's pairing, and the same sum with
+        # conj(Pj) in place of conj(Pj)/Pj is <E, P3(-d)CHI3>, pair_E's.
         N, R = 14, 6.0
         params = WagnerParams.for_polynomial(P3)
         w = float(CHI3.width)
         h = 2.0 * R / (N - 1)
         nodes = [-R + i * h for i in range(N)]
         wts = [h / 2.0 if i in (0, N - 1) else h for i in range(N)]
-        total = 0.0
+        quotient = product_only = 0.0
         for lam, a in zip(params.lam, params.a):
             beta = [float(lam) * e for e in params.eta]
-            s = 0j
+            s_quotient = s_product = 0j
             for idx in product(range(N), repeat=3):
                 z = [1j * nodes[i] + b for i, b in zip(idx, beta)]
                 Pj = sum(
@@ -187,14 +241,22 @@ class TestPairEAtDim3:
                     )
                     for alpha, pc in CHI3.poly.terms.items()
                 )
-                s += math.prod(wts[i] for i in idx) * Pj.conjugate() / Pj * psi
-            total += float(a) * s.real
-        want = total / ((2.0 * math.pi) ** 3 * float(params.normalizer))
-        got = pair_E(P3, params, CHI3, (N, R))
+                wt = math.prod(wts[i] for i in idx)
+                s_quotient += wt * Pj.conjugate() / Pj * psi
+                s_product += wt * Pj.conjugate() * psi
+            quotient += float(a) * s_quotient.real
+            product_only += float(a) * s_product.real
+        norm = (2.0 * math.pi) ** 3 * float(params.normalizer)
+        want, got = quotient / norm, pair_E_grid(P3, params, CHI3, (N, R))
+        assert abs(got - want) <= 1e-9 * abs(want)
+        want, got = product_only / norm, pair_E(P3, params, CHI3, (N, R))
         assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_peak_memory_is_a_few_grid_arrays(self):
-        N = 64
+        # The arrays live on one axis: a few of N x (top + 1) complex values,
+        # top = 3 being CHI3's highest power on an axis.  One array over the
+        # 1024^3 grid would take 17 GB.
+        N = 1024
         params = WagnerParams.for_polynomial(P3)
         tracemalloc.start()
         try:
@@ -202,25 +264,27 @@ class TestPairEAtDim3:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * np.dtype(complex).itemsize * N**3
+        assert peak <= 6 * np.dtype(complex).itemsize * N * 4
 
     def test_peak_memory_with_more_powers_than_nodes(self):
-        # chi carries x_k^0..x_k^7 on each of 6 axes against 5 nodes per axis:
-        # keeping every power combination would take 8^6 values, 27 grid arrays.
+        # phi carries x_k^0..x_k^7 on each of 6 axes against 5 nodes per axis:
+        # keeping every power combination would take 8^6 values.  The terms
+        # are contracted one product of 1-D sums at a time, so the peak stays
+        # below a single complex array over the 5^6 grid.
         d, N = 6, 5
         P = Polynomial.constant(d, 1)
         for k in range(1, d + 1):
             P = P + zvar(d, k) ** 7
-        phi = GaussPoly.gaussian(d, tuple(F(k, 7) - F(1, 3) for k in range(d)), F(5, 4))
-        chi = apply_transposed(P, phi, GaussPoly.derivative)
+        gauss = GaussPoly.gaussian(d, tuple(F(k, 7) - F(1, 3) for k in range(d)), F(5, 4))
+        phi = apply_transposed(P, gauss, GaussPoly.derivative)
         params = WagnerParams.for_polynomial(P)
         tracemalloc.start()
         try:
-            pair_E(P, params, chi, (N, 6.0))
+            pair_E(P, params, phi, (N, 6.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * np.dtype(complex).itemsize * N**d
+        assert peak <= np.dtype(complex).itemsize * N**d
 
 
 class TestMeCheck:
@@ -236,6 +300,31 @@ class TestMeCheck:
         P = zvar(2, 1) ** 2 + zvar(2, 2) ** 2 - Polynomial.constant(2, 1)
         phi = GaussPoly.gaussian(2, (F(0), F(0)), F(1))
         assert me_check(P, WagnerParams.for_polynomial(P), phi, (512, 40.0)) <= 1e-3
+
+    def test_default_d3_grid_peaks_under_a_megabyte(self):
+        # wagner-check's d = 3 default, N = 512 and R = 40: one complex array
+        # over the grid would take 2.1 GB.
+        P = zvar(3, 1) ** 2 + zvar(3, 2) ** 2 + zvar(3, 3) ** 2 + Polynomial.constant(3, 1)
+        params = WagnerParams.for_polynomial(P)
+        phi = GaussPoly.gaussian(3, (F(0),) * 3, F(1))
+        tracemalloc.start()
+        try:
+            residual = me_check(P, params, phi, (512, 40.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-9
+        assert peak < 2**20
+
+    def test_truncation_shows_in_the_residual(self):
+        # Only the xi-quadrature is approximate: at R = 8 the Gaussian's
+        # transform is cut at e^{-16}, and the residual shows it.
+        P = zvar(3, 1) ** 2 + zvar(3, 2) ** 2 + zvar(3, 3) ** 2 - zvar(3, 1)
+        P = P + Polynomial.constant(3, 2)
+        params = WagnerParams.for_polynomial(P)
+        phi = GaussPoly.gaussian(3, (F(0),) * 3, F(1))
+        assert me_check(P, params, phi, (16, 8.0)) == pytest.approx(3.2515e-6, rel=1e-4)
+        assert me_check(P, params, phi, (64, 16.0)) <= 1e-12
 
 
 class TestYSeminorm:

@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .atoms import Delta, MonLog
 from .errors import (
@@ -62,10 +63,33 @@ def _report(command: str, inputs: dict, outputs: dict, checks: list[dict]) -> di
     }
 
 
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) for str-keyed reports, without json's
+    pure-Python indenting encoder: that is a set of mutually recursive
+    closures, a reference cycle every call would leave to the cyclic garbage
+    collector, whose full passes then land inside later calls."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [
+                f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()
+            ]
+            left, right = "{", "}"
+        else:
+            items = [_json(v, inner) for v in value]
+            left, right = "[", "]"
+        return f"{left}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{right}"
+    return json.dumps(value)
+
+
 def _emit(report: dict, args) -> int:
     if args.timing:
         report["wall_time_ms"] = round((time.monotonic() - args._t0) * 1000.0, 3)
-    text = json.dumps(report, indent=2) + "\n"
+    text = _json(report) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -356,15 +380,15 @@ def main(argv: list[str] | None = None) -> int:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, ParseError):
             err["error"]["position"] = exc.position
-        sys.stdout.write(json.dumps(err, indent=2) + "\n")
+        sys.stdout.write(_json(err) + "\n")
         return 2
     except EulerDistError as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(err, indent=2) + "\n")
+        sys.stdout.write(_json(err) + "\n")
         return 3
     except Exception as exc:  # pragma: no cover - defensive
         err = {"error": {"type": "InternalError", "message": str(exc)}}
-        sys.stdout.write(json.dumps(err, indent=2) + "\n")
+        sys.stdout.write(_json(err) + "\n")
         return 3
 
 

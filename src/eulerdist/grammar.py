@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice, product
-from math import comb, lcm
+from math import comb
 from string import ascii_letters
 from typing import Iterable
 
@@ -138,10 +138,9 @@ def _check_dim(d: int) -> None:
 
 def _coeff_bits(P: Polynomial) -> int:
     """A bound on the bits of P's coefficients that adds under products:
-    max(bits(D), bits(D * sum|c|)) for the common denominator D."""
-    D = lcm(*(c.denominator for c in P.terms.values()))
-    S = sum(abs(c.numerator) * (D // c.denominator) for c in P.terms.values())
-    return max(D.bit_length(), S.bit_length())
+    max(bits(D), bits(D * sum|c|)) for the denominator D."""
+    S = sum(map(abs, P.nums.values()))
+    return max(P.den.bit_length(), S.bit_length())
 
 
 def _check_size(degree: int, bits: int) -> None:
@@ -202,11 +201,11 @@ def _poly_power(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
     if tk.toks[i] != "^":
         return base, i
     n, i = tk.number(i + 1)
-    if base.terms:
+    if base.nums:
         # Each term of base^n comes from a multiset of n terms of base; with
         # two or more terms the degree check keeps n small enough for comb.
         _check_size(n * base.degree, n * _coeff_bits(base))
-        _check_terms(dim, n * base.degree, comb(len(base.terms) + n - 1, n))
+        _check_terms(dim, n * base.degree, comb(len(base.nums) + n - 1, n))
     return base**n, i
 
 
@@ -215,7 +214,7 @@ def _poly_product(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
     while tk.toks[i] == "*":
         q, i = _poly_power(tk, i + 1, dim)
         _check_size(p.degree + q.degree, _coeff_bits(p) + _coeff_bits(q))
-        _check_terms(dim, p.degree + q.degree, len(p.terms) * len(q.terms))
+        _check_terms(dim, p.degree + q.degree, len(p.nums) * len(q.nums))
         p = p * q
     return p, i
 

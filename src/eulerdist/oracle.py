@@ -39,11 +39,20 @@ from .theta import apply_polynomial, apply_theta  # noqa: F401
 _SERIES_CAP = 800
 # Gauss-Legendre nodes and weights on [-1, 1]: the rule and its half.
 _RULES = [np.polynomial.legendre.leggauss(n) for n in (32, 16)]
+# The caches hold the last few test functions: a sweep of atoms against one
+# phi uses 2 slices (c and -c), about 54 moments and 27 pairs (m, p), the
+# oracle-suite 3 phis and 6 slices.  Kept longer, an entry only makes the
+# cost of a later pairing depend on which test functions came before it.
+_SLICES = 16
+_MOMENTS = 512
+_POWERS = 64
 
 
-@lru_cache(maxsize=1024)
-def _taylor(c: Fraction, w: Fraction) -> np.ndarray:
-    """First _SERIES_CAP Taylor coefficients at 0 of e^{-(x-c)^2/w^2}."""
+@lru_cache(maxsize=_SLICES)
+def _taylor(c: Fraction, w: Fraction) -> tuple[np.ndarray, int]:
+    """First _SERIES_CAP Taylor coefficients at 0 of e^{-(x-c)^2/w^2}, and
+    the length of the table without the zeros it ends in: the recurrence
+    underflows after a few hundred terms."""
     a, b = float(2 * c / w**2), float(1 / w**2)
     # e^{a x - b x^2}: (k+1) f_{k+1} = a f_k - 2 b f_{k-1}
     f = [1.0, a]
@@ -51,7 +60,8 @@ def _taylor(c: Fraction, w: Fraction) -> np.ndarray:
         f.append((a * f[k] - 2.0 * b * f[k - 1]) / (k + 1))
     table = exp(-float(c * c / w**2)) * np.array(f)
     table.flags.writeable = False  # the cache hands this array to every caller
-    return table
+    nonzero = np.flatnonzero(table)
+    return table, int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
 def quad(m: int, p: int, c: float, w: float) -> tuple[float, float]:
@@ -61,32 +71,43 @@ def quad(m: int, p: int, c: float, w: float) -> tuple[float, float]:
     the Gaussian's width stay resolved; the estimate is the difference
     between the 32- and 16-node rules.
     """
+    half, nodes = _panels(c, w)
+    fine, coarse = (
+        float(half @ ((x**m * log_x**p * gauss) @ wt))
+        for (x, log_x, gauss), (_, wt) in zip(nodes, _RULES)
+    )
+    return fine, abs(fine - coarse)
+
+
+@lru_cache(maxsize=_SLICES)
+def _panels(c: float, w: float) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """quad's panel half-widths and, per rule, its nodes x, log x and
+    e^{-(x-c)^2/w^2}: every moment of one slice shares them."""
     cutoff = max(2.0, c + 7.0 * w, 1.0 + 7.0 * w)
     edges = [1.0]
     while edges[-1] < cutoff:
         edges.append(min(cutoff, edges[-1] + min(edges[-1], w)))
     lo = np.array(edges[:-1])
     half = (np.array(edges[1:]) - lo) / 2
-    values = []
-    for t, wt in _RULES:
+    nodes = []
+    for t, _ in _RULES:
         x = (lo + half)[:, None] + half[:, None] * t
-        fx = x**m * np.log(x) ** p * np.exp(-(((x - c) / w) ** 2))
-        values.append(float(half @ (fx @ wt)))
-    fine, coarse = values
-    return fine, abs(fine - coarse)
+        nodes.append((x, np.log(x), np.exp(-(((x - c) / w) ** 2))))
+    for array in (half, *(a for rule in nodes for a in rule)):
+        array.flags.writeable = False  # shared by every caller, as in _taylor
+    return half, nodes
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_MOMENTS)
 def _moment(m: int, p: int, c: Fraction, w: Fraction) -> tuple[float, float]:
     """Finite part of int_0^inf x^m log^p x e^{-(x-c)^2/w^2} dx, and its
     error estimate.  On [0, 1]: sum_{i >= -m} f_i int_0^1 x^(m+i) log^p x dx."""
-    i = np.arange(max(0, -m), _SERIES_CAP)
-    # |int_0^1 x^(m+i) log^p x dx| = p!/k^(p+1), k = m+i+1, as the square of
-    # sqrt(p!)/k^((p+1)/2): k^(p+1) leaves the float range long before the
-    # quotient does; for p <= 170 the square root's two factors stay inside.
-    half = np.power(m + i + 1.0, -(p + 1) / 2) * sqrt(factorial(p))
-    series = _taylor(c, w)[i] * (half * half)
-    inner = (-1) ** p * fsum(series)
+    i, weights = _series_weights(m, p)
+    table, length = _taylor(c, w)
+    series = table[i] * weights
+    # Past the table's length every term is zero; fsum reads a list faster
+    # than an array.
+    inner = (-1) ** p * fsum(series[: max(0, length - i[0])].tolist())
     if i.size < 10 or not np.abs(series[-8:]).max() <= 1e-18 * max(1.0, abs(inner)):
         raise QuadratureNoConvergence(
             f"inner series for x^{m} log^{p} did not settle within {_SERIES_CAP} terms"
@@ -95,13 +116,26 @@ def _moment(m: int, p: int, c: Fraction, w: Fraction) -> tuple[float, float]:
     return inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
 
 
+@lru_cache(maxsize=_POWERS)
+def _series_weights(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices i >= -m of _moment's series and |int_0^1 x^(m+i) log^p x dx|."""
+    i = np.arange(max(0, -m), _SERIES_CAP)
+    # The integral is p!/k^(p+1), k = m+i+1, taken as the square of
+    # sqrt(p!)/k^((p+1)/2): k^(p+1) leaves the float range long before the
+    # quotient does; for p <= 170 the square root's two factors stay inside.
+    half = np.power(m + i + 1.0, -(p + 1) / 2) * sqrt(factorial(p))
+    weights = half * half
+    i.flags.writeable = weights.flags.writeable = False
+    return i, weights
+
+
 def _pair1d(atom: Atom1D, a: int, c: Fraction, w: Fraction) -> tuple[float, float]:
     """Pair one atom against x^a e^{-(x-c)^2/w^2}; returns (value, error)."""
     if isinstance(atom, Delta):
         # (-1)^k d^k/dx^k [x^a g](0) = (-1)^k k! f_{k-a}
         if atom.k < a:
             return 0.0, 0.0
-        v = (-1) ** atom.k * factorial(atom.k) * float(_taylor(c, w)[atom.k - a])
+        v = (-1) ** atom.k * factorial(atom.k) * float(_taylor(c, w)[0][atom.k - a])
         return v, 1e-15 * abs(v)
     if atom.s == 1:
         return _moment(atom.n + a, atom.p, c, w)
@@ -122,8 +156,9 @@ def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
         raise ValueError(f"tolerance must be positive, got {tol}")
     total = 0.0
     total_err = 0.0
+    monomials = phi.poly.sorted_terms()
     for f, coeff in e.terms:
-        for alpha, pc in phi.poly.sorted_terms():
+        for alpha, pc in monomials:
             val = float(coeff * pc)
             err = 0.0
             for atom, a, c in zip(f, alpha, phi.center):
@@ -153,8 +188,14 @@ def adjoint_check(a: Atom1D, phi: GaussPoly) -> float:
     lhs = 0.0
     for c, b in apply_theta(a):
         lhs += float(c) * pair(single((b,)), phi)
-    rhs = pair(single((a,)), derivative_of_x_phi(phi))
+    rhs = pair(single((a,)), _x_phi_prime(phi))
     return abs(lhs + rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+@lru_cache(maxsize=_SLICES)
+def _x_phi_prime(phi: GaussPoly) -> GaussPoly:
+    """derivative_of_x_phi(phi), once for a sweep of atoms against one phi."""
+    return derivative_of_x_phi(phi)
 
 
 def compare_symbolic_numeric(

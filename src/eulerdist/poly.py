@@ -1,15 +1,13 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial in d variables z_1..z_d is a map from exponent multi-indices
-(tuples of d nonnegative ints) to nonzero Fraction coefficients.  The zero
-polynomial has an empty term map.  Term order is graded lexicographic and
-all printing/iteration is deterministic.
-
-Products, Taylor shifts and substitutions do not add or multiply
-Fractions, whose every operation costs a gcd.  They write the operands over
-one common denominator (the content and primitive part of Knuth, TAOCP
-vol. 2, 4.6.1), run on the integer numerators, and reduce once per output
-coefficient: `_to_ints` and `_from_ints` are the only conversions.
+A polynomial in d variables z_1..z_d is stored as integer numerators `nums`,
+a map from exponent multi-indices (tuples of d nonnegative ints) to nonzero
+ints, over one denominator `den` > 0 with gcd(den, *nums) = 1: the content
+and primitive part of Knuth, TAOCP vol. 2, 4.6.1, so each polynomial has one
+stored form.  Every kernel runs on the numerators, not on Fractions, whose
+every operation costs a gcd, and `_make` reduces each result once.  `terms`
+gives the Fraction coefficients.  Term order is graded lexicographic and all
+printing/iteration is deterministic.
 
 Coordinate indices in the public API are 1-based (j = 1..d).
 """
@@ -17,7 +15,7 @@ Coordinate indices in the public API are 1-based (j = 1..d).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Mapping, Sequence, Union
 
@@ -32,14 +30,12 @@ def grlex_key(alpha: Exponent) -> tuple[int, Exponent]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients.
+    """Immutable sparse polynomial with exact rational coefficients, stored
+    as integer numerators `nums` over the denominator `den`."""
 
-    Do not mutate `terms` after construction; instances are hashed on it.
-    """
+    __slots__ = ("dim", "nums", "den", "_hash")
 
-    __slots__ = ("dim", "terms", "_hash")
-
-    def __init__(self, dim: int, terms: Mapping[Exponent, RationalLike] | None = None):
+    def __new__(cls, dim: int, terms: Mapping[Exponent, RationalLike] | None = None):
         if dim < 0:
             raise DimensionError(f"dimension must be >= 0, got {dim}")
         clean: dict[Exponent, Fraction] = {}
@@ -51,9 +47,9 @@ class Polynomial:
                 c = Fraction(c)
             if c:
                 clean[alpha] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        den = lcm(*(c.denominator for c in clean.values()))
+        nums = {a: c.numerator * (den // c.denominator) for a, c in clean.items()}
+        return _make(dim, nums, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
@@ -79,38 +75,42 @@ class Polynomial:
 
     # -- basic structure ----------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """A fresh {exponent: Fraction coefficient} map."""
+        den = self.den
+        return {a: Fraction(v, den) for a, v in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(a) for a in self.terms)
+        return max(sum(a) for a in self.nums)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
-    def key(self) -> tuple:
-        return (self.dim, tuple(self.sorted_terms()))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.dim == other.dim
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self.key())
+            h = hash((self.dim, self.den, frozenset(self.nums.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return f"Polynomial({self.dim}, 0)"
         parts = []
         for alpha, c in self.sorted_terms():
@@ -130,35 +130,38 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            out[alpha] = out.get(alpha, Fraction(0)) + c
-        return Polynomial(self.dim, out)
+        # Both sides over lcm(den, other.den).
+        g = gcd(self.den, other.den)
+        s1, s2 = other.den // g, self.den // g
+        out = {a: v * s1 for a, v in self.nums.items()}
+        for alpha, v in other.nums.items():
+            out[alpha] = out.get(alpha, 0) + v * s2
+        return _make(self.dim, out, self.den * s1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {a: -c for a, c in self.terms.items()})
+        return _make(self.dim, {a: -v for a, v in self.nums.items()}, self.den)
 
     def __mul__(self, other: Union["Polynomial", RationalLike]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_dim(other)
-        n1, d1 = _to_ints(self.terms)
-        n2, d2 = _to_ints(other.terms)
         out: dict[Exponent, int] = {}
-        for a1, c1 in n1.items():
-            for a2, c2 in n2.items():
+        for a1, c1 in self.nums.items():
+            for a2, c2 in other.nums.items():
                 alpha = tuple(map(add, a1, a2))
                 out[alpha] = out.get(alpha, 0) + c1 * c2
-        return Polynomial(self.dim, _from_ints(out, d1 * d2))
+        return _make(self.dim, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c: RationalLike) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.dim, {a: c * v for a, v in self.terms.items()})
+        k = c.numerator
+        nums = {a: k * v for a, v in self.nums.items()}
+        return _make(self.dim, nums, c.denominator * self.den)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -177,27 +180,26 @@ class Polynomial:
         """Exact partial derivative with respect to z_j (1-based)."""
         if not 1 <= j <= self.dim:
             raise DimensionError(f"coordinate {j} out of range 1..{self.dim}")
-        out: dict[Exponent, Fraction] = {}
-        for alpha, c in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for alpha, c in self.nums.items():
             a = alpha[j - 1]
             if a:
-                beta = alpha[: j - 1] + (a - 1,) + alpha[j:]
-                out[beta] = out.get(beta, Fraction(0)) + c * a
-        return Polynomial(self.dim, out)
+                # Distinct alpha lower to distinct exponents.
+                out[alpha[: j - 1] + (a - 1,) + alpha[j:]] = c * a
+        return _make(self.dim, out, self.den)
 
 
-# -- integer numerators over one denominator -------------------------------
-
-
-def _to_ints(terms: Mapping[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
-    """Integer numerators over the least common denominator of the terms."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {a: c.numerator * (den // c.denominator) for a, c in terms.items()}, den
-
-
-def _from_ints(nums: Mapping[Exponent, int], den: int) -> dict[Exponent, Fraction]:
-    """The nonzero numerators of nums over den, in lowest terms."""
-    return {a: Fraction(v, den) for a, v in nums.items() if v}
+def _make(dim: int, nums: Mapping[Exponent, int], den: int) -> Polynomial:
+    """The polynomial nums / den (den > 0), with zero numerators dropped and
+    the common factor of the numerators and den divided out."""
+    g = gcd(den, *nums.values())
+    nums = {a: v // g for a, v in nums.items() if v}
+    P = object.__new__(Polynomial)
+    object.__setattr__(P, "dim", dim)
+    object.__setattr__(P, "nums", nums)
+    object.__setattr__(P, "den", den // g)
+    object.__setattr__(P, "_hash", None)
+    return P
 
 
 def _powers(x: int, n: int) -> list[int]:
@@ -231,17 +233,16 @@ def substitute_coord(P: Polynomial, j: int, v: RationalLike) -> Polynomial:
     if not 1 <= j <= P.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{P.dim}")
     v = Fraction(v)
-    nums, den = _to_ints(P.terms)
     # c v^e = c a^e b^(n-e) / b^n for v = a/b and n the top exponent of z_j.
-    n = max((alpha[j - 1] for alpha in nums), default=0)
+    n = max((alpha[j - 1] for alpha in P.nums), default=0)
     apow = _powers(v.numerator, n)
     bpow = _powers(v.denominator, n)
     out: dict[Exponent, int] = {}
-    for alpha, c in nums.items():
+    for alpha, c in P.nums.items():
         e = alpha[j - 1]
         rest = alpha[: j - 1] + alpha[j:]
         out[rest] = out.get(rest, 0) + c * apow[e] * bpow[n - e]
-    return Polynomial(P.dim - 1, _from_ints(out, den * bpow[n]))
+    return _make(P.dim - 1, out, P.den * bpow[n])
 
 
 def factor_out(P: Polynomial, j: int, c: RationalLike) -> tuple[int, Polynomial]:
@@ -255,12 +256,12 @@ def factor_out(P: Polynomial, j: int, c: RationalLike) -> tuple[int, Polynomial]
     if not 1 <= j <= P.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{P.dim}")
     c = Fraction(c)
-    shifted, den = _shift_coord(*_to_ints(P.terms), j, -c)
+    shifted, den = _shift_coord(P.nums, P.den, j, -c)
     r = min(a[j - 1] for a in shifted)
     lowered = {
         a[: j - 1] + (a[j - 1] - r,) + a[j:]: cf for a, cf in shifted.items()
     }
-    return r, Polynomial(P.dim, _from_ints(*_shift_coord(lowered, den, j, c)))
+    return r, _make(P.dim, *_shift_coord(lowered, den, j, c))
 
 
 def principal_part(P: Polynomial) -> Polynomial:
@@ -268,7 +269,7 @@ def principal_part(P: Polynomial) -> Polynomial:
     if P.is_zero():
         raise ZeroPolynomial("principal_part requires a nonzero polynomial")
     m = P.degree
-    return Polynomial(P.dim, {a: c for a, c in P.terms.items() if sum(a) == m})
+    return _make(P.dim, {a: c for a, c in P.nums.items() if sum(a) == m}, P.den)
 
 
 def _shift_coord(
@@ -310,10 +311,10 @@ def taylor_shift(P: Polynomial, mu: Sequence[RationalLike]) -> Polynomial:
     entries = tuple(map(Fraction, mu))
     if len(entries) != P.dim:
         raise DimensionError(f"shift has {len(entries)} entries, polynomial dim {P.dim}")
-    nums, den = _to_ints(P.terms)
+    nums, den = P.nums, P.den
     for j, m in enumerate(entries, 1):
         nums, den = _shift_coord(nums, den, j, m)
-    return Polynomial(P.dim, _from_ints(nums, den))
+    return _make(P.dim, nums, den)
 
 
 def vanishing_order(P: Polynomial, mu: Sequence[RationalLike]) -> tuple[int, Exponent]:
@@ -321,5 +322,5 @@ def vanishing_order(P: Polynomial, mu: Sequence[RationalLike]) -> tuple[int, Exp
     if P.is_zero():
         raise ZeroPolynomial("vanishing_order requires a nonzero polynomial")
     shifted = taylor_shift(P, mu)
-    best = min(shifted.terms, key=grlex_key)
+    best = min(shifted.nums, key=grlex_key)
     return sum(best), best

@@ -95,8 +95,8 @@ def _solve_log_system(
     columns of one degree are the lex-initial monomials gamma + N^d of the
     multiples of S's lowest-order part.
     """
-    lead = S.terms[gamma]
-    rest = [(beta, c) for beta, c in S.terms.items() if beta != gamma]
+    rest = S.terms
+    lead = rest.pop(gamma)
 
     def pops_first(m: tuple[int, ...]) -> tuple:
         """Heap entry of m: grlex-larger monomials pop first."""
@@ -114,7 +114,7 @@ def _solve_log_system(
             continue
         q = tuple(map(add, r, gamma))
         c = u[q] = a / (lead * prod(map(perm, q, gamma)))
-        for beta, s in rest:
+        for beta, s in rest.items():
             # d^beta z^q = prod_j perm(q_j, beta_j) z^(q - beta); perm is 0
             # where beta_j > q_j.
             f = prod(map(perm, q, beta))
@@ -159,11 +159,11 @@ def solve_continuous_term(
     d = len(key)
     S = taylor_shift(P, eigenvalue(ts[0][0]))
     v, gamma = vanishing_order(S, (0,) * d)
-    u = _solve_log_system(S, tuple(p for _, p in key), gamma)
+    u = _solve_log_system(S, tuple(p for _, p in key), gamma).terms
     terms = [
         (tuple(MonLog(a.n, qj, a.s) for a, qj in zip(f, q)), c * tc)
         for f, tc in ts
-        for q, c in u.terms.items()
+        for q, c in u.items()
     ]
     U_partial = dist(d, terms)
     image = apply_polynomial(P, U_partial)

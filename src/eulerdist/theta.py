@@ -113,10 +113,10 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     once.
 
     The walk runs on integers: a term f of e is scaled by D_e w(f) (D_e the
-    common denominator of e, w(f) the weight of `_int_tables`), P by its
-    common denominator D_P, and each output term is one Fraction over
-    D_e D_P w(f).  Fractions enter and leave the walk only here and in
-    `_int_tables`.
+    common denominator of e, w(f) the weight of `_int_tables`), P is read
+    as its numerators over its denominator D_P, and each output term is one
+    Fraction over D_e D_P w(f).  Fractions enter and leave the walk only
+    here and in `_int_tables`.
     """
     if P.dim != e.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {e.dim}")
@@ -147,11 +147,10 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
             val = powers[gamma] = _theta_step(i, val, tables[i])
         return val
 
-    den_p = lcm(*(c.denominator for c in P.terms.values()))
     slices: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for alpha, c in P.terms.items():
+    for alpha, c in P.nums.items():
         k, beta = (alpha[0], alpha[1:]) if alpha else (0, ())
-        slices.setdefault(k, []).append((beta, c.numerator * (den_p // c.denominator)))
+        slices.setdefault(k, []).append((beta, c))
     acc: Numerators = {}
     for k in range(max(slices), -1, -1):
         if acc:
@@ -159,7 +158,7 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
         for beta, c in slices.get(k, ()):
             for f, v in theta_power(beta).items():
                 acc[f] = acc.get(f, 0) + c * v
-    den = den_e * den_p
+    den = den_e * P.den
     return dist(e.dim, ((f, Fraction(v, den * weight(f))) for f, v in acc.items() if v))
 
 

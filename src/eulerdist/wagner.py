@@ -51,6 +51,9 @@ from .theta import apply_polynomial  # noqa: F401
 
 # The most xi-grid nodes per axis pair_E allocates (32 MB per complex array).
 MAX_GRID_POINTS = 2**21
+# The most 1-D work pair_E does, (m + 1) * sum_k N * (distinct exponents of P
+# on axis k) node-exponent pairs: about 0.4 s at 2^26.
+MAX_PAIR_WORK = 2**26
 
 
 # -- parameter selection --------------------------------------------------
@@ -178,8 +181,8 @@ def pair_E(
     The xi-integral is a trapezoid rule on N points per axis over [-R, R]^d.
     A phi whose twisted Gaussian weights, or a cutoff whose powers, leave
     the float range raises FloatOverflow, as does any other non-finite
-    value; more than MAX_GRID_POINTS nodes per axis raise InputTooLarge
-    before any allocation.
+    value; more than MAX_GRID_POINTS nodes per axis, or more than
+    MAX_PAIR_WORK work, raise InputTooLarge before any allocation.
     """
     if P.is_zero():
         raise ZeroPolynomial("pair_E requires a nonzero polynomial")
@@ -188,6 +191,10 @@ def pair_E(
     N = int(grid[0])
     if N > MAX_GRID_POINTS:
         raise InputTooLarge(f"{N} grid points per axis exceed {MAX_GRID_POINTS}")
+    exponents = sum(len({gamma[k] for gamma in P.nums}) for k in range(P.dim))
+    work = (params.m + 1) * N * exponents
+    if work > MAX_PAIR_WORK:
+        raise InputTooLarge(f"pairing work {work} exceeds {MAX_PAIR_WORK}")
     return _finite(lambda: _pair_on_axes(P, params, phi, N, float(grid[1])))
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -352,6 +353,14 @@ class TestInputLimits:
                 "InputTooLarge",
                 id="grid-d3",
             ),
+            # More than wagner.MAX_PAIR_WORK: 41 lambdas times 41 exponents on
+            # each of 2 axes times N.
+            pytest.param(
+                ["wagner-check", "-P", "(t1+t2)^40", "--grid", "262144"]
+                + ["--cutoff", "1e-3", "--width", "1e-3"],
+                "InputTooLarge",
+                id="pair-work",
+            ),
             # Each literal is longer than Python's 4300-digit int-string limit.
             pytest.param(["parse", "-P", f"t1^{BIG}"], "InputTooLarge", id="exponent"),
             pytest.param(
@@ -540,6 +549,38 @@ class TestDeterminism:
         assert code == 0
         _, second = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [], "b": {}, "c": [1, 2.5, None, True], "d": {"e": ["\u00e9", -0.0]}},
+            {"x": float("nan"), "y": (1, [float("inf")]), "z": 'q"\n'},
+            [],
+            "text",
+        ],
+    )
+    def test_report_text_is_json_dumps_indent_2(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "-P", "t1+1", "-T", "delta(x1,0)", "-d", "1"],
+            ["wagner-check", "-P", "t1*t2 + 4", "--grid", "64"],
+            ["parse", "-P", "t1+"],
+        ],
+    )
+    def test_a_call_leaves_no_cyclic_garbage(self, capsys, argv):
+        # Garbage in reference cycles drives the collector's full passes,
+        # which then land inside later in-process calls.
+        run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            run(capsys, *argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # -- fuzzing: no generated argv may end in an internal error (exit 3) -------

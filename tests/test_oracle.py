@@ -4,6 +4,7 @@ import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -208,6 +209,62 @@ class TestPairingCache:
         oracle._moment.cache_clear()
         fresh = pair(e, phi, tol=1e-12)
         assert after_loose == fresh
+
+    @pytest.mark.parametrize(
+        "m,p,c,w",
+        [
+            (-2, 0, F(0), F(1)),
+            (-1, 2, F(-412, 997), F(1413, 899)),
+            (3, 1, F(5, 2), F(1, 3)),
+            (0, 4, F(-7), F(9, 4)),
+            (-3, 1, F(1), F(600, 899)),
+        ],
+    )
+    def test_moment_equals_the_plain_computation(self, m, p, c, w):
+        # The shared slices and weights change no arithmetic: the plain
+        # per-moment computation must give the same floats.
+        oracle._moment.cache_clear()
+        cf, wf = float(c), float(w)
+        cutoff = max(2.0, cf + 7.0 * wf, 1.0 + 7.0 * wf)
+        edges = [1.0]
+        while edges[-1] < cutoff:
+            edges.append(min(cutoff, edges[-1] + min(edges[-1], wf)))
+        lo = np.array(edges[:-1])
+        half = (np.array(edges[1:]) - lo) / 2
+        fine, coarse = (
+            float(half @ ((x**m * np.log(x) ** p * np.exp(-(((x - cf) / wf) ** 2))) @ wt))
+            for t, wt in oracle._RULES
+            for x in [(lo + half)[:, None] + half[:, None] * t]
+        )
+        assert oracle.quad(m, p, cf, wf) == (fine, abs(fine - coarse))
+        i = np.arange(max(0, -m), oracle._SERIES_CAP)
+        k = np.power(m + i + 1.0, -(p + 1) / 2) * math.sqrt(math.factorial(p))
+        inner = (-1) ** p * math.fsum(oracle._taylor(c, w)[0][i] * (k * k))
+        outer, err = fine, abs(fine - coarse)
+        assert oracle._moment(m, p, c, w) == (
+            inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
+        )
+
+    def test_cost_does_not_depend_on_test_functions_long_gone(self):
+        # The cache covers a sweep of atoms against one test function, but
+        # twenty test functions later that one is computed afresh.
+        atoms = [Delta(k) for k in range(3)] + [
+            MonLog(n, p, s) for n in range(-2, 3) for p in range(3) for s in (1, -1)
+        ]
+
+        def misses(phi):
+            before = oracle._moment.cache_info().misses
+            for a in atoms:
+                adjoint_check(a, phi)
+            return oracle._moment.cache_info().misses - before
+
+        phis = [GaussPoly.gaussian(1, (F(k, 7),), F(1)) for k in range(1, 21)]
+        oracle._moment.cache_clear()
+        first = misses(phis[0])
+        assert first > 0 and misses(phis[0]) == 0
+        for phi in phis[1:]:
+            misses(phi)
+        assert misses(phis[0]) == first
 
 
 def _dec(q: F) -> Decimal:

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import prod
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -23,6 +23,17 @@ def v(d, j):
 
 def c(d, x):
     return Polynomial.constant(d, x)
+
+
+def test_terms_is_a_copy():
+    P = v(2, 1) - F(1, 2) * v(2, 2) + c(2, 3)
+    Q = v(2, 1) - F(1, 2) * v(2, 2) + c(2, 3)
+    before = hash(P)
+    terms = P.terms
+    terms[(0, 0)] = F(7)
+    terms[(5, 5)] = F(1)
+    assert P.terms == {(1, 0): 1, (0, 1): F(-1, 2), (0, 0): 3}
+    assert P == Q and hash(P) == hash(Q) == before
 
 
 class TestEval:
@@ -246,3 +257,38 @@ def test_power_makes_no_product_larger_than_its_result(monkeypatch):
     result = L**4
     assert len(result.terms) == 35
     assert sizes and max(sizes) <= 35
+
+
+def _assert_canonical(R):
+    assert R.den > 0
+    assert all(R.nums.values())
+    assert gcd(R.den, *R.nums.values()) == 1
+    S = Polynomial(R.dim, R.terms)
+    assert R == S and hash(R) == hash(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_result_is_in_the_one_stored_form(data):
+    d = data.draw(st.integers(1, 3))
+    P = data.draw(high_degree_polys(d))
+    Q = data.draw(high_degree_polys(d))
+    mu = data.draw(st.tuples(*[shifts] * d))
+    j = data.draw(st.integers(1, d))
+    there_and_back = taylor_shift(taylor_shift(P, mu), tuple(-m for m in mu))
+    assert there_and_back == P
+    results = [
+        P + Q,
+        P - Q,
+        P - P,
+        P * Q,
+        P.scale(data.draw(rational)),
+        P.partial(j),
+        substitute_coord(P, j, mu[j - 1]),
+        there_and_back,
+    ]
+    if not P.is_zero():
+        lin = Polynomial.variable(d, j) + Polynomial.constant(d, mu[j - 1])
+        results.append(factor_out(lin**2 * P, j, mu[j - 1])[1])
+    for R in results:
+        _assert_canonical(R)

@@ -55,11 +55,15 @@ def test_traced_benchmark_names_resolve():
 
 
 # The exact inner loops run on Python ints over one common denominator; a
-# Fraction there would cost a gcd on every multiply and add again.  Each
-# module converts to and from Fraction outside these loops.
+# Fraction there would cost a gcd on every multiply and add again.  A
+# Polynomial stores its numerators over its denominator, so its kernels read
+# and write ints only; theta converts a DistExpr's Fractions outside its loops.
 INTEGER_KERNELS = [
     ("poly.py", "_shift_coord"),
+    ("poly.py", "Polynomial.__add__"),
     ("poly.py", "Polynomial.__mul__"),
+    ("poly.py", "Polynomial.partial"),
+    ("poly.py", "substitute_coord"),
     ("theta.py", "_theta_step"),
     ("theta.py", "apply_polynomial"),
 ]
@@ -89,6 +93,30 @@ def test_integer_kernels_do_not_name_fraction(module, qualname):
         or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
     )
     assert not named, f"{module}:{qualname} names Fraction in a loop at lines {named}"
+
+
+def test_poly_validates_only_in_its_public_constructors():
+    # Results built inside poly.py are already in the stored form: they go
+    # through _make, and only zero, constant and variable take the validating
+    # Polynomial(dim, terms) path.
+    tree = ast.parse((SRC / "poly.py").read_text(), filename="poly.py")
+
+    def calls(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)
+            and n.func.id in ("Polynomial", "cls")
+        ]
+
+    public = [
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name in ("zero", "constant", "variable")
+    ]
+    assert len(public) == 3
+    assert all(calls(fn) for fn in public)
+    assert len(calls(tree)) == sum(len(calls(fn)) for fn in public)
 
 
 def test_third_party_imports_are_the_runtime_dependencies():

@@ -352,6 +352,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _PARSER = _build_parser()
 
+# Errors in the input, not in the program: exit 2; every other error exits 3.
+_USAGE_ERRORS = (
+    ParseError,
+    CoordinateConflict,
+    DimensionError,
+    FloatOverflow,
+    InputTooLarge,
+    ZeroPolynomial,
+)
+
+
+def _write_error(name: str, message: str, **extra) -> None:
+    err = {"type": name, "message": message, **extra}
+    sys.stdout.write(_json({"error": err}) + "\n")
+
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
@@ -369,26 +384,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.grid is None:
                 args.grid = 4096 if args.dim == 1 else 512
         return args.func(args)
-    except (
-        ParseError,
-        CoordinateConflict,
-        DimensionError,
-        FloatOverflow,
-        InputTooLarge,
-        ZeroPolynomial,
-    ) as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        if isinstance(exc, ParseError):
-            err["error"]["position"] = exc.position
-        sys.stdout.write(_json(err) + "\n")
-        return 2
     except EulerDistError as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(_json(err) + "\n")
-        return 3
+        extra = {"position": exc.position} if isinstance(exc, ParseError) else {}
+        _write_error(type(exc).__name__, str(exc), **extra)
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 3
     except Exception as exc:  # pragma: no cover - defensive
-        err = {"error": {"type": "InternalError", "message": str(exc)}}
-        sys.stdout.write(_json(err) + "\n")
+        _write_error("InternalError", str(exc))
         return 3
 
 

@@ -44,6 +44,7 @@ from .atoms import (
 from .errors import (
     DimensionError,
     EscalationExceeded,
+    InputTooLarge,
     UnsupportedInput,
     ZeroPolynomial,
 )
@@ -54,7 +55,7 @@ from .poly import (
     taylor_shift,
     vanishing_order,
 )
-from .theta import apply_polynomial, apply_theta, equal
+from .theta import MAX_TERMS, apply_polynomial, apply_theta, equal
 
 TraceEvent = tuple
 
@@ -77,7 +78,7 @@ def verify(P: Polynomial, U: DistExpr, T: DistExpr) -> bool:
 
 def _solve_log_system(
     S: Polynomial, p_exp: tuple[int, ...], gamma: tuple[int, ...]
-) -> Polynomial:
+) -> dict[tuple[int, ...], Fraction]:
     """Solve S(d) u = z^p by division by the grlex-smallest term z^gamma of S.
 
     S is the Taylor shift P(z + mu), so gamma is the witness of
@@ -124,7 +125,7 @@ def _solve_log_system(
                     rem[m] = Fraction(0)
                     heappush(heap, pops_first(m))
                 rem[m] -= c * s * f
-    return Polynomial(S.dim, u)
+    return u
 
 
 def _log_class(factors: tuple[Atom1D, ...]) -> tuple[tuple[int, int], ...]:
@@ -159,7 +160,7 @@ def solve_continuous_term(
     d = len(key)
     S = taylor_shift(P, eigenvalue(ts[0][0]))
     v, gamma = vanishing_order(S, (0,) * d)
-    u = _solve_log_system(S, tuple(p for _, p in key), gamma).terms
+    u = _solve_log_system(S, tuple(p for _, p in key), gamma)
     terms = [
         (tuple(MonLog(a.n, qj, a.s) for a, qj in zip(f, q)), c * tc)
         for f, tc in ts
@@ -186,51 +187,45 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
     span{Delta(i), i <= k} + span{MonLog(-(k+1), q, s)}.  The Delta(k)
     component is inverted through the finite part MonLog(-(k+1), 0, +1),
     whose theta-corrections (read from apply_theta) are compensated on the
-    lower deltas.
+    lower deltas.  Each term of V is inverted on its own; dist merges the
+    results.
     """
     if not 1 <= j <= V.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{V.dim}")
     m0 = MonLog(-(k + 1), 0, 1)
     # (theta_j + k + 1) m0 = sum_{i <= k} corr[Delta(i)] Delta(i).
     corr = {a: c for c, a in apply_theta(m0) if isinstance(a, Delta)}
-    groups: dict[tuple[Atom1D, ...], dict[Atom1D, Fraction]] = {}
+    out_terms: list[Term] = []
     for f, c in V.terms:
+        _check_held(out_terms)
         a = f[j - 1]
-        ok = (isinstance(a, Delta) and a.k <= k) or (
-            isinstance(a, MonLog) and a.n == -(k + 1)
-        )
-        if not ok:
+        if isinstance(a, MonLog) and a.n == -(k + 1):
+            # Log lift: (theta_j + k + 1) M(q+1, s) = (q+1) M(q, s), q+1 >= 1.
+            w = [(MonLog(a.n, a.p + 1, a.s), c / (a.p + 1))]
+        elif isinstance(a, Delta) and a.k == k:
+            # Delta(k) is reached only through the corrections of M(0, +1),
+            # which the lower deltas compensate.
+            a0 = c / corr[a]
+            w = [(m0, a0)]
+            w += [(Delta(i), -a0 * corr[Delta(i)] / (k - i)) for i in range(k)]
+        elif isinstance(a, Delta) and a.k < k:
+            # Lower deltas: eigen-division.
+            w = [(a, c / (k - a.k))]
+        else:
             raise UnsupportedInput(
                 f"factor {a} in coordinate {j} is outside the resonant subspace"
             )
-        rest = f[: j - 1] + f[j:]
-        g = groups.setdefault(rest, {})
-        g[a] = g.get(a, Fraction(0)) + c
-    out_terms = []
-    for rest, comp in groups.items():
-        w: dict[Atom1D, Fraction] = {}
-        # Log lifts: (theta_j + k + 1) M(q+1, s) = (q+1) M(q, s), q+1 >= 1.
-        for a, c in comp.items():
-            if isinstance(a, MonLog):
-                w[MonLog(a.n, a.p + 1, a.s)] = (
-                    w.get(MonLog(a.n, a.p + 1, a.s), Fraction(0)) + c / (a.p + 1)
-                )
-        # Delta(k) is reached only through the corrections of M(0, +1).
-        a0 = comp.get(Delta(k), Fraction(0)) / corr[Delta(k)]
-        if a0 != 0:
-            w[m0] = w.get(m0, Fraction(0)) + a0
-        # Lower deltas: eigen-division after compensating the corrections.
-        for i in range(k):
-            vi = comp.get(Delta(i), Fraction(0))
-            ci = (vi - a0 * corr[Delta(i)]) / (k - i)
-            if ci != 0:
-                w[Delta(i)] = w.get(Delta(i), Fraction(0)) + ci
-        for a, c in w.items():
-            out_terms.append((rest[: j - 1] + (a,) + rest[j - 1 :], c))
+        out_terms += [(f[: j - 1] + (b,) + f[j:], x) for b, x in w]
     return dist(V.dim, out_terms)
 
 
 # -- top-level solve ------------------------------------------------------
+
+
+def _check_held(terms: list[Term]) -> None:
+    """Refuse to hold more than MAX_TERMS terms of a solution."""
+    if len(terms) > MAX_TERMS:
+        raise InputTooLarge(f"a solution reaches over {MAX_TERMS} terms")
 
 
 def _solve(
@@ -260,13 +255,16 @@ def _solve(
         up, residual, v = solve_continuous_term(P, ts)
         esc[0] = max(esc[0], v)
         parts.extend(up.terms)
+        _check_held(parts)
         residuals.extend(residual.terms)
     for (j, k), ts in sorted(groups.items()):
         # A subsequence of a canonical T is canonical.
         sub = _solve_delta_group(P, j, k, DistExpr(T.dim, tuple(ts)), trace, esc)
         parts.extend(sub.terms)
+        _check_held(parts)
     if residuals:
         parts.extend(_solve(P, dist(T.dim, residuals), trace, esc).terms)
+        _check_held(parts)
     return dist(T.dim, parts)
 
 

@@ -12,6 +12,10 @@ sum_{i=0}^{-n-1} (1 / i!) Delta(i) for s = -1.  The corrections are fixed
 by the finite-part convention of the pairing oracle (split at |x| = 1,
 Taylor subtraction on the inner interval, s = -1 atoms defined by
 reflection); the oracle's adjoint-identity suite certifies every entry.
+
+In the basis Delta(k)/k! every correction is a sum of +-Delta(i)/i!, so
+theta has integer entries there: P(theta) is walked on integer numerators in
+that basis, with one table for all coordinates.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .atoms import Atom1D, Delta, DistExpr, MonLog, coeff_map, dist
-from .errors import DimensionError, TableEntryError
+from .errors import DimensionError, InputTooLarge, TableEntryError
 from .poly import Polynomial
 
-# theta on integer numerators: {factors: numerator} maps, and per atom the
-# (integer entry, atom) pairs of one coordinate's scaled table.
+# theta on integer numerators: {factors: numerator} maps.
 Numerators = dict[tuple[Atom1D, ...], int]
-IntTable = dict[Atom1D, list[tuple[int, Atom1D]]]
+# The most terms an expression held by the walk or the solver may have.
+MAX_TERMS = 2**13
 
 
 def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
@@ -47,53 +51,40 @@ def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
     return out
 
 
-def _int_tables(e: DistExpr) -> tuple[list[IntTable], list[int]]:
-    """Per coordinate j, the weight L_j and the theta-table scaled to integers.
+def _weight(factors: tuple[Atom1D, ...]) -> int:
+    """The product of k! over the Delta(k) factors: the walk holds each
+    Delta(k) as k! times the basis element Delta(k)/k!."""
+    return prod(factorial(a.k) for a in factors if isinstance(a, Delta))
 
-    L_j = (max(-n) - 1)! over the finite-part atoms MonLog(n <= -1, ., .)
-    that theta_j reaches from coordinate j of e (1 if there are none), so
-    every correction 1/i!, i < -n, becomes the integer L_j/i!.  A term over
-    weight w(f), the product of L_j over the coordinates where f holds a
-    Delta, moves to weight w(f) L_j when theta_j takes a MonLog to a Delta,
-    so that entry is multiplied by L_j (and divided by it the other way).
-    The table is read from apply_theta on every call.
-    """
-    rows: dict[Atom1D, list[tuple[Fraction, Atom1D]]] = {}
-    tables, weights = [], []
-    for j in range(e.dim):
-        reach = set()
-        todo = {f[j] for f, _ in e.terms}
-        while todo:
-            a = todo.pop()
-            reach.add(a)
-            if a not in rows:
-                rows[a] = apply_theta(a)
-            todo.update(b for _, b in rows[a] if b not in reach)
-        top = max((-a.n for a in reach if isinstance(a, MonLog) and a.n < 0), default=1)
-        L = factorial(top - 1)
-        wt = {a: L if isinstance(a, Delta) else 1 for a in reach}
-        table: IntTable = {}
-        for a in reach:
-            out = table[a] = []
-            for tc, b in rows[a]:
-                x, r = divmod(tc.numerator * wt[b], tc.denominator * wt[a])
-                if r:
-                    raise TableEntryError(
-                        f"theta-table entry {tc} for {a!r} -> {b!r} does not "
-                        f"scale to an integer with L = {L}"
-                    )
-                out.append((x, b))
-        tables.append(table)
-        weights.append(L)
-    return tables, weights
+
+class IntTable(dict):
+    """The theta-table in the basis Delta(k)/k!, one row per atom, read from
+    apply_theta when the walk first reaches the atom.  The entry a -> b is
+    the coefficient tc of b in theta a times w(b)/w(a), w = _weight: every
+    finite-part correction is +-1, and every other entry is an integer."""
+
+    def __missing__(self, a: Atom1D) -> list[tuple[int, Atom1D]]:
+        row = self[a] = []
+        for tc, b in apply_theta(a):
+            x, r = divmod(tc.numerator * _weight((b,)), tc.denominator * _weight((a,)))
+            if r:
+                raise TableEntryError(
+                    f"theta-table entry {tc} for {a!r} -> {b!r} is no integer "
+                    f"in the basis Delta(k)/k!"
+                )
+            row.append((x, b))
+        return row
 
 
 def _theta_step(i: int, nums: Numerators, table: IntTable) -> Numerators:
-    """theta_(i+1) on a merged {factors: numerator} map (zero entries skipped)."""
+    """theta_(i+1) on a merged {factors: numerator} map (zero entries skipped);
+    a result of more than MAX_TERMS terms is refused as soon as it is held."""
     out: Numerators = {}
     for f, v in nums.items():
         if not v:
             continue
+        if len(out) > MAX_TERMS:
+            raise InputTooLarge(f"theta-action reaches over {MAX_TERMS} terms")
         head, tail = f[:i], f[i + 1 :]
         for tc, a in table[f[i]]:
             g = head + (a,) + tail
@@ -112,25 +103,22 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     coefficients multiply theta'-powers of e only, and the sum is sorted
     once.
 
-    The walk runs on integers: a term f of e is scaled by D_e w(f) (D_e the
-    common denominator of e, w(f) the weight of `_int_tables`), P is read
-    as its numerators over its denominator D_P, and each output term is one
-    Fraction over D_e D_P w(f).  Fractions enter and leave the walk only
-    here and in `_int_tables`.
+    The walk runs on integers, with each Delta(k) held as k! Delta(k)/k!: a
+    term f of e is scaled by D_e w(f) (D_e the common denominator of e,
+    w(f) the product of k! over the Delta(k) factors of f), P is read as its
+    numerators over its denominator D_P, and each output term is one
+    Fraction over D_e D_P w(f).  One table, shared by all coordinates and
+    filled as the walk reaches atoms, holds theta in that basis.
     """
     if P.dim != e.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {e.dim}")
     if P.is_zero() or e.is_zero():
         return DistExpr.zero(e.dim)
-    tables, weights = _int_tables(e)
-
-    def weight(f: tuple[Atom1D, ...]) -> int:
-        return prod(L for L, a in zip(weights, f) if isinstance(a, Delta))
-
+    table = IntTable()
     den_e = lcm(*(c.denominator for _, c in e.terms))
     start: Numerators = {}
     for f, c in e.terms:
-        start[f] = start.get(f, 0) + c.numerator * (den_e // c.denominator) * weight(f)
+        start[f] = start.get(f, 0) + c.numerator * (den_e // c.denominator) * _weight(f)
     # theta'^beta e, beta the exponents of coordinates 2..d.
     powers = {(0,) * (e.dim - 1): start}
 
@@ -144,7 +132,7 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
             beta = beta[:j] + (beta[j] - 1,) + beta[j + 1 :]
         val = powers[beta]
         for gamma, i in reversed(chain):
-            val = powers[gamma] = _theta_step(i, val, tables[i])
+            val = powers[gamma] = _theta_step(i, val, table)
         return val
 
     slices: dict[int, list[tuple[tuple[int, ...], int]]] = {}
@@ -154,12 +142,12 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     acc: Numerators = {}
     for k in range(max(slices), -1, -1):
         if acc:
-            acc = _theta_step(0, acc, tables[0])
+            acc = _theta_step(0, acc, table)
         for beta, c in slices.get(k, ()):
             for f, v in theta_power(beta).items():
                 acc[f] = acc.get(f, 0) + c * v
     den = den_e * P.den
-    return dist(e.dim, ((f, Fraction(v, den * weight(f))) for f, v in acc.items() if v))
+    return dist(e.dim, ((f, Fraction(v, den * _weight(f))) for f, v in acc.items() if v))
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:

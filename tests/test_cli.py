@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eulerdist import cli
+from eulerdist import cli, errors, solver, theta
 from eulerdist.cli import main
 
 
@@ -484,6 +484,43 @@ class TestInputLimits:
             assert "log(x3)^5" in json.loads(out)["outputs"]["solution"]
 
     @pytest.mark.parametrize(
+        "module, message",
+        [(theta, "theta-action"), (solver, "a solution")],
+        ids=["walk", "solver"],
+    )
+    def test_term_bound_is_kept_by_the_walk_and_the_solver(
+        self, capsys, monkeypatch, module, message
+    ):
+        # The solution has 9 * 9 = 81 terms: the solver holds them, and
+        # verifying it walks as many.  Either side refuses them past its bound.
+        argv = ["solve", "-P", "(t1+9)*(t2+9)", "-T", "delta(x1,8)*delta(x2,8)"]
+        assert run(capsys, *argv, "-d", "2")[0] == 0
+        monkeypatch.setattr(module, "MAX_TERMS", 40)
+        code, out = run(capsys, *argv, "-d", "2")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InputTooLarge",
+            "message": f"{message} reaches over 40 terms",
+        }
+
+    @pytest.mark.parametrize(
+        "P, T",
+        [
+            ("t1*t2+1", "x1^-160*x2^-160*H(x1)*H(x2)"),
+            ("(t1+201)*(t2+201)", "delta(x1,200)*delta(x2,200)"),
+        ],
+        ids=["finite-parts", "resonant-deltas"],
+    )
+    def test_deep_orders_in_two_coordinates_are_a_quick_usage_error(self, capsys, P, T):
+        # 160^2 delta terms in the residual, 201^2 terms in the solution:
+        # both are over theta.MAX_TERMS.
+        start = time.monotonic()
+        code, out = run(capsys, "solve", "-P", P, "-T", T, "-d", "2")
+        assert time.monotonic() - start < 5.0
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InputTooLarge"
+
+    @pytest.mark.parametrize(
         "P, T, d",
         [
             ("+".join(f"t{j}" for j in range(1, 10)), "log(x1)^8*H(x1)", "9"),
@@ -524,6 +561,45 @@ class TestInputLimits:
         # (1 - theta^2)(1/2 x^-1 H) = delta; read as t1^2 + 1, the
         # solution would be 1/2*delta(x1,0).
         assert json.loads(out)["outputs"]["solution"] == "1/2*x1^-1*H(x1)"
+
+
+_EXIT_CODES = {
+    errors.EulerDistError("base"): 3,
+    errors.DimensionError("dim"): 2,
+    errors.ZeroPolynomial("zero"): 2,
+    errors.UnsupportedInput("unsupported"): 3,
+    errors.EscalationExceeded("escalated"): 3,
+    errors.TableEntryError("entry 1/7"): 3,
+    errors.QuadratureNoConvergence("no convergence"): 3,
+    errors.FloatOverflow("overflow"): 2,
+    errors.InputTooLarge("too large"): 2,
+    errors.ParseError("unexpected token", 4): 2,
+    errors.CoordinateConflict("conflict"): 2,
+}
+
+
+def test_every_error_type_has_an_exit_code_case():
+    types = {
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.EulerDistError)
+    }
+    assert {type(e) for e in _EXIT_CODES} == types
+
+
+@pytest.mark.parametrize(
+    "exc, code", _EXIT_CODES.items(), ids=lambda x: type(x).__name__
+)
+def test_typed_error_report_and_exit_code(capsys, monkeypatch, exc, code):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse_poly", fail)
+    got, out = run(capsys, "solve", "-P", "t1", "-T", "H(x1)", "-d", "1")
+    assert got == code
+    err = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, errors.ParseError):
+        err["position"] = 4
+    assert out == json.dumps({"error": err}, indent=2) + "\n"
 
 
 class TestOracleSuiteCommand:

@@ -220,7 +220,7 @@ def test_log_system_division_matches_elimination(system):
     S, p = system
     v, gamma = vanishing_order(S, (0,) * S.dim)
     u = _solve_log_system(S, p, gamma)
-    assert u == _reference_log_system(S, p, v)
+    assert u == _reference_log_system(S, p, v).terms
 
 
 def _log_power(factors):

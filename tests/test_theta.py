@@ -84,8 +84,9 @@ class TestApplyPolynomial:
         assert apply_polynomial(P, e).is_zero()
 
     def test_entry_that_is_no_integer_over_its_weight_raises(self, monkeypatch):
-        # The walk scales theta x^-3 H(x)'s corrections by L = 2!; a 1/7
-        # correction would have to be truncated, so it is refused.
+        # The walk holds Delta(2) as 2! Delta(2)/2!, so theta x^-3 H(x)'s
+        # correction to Delta(2) becomes 2! * 1/7 there, no integer: it would
+        # have to be truncated, so it is refused.
         right = theta.apply_theta
         bad = MonLog(-3, 0, 1)
 
@@ -102,6 +103,33 @@ class TestApplyPolynomial:
             solve(P, single((Delta(2),)))
         # A walk that never reaches the entry is unaffected.
         assert apply_polynomial(P, other) == before
+
+
+class TestIntTable:
+    """theta in the basis Delta(k)/k!: all entries are integers."""
+
+    finite_parts = [
+        MonLog(n, p, s) for n in range(-12, 0) for p in (0, 1) for s in (1, -1)
+    ]
+    deltas = [Delta(k) for k in range(12)]
+
+    def test_every_entry_is_an_int(self):
+        table = theta.IntTable()
+        for a in self.finite_parts + self.deltas:
+            assert all(type(x) is int for x, _ in table[a])
+
+    def test_finite_part_corrections_are_plus_or_minus_one(self):
+        # The sign is (-1)^i on the right half-line and + on the left.
+        table = theta.IntTable()
+        for a in self.finite_parts:
+            got = {b: x for x, b in table[a] if isinstance(b, Delta)}
+            want = {Delta(i): (-1) ** i if a.s == 1 else 1 for i in range(-a.n)}
+            assert got == (want if a.p == 0 else {})
+
+    def test_delta_eigenvalue(self):
+        table = theta.IntTable()
+        for a in self.deltas:
+            assert table[a] == [(-(a.k + 1), a)]
 
 
 class TestEqual:

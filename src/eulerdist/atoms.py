@@ -142,5 +142,6 @@ def dist(dim: int, terms: Iterable[Term]) -> DistExpr:
 
 
 def single(atoms: Sequence[Atom1D], coeff: RationalLike = 1) -> DistExpr:
-    """Expression with one tensor term."""
-    return dist(len(atoms), [(tuple(atoms), Fraction(coeff))])
+    """Expression with one tensor term; already canonical."""
+    c = Fraction(coeff)
+    return DistExpr(len(atoms), ((tuple(atoms), c),) if c else ())

@@ -31,6 +31,15 @@ class GaussPoly:
         if self.width <= 0:
             raise ValueError(f"width must be positive, got {self.width}")
 
+    def __hash__(self) -> int:
+        # Computed once, as Polynomial's: the oracle looks its test
+        # function up by value on every pairing.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.poly, self.center, self.width))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def dim(self) -> int:
         return self.poly.dim

@@ -11,13 +11,18 @@ point is fixed at |x| = 1.  Left half-line atoms pair through the
 reflection x -> -x.  Atoms with n >= 0 pair by absolutely convergent
 integrals, and Delta(k) pairs as (-1)^k phi^(k)(0).
 
-Numerically, every 1-D slice pairing reduces to one cached moment
-(_moment): the finite part of int_0^inf x^m log^p x e^{-(x-c)^2/w^2} dx.  The
-inner interval [0, 1] is a convergent power series (the Taylor coefficients
-of the Gaussian are an explicit two-term recurrence, and int_0^1 x^m log^p x
-dx = (-1)^p p! / (m+1)^{p+1}); the outer interval is a fixed Gauss-Legendre
-rule on panels [x, x + min(x, w)] up to a Gaussian-decay cutoff, run at two
-node counts whose difference is the error estimate.
+Numerically, every 1-D slice pairing reduces to one moment (_moment): the
+finite part of int_0^inf x^m log^p x e^{-(x-c)^2/w^2} dx.  The inner
+interval [0, 1] is a convergent power series (the Taylor coefficients of the
+Gaussian are an explicit two-term recurrence, and int_0^1 x^m log^p x dx =
+(-1)^p p! / (m+1)^{p+1}); the outer interval is a fixed Gauss-Legendre rule
+on panels [x, x + min(x, w)] up to a Gaussian-decay cutoff, run at two node
+counts whose difference is the error estimate.
+
+Each slice e^{-(x-c)^2/w^2} keeps its Taylor table and one dict of the
+moments asked of it, keyed by (m, p).  pair resolves its test function once
+(_test): the monomials, and per coordinate the slices of c and -c, so the
+inner loop looks moments up by small integer keys.
 """
 
 from __future__ import annotations
@@ -40,26 +45,56 @@ _SERIES_CAP = 800
 # Gauss-Legendre nodes and weights on [-1, 1]: the rule and its half.
 _RULES = [np.polynomial.legendre.leggauss(n) for n in (32, 16)]
 # The caches hold the last few test functions: a sweep of atoms against one
-# phi uses 2 slices (c and -c), about 54 moments and 27 pairs (m, p), the
-# oracle-suite 3 phis and 6 slices.  Kept longer, an entry only makes the
-# cost of a later pairing depend on which test functions came before it.
+# phi uses 2 slices (c and -c), each with a dict of the moments asked of it,
+# about 27 pairs (m, p) in all; the oracle-suite uses 3 phis and 6 slices.
+# A slice's moments go with it.  Kept longer, an entry only makes the cost
+# of a later pairing depend on which test functions came before it.
 _SLICES = 16
-_MOMENTS = 512
 _POWERS = 64
+# (-1)^k: the Taylor table of e^{-(x+c)^2/w^2} is that of e^{-(x-c)^2/w^2}
+# times these, bit for bit, as the recurrence is odd in c.
+_SIGNS = np.resize([1.0, -1.0], _SERIES_CAP)
+
+
+class _Slice(dict):
+    """One 1-D slice e^{-(x-c)^2/w^2} of test functions: its Taylor table
+    at 0, the table's length without the zeros it ends in, and the moments
+    (_moment) asked of it so far, keyed by (m, p)."""
+
+    def __init__(self, c: Fraction, w: Fraction, table: np.ndarray, length: int):
+        super().__init__()
+        self.c, self.w, self.table, self.length = c, w, table, length
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[float, float]:
+        value = self[key] = _moment(*key, self.c, self.w)
+        return value
 
 
 @lru_cache(maxsize=_SLICES)
+def _slice(c: Fraction, w: Fraction) -> _Slice:
+    """The slice of (c, w); for c < 0 its table is read off that of -c."""
+    if c < 0:
+        mirror = _slice(-c, w)
+        table = mirror.table * _SIGNS
+        table.flags.writeable = False
+        return _Slice(c, w, table, mirror.length)
+    return _Slice(c, w, *_taylor(c, w))
+
+
 def _taylor(c: Fraction, w: Fraction) -> tuple[np.ndarray, int]:
     """First _SERIES_CAP Taylor coefficients at 0 of e^{-(x-c)^2/w^2}, and
     the length of the table without the zeros it ends in: the recurrence
     underflows after a few hundred terms."""
     a, b = float(2 * c / w**2), float(1 / w**2)
-    # e^{a x - b x^2}: (k+1) f_{k+1} = a f_k - 2 b f_{k-1}
+    # e^{a x - b x^2}: (k+1) f_{k+1} = a f_k - 2 b f_{k-1}; past two zeros in
+    # a row every term is zero.
     f = [1.0, a]
-    for k in range(1, _SERIES_CAP - 1):
+    while len(f) < _SERIES_CAP and (f[-1] or f[-2]):
+        k = len(f) - 1
         f.append((a * f[k] - 2.0 * b * f[k - 1]) / (k + 1))
-    table = exp(-float(c * c / w**2)) * np.array(f)
-    table.flags.writeable = False  # the cache hands this array to every caller
+    table = np.zeros(_SERIES_CAP)
+    table[: len(f)] = exp(-float(c * c / w**2)) * np.array(f)
+    table.flags.writeable = False  # the slice hands this array to every caller
     nonzero = np.flatnonzero(table)
     return table, int(nonzero[-1]) + 1 if nonzero.size else 0
 
@@ -98,12 +133,13 @@ def _panels(c: float, w: float) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]
     return half, nodes
 
 
-@lru_cache(maxsize=_MOMENTS)
 def _moment(m: int, p: int, c: Fraction, w: Fraction) -> tuple[float, float]:
     """Finite part of int_0^inf x^m log^p x e^{-(x-c)^2/w^2} dx, and its
-    error estimate.  On [0, 1]: sum_{i >= -m} f_i int_0^1 x^(m+i) log^p x dx."""
+    error estimate.  On [0, 1]: sum_{i >= -m} f_i int_0^1 x^(m+i) log^p x dx.
+    Uncached: each slice keeps the moments asked of it."""
     i, weights = _series_weights(m, p)
-    table, length = _taylor(c, w)
+    sl = _slice(c, w)
+    table, length = sl.table, sl.length
     series = table[i] * weights
     # Past the table's length every term is zero; fsum reads a list faster
     # than an array.
@@ -129,19 +165,31 @@ def _series_weights(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return i, weights
 
 
-def _pair1d(atom: Atom1D, a: int, c: Fraction, w: Fraction) -> tuple[float, float]:
-    """Pair one atom against x^a e^{-(x-c)^2/w^2}; returns (value, error)."""
+def _pair1d(atom: Atom1D, a: int, right: _Slice, left: _Slice) -> tuple[float, float]:
+    """Pair one atom against x^a e^{-(x-c)^2/w^2}, given the slices of c
+    (right) and -c (left); returns (value, error)."""
     if isinstance(atom, Delta):
         # (-1)^k d^k/dx^k [x^a g](0) = (-1)^k k! f_{k-a}
         if atom.k < a:
             return 0.0, 0.0
-        v = (-1) ** atom.k * factorial(atom.k) * float(_taylor(c, w)[0][atom.k - a])
+        v = (-1) ** atom.k * factorial(atom.k) * float(right.table[atom.k - a])
         return v, 1e-15 * abs(v)
     if atom.s == 1:
-        return _moment(atom.n + a, atom.p, c, w)
+        return right[atom.n + a, atom.p]
     # Through the reflection x -> -x: x^a g(-x) = (-1)^a x^a e^{-(x+c)^2/w^2}.
-    v, err = _moment(atom.n + a, atom.p, -c, w)
+    v, err = left[atom.n + a, atom.p]
     return (-v if a % 2 else v), err
+
+
+@lru_cache(maxsize=_SLICES)
+def _test(
+    phi: GaussPoly,
+) -> tuple[list[tuple[tuple[int, ...], Fraction, float]], list[tuple[_Slice, _Slice]]]:
+    """phi resolved for pair: its monomials in grlex order, each coefficient
+    also as a float, and the (right, left) slices of each coordinate."""
+    monomials = [(alpha, pc, float(pc)) for alpha, pc in phi.poly.sorted_terms()]
+    slices = [(_slice(c, phi.width), _slice(-c, phi.width)) for c in phi.center]
+    return monomials, slices
 
 
 def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
@@ -156,13 +204,15 @@ def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
         raise ValueError(f"tolerance must be positive, got {tol}")
     total = 0.0
     total_err = 0.0
-    monomials = phi.poly.sorted_terms()
+    monomials, slices = _test(phi)
     for f, coeff in e.terms:
-        for alpha, pc in monomials:
-            val = float(coeff * pc)
+        one = coeff == 1
+        for alpha, pc, pc_float in monomials:
+            # 1 * pc is pc, so its float is the one stored.
+            val = pc_float if one else float(coeff * pc)
             err = 0.0
-            for atom, a, c in zip(f, alpha, phi.center):
-                v, er = _pair1d(atom, a, c, phi.width)
+            for atom, a, (right, left) in zip(f, alpha, slices):
+                v, er = _pair1d(atom, a, right, left)
                 err = err * abs(v) + abs(val) * er
                 val *= v
             total += val

@@ -55,7 +55,7 @@ from .poly import (
     taylor_shift,
     vanishing_order,
 )
-from .theta import MAX_TERMS, apply_polynomial, apply_theta, equal
+from .theta import MAX_TERMS, IntTable, apply_polynomial, equal
 
 TraceEvent = tuple
 
@@ -186,15 +186,24 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
     Every term of V must carry, in coordinate j, an atom from
     span{Delta(i), i <= k} + span{MonLog(-(k+1), q, s)}.  The Delta(k)
     component is inverted through the finite part MonLog(-(k+1), 0, +1),
-    whose theta-corrections (read from apply_theta) are compensated on the
-    lower deltas.  Each term of V is inverted on its own; dist merges the
+    whose theta-corrections (read from the theta-table) are compensated on
+    the lower deltas.  Each term of V is inverted on its own; dist merges the
     results.
     """
     if not 1 <= j <= V.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{V.dim}")
     m0 = MonLog(-(k + 1), 0, 1)
-    # (theta_j + k + 1) m0 = sum_{i <= k} corr[Delta(i)] Delta(i).
-    corr = {a: c for c, a in apply_theta(m0) if isinstance(a, Delta)}
+    # (theta_j + k + 1) m0 = sum_{i <= k} e_i Delta(i)/i!, e_i = +-1: the
+    # table's row of m0 in the basis Delta(i)/i!.
+    e = {b.k: x for x, b in IntTable()[m0] if isinstance(b, Delta)}
+    # Delta(k) = (theta_j + k + 1) W, W = a0 m0 + sum_{i < k} b_i Delta(i),
+    # needs a0 = k!/e_k and b_i = -a0 e_i/(i! (k - i)) = -e_i r_i/(e_k (k - i))
+    # with r_i = k!/i!, built downwards from r_k = 1 in integers.
+    r = [1] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        r[i] = r[i + 1] * (i + 1)
+    a0 = Fraction(r[0], e[k])
+    lower = [(Delta(i), Fraction(-e[i] * r[i], e[k] * (k - i))) for i in range(k)]
     out_terms: list[Term] = []
     for f, c in V.terms:
         _check_held(out_terms)
@@ -205,9 +214,7 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
         elif isinstance(a, Delta) and a.k == k:
             # Delta(k) is reached only through the corrections of M(0, +1),
             # which the lower deltas compensate.
-            a0 = c / corr[a]
-            w = [(m0, a0)]
-            w += [(Delta(i), -a0 * corr[Delta(i)] / (k - i)) for i in range(k)]
+            w = [(m0, c * a0)] + [(b, c * x) for b, x in lower]
         elif isinstance(a, Delta) and a.k < k:
             # Lower deltas: eigen-division.
             w = [(a, c / (k - a.k))]

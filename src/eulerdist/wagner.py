@@ -203,9 +203,9 @@ def _pair_on_axes(
 ) -> float:
     """The trapezoid sum of pair_E, one axis at a time.
 
-    Per lambda_j and axis k, F_k[xi, g] transforms x^g e^{beta_k x}
+    Per lambda_j and axis k, F_k[g, xi] transforms x^g e^{beta_k x}
     e^{-(x-c_k)^2/w^2} with the trapezoid weights folded in, and
-    M_k[a][g] = sum_xi (beta_k - i xi)^a F_k[xi, g] for the exponents a
+    M_k[a][g] = sum_xi (beta_k - i xi)^a F_k[g, xi] for the exponents a
     that occur on axis k in P.  The xi-sum is then
     sum over (gamma, c) in P and (alpha, p) in phi of
     c p prod_k M_k[gamma_k][alpha_k].
@@ -232,14 +232,18 @@ def _pair_on_axes(
             ck = float(phi.center[k])
             mu = ck + beta[k] * w2 / 2.0
             const = math.exp(beta[k] * ck + beta[k] * beta[k] * w2 / 4.0)
-            F = _gauss_ft_1d(top[k], mu, w, xi) * (const * weights)[:, None]
+            # One row per power g, so each row sum below runs over contiguous xi.
+            F = np.ascontiguousarray(_gauss_ft_1d(top[k], mu, w, xi).T)
+            F *= const * weights
             z = beta[k] - 1j * xi
             # Each occurring power from the one before, not z**p afresh.
             zp, prev, Mk = np.ones(N), 0, {}
             for p in powers[k]:
                 if p > prev:
                     zp, prev = zp * _power(z, p - prev), p
-                Mk[p] = (zp @ F).tolist()
+                # einsum sums in a fixed order; a matrix product may go to a
+                # BLAS whose result depends on its thread count.
+                Mk[p] = np.einsum("gn,n->g", F, zp).tolist()
             M.append(Mk)
         s = sum(
             c * pc * math.prod(M[k][gamma[k]][alpha[k]] for k in range(d))

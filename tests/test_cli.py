@@ -204,6 +204,25 @@ class TestWagnerCommand:
         assert out.returncode in (0, 1)
         assert json.loads(out.stdout)["outputs"]["eta"] == [1] * 9
 
+    def test_report_does_not_depend_on_the_blas_thread_count(self):
+        # A multithreaded BLAS splits a matrix product's sums by its thread
+        # count, which moves the last bits of the residual; the pairing's
+        # sums run in a fixed order.
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = [
+            sys.executable, "-m", "eulerdist.cli", "wagner-check", "-P", "(t1+1)^40",
+            "--grid", "39900", "--cutoff", "1e-3", "--width", "1e-3",
+        ]
+        outs = [
+            subprocess.run(
+                argv, capture_output=True, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(n)),
+            ).stdout
+            for n in (1, 2)
+        ]
+        assert json.loads(outs[0])["checks"]
+        assert outs[0] == outs[1]
+
     def test_parse_error_without_dim_exit_2(self, capsys):
         code, out = run(capsys, "wagner-check", "-P", "t1 +")
         assert code == 2

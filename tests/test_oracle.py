@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
@@ -127,7 +128,7 @@ class TestAdjointCheck:
 class TestMoment:
     def test_largest_log_power_stays_in_float_range(self):
         # At p = 170, (m+i+1)^(p+1) overflows; p!/(m+i+1)^(p+1) does not.
-        oracle._moment.cache_clear()
+        _clear_caches()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, err = oracle._moment(-1, 170, F(0), F(1))
@@ -198,15 +199,21 @@ class TestCompareSymbolicNumeric:
         assert compare_symbolic_numeric(P, rep.solution, T, self.suite()) > 1e-3
 
 
+def _clear_caches():
+    """Forget every slice, with its moments, and every resolved test function."""
+    oracle._test.cache_clear()
+    oracle._slice.cache_clear()
+
+
 class TestPairingCache:
     def test_value_does_not_depend_on_an_earlier_tolerance(self):
         # A shifted finite-part atom: the outer quadrature does real work.
         phi = GaussPoly(Polynomial(1, {(0,): F(1), (2,): F(1)}), (F(2, 3),), F(5, 4))
         e = single((MonLog(-2, 1, 1),))
-        oracle._moment.cache_clear()
+        _clear_caches()
         pair(e, phi, tol=1e-3)
         after_loose = pair(e, phi, tol=1e-12)
-        oracle._moment.cache_clear()
+        _clear_caches()
         fresh = pair(e, phi, tol=1e-12)
         assert after_loose == fresh
 
@@ -223,7 +230,7 @@ class TestPairingCache:
     def test_moment_equals_the_plain_computation(self, m, p, c, w):
         # The shared slices and weights change no arithmetic: the plain
         # per-moment computation must give the same floats.
-        oracle._moment.cache_clear()
+        _clear_caches()
         cf, wf = float(c), float(w)
         cutoff = max(2.0, cf + 7.0 * wf, 1.0 + 7.0 * wf)
         edges = [1.0]
@@ -245,26 +252,136 @@ class TestPairingCache:
             inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
         )
 
-    def test_cost_does_not_depend_on_test_functions_long_gone(self):
+    def test_cost_does_not_depend_on_test_functions_long_gone(self, monkeypatch):
         # The cache covers a sweep of atoms against one test function, but
-        # twenty test functions later that one is computed afresh.
+        # twenty test functions later that one is computed afresh.  Each
+        # fresh moment calls quad once, so its calls count the misses.
         atoms = [Delta(k) for k in range(3)] + [
             MonLog(n, p, s) for n in range(-2, 3) for p in range(3) for s in (1, -1)
         ]
+        calls = []
+        quad = oracle.quad
+
+        def counted(*args):
+            calls.append(args)
+            return quad(*args)
+
+        monkeypatch.setattr(oracle, "quad", counted)
 
         def misses(phi):
-            before = oracle._moment.cache_info().misses
+            before = len(calls)
             for a in atoms:
                 adjoint_check(a, phi)
-            return oracle._moment.cache_info().misses - before
+            return len(calls) - before
 
         phis = [GaussPoly.gaussian(1, (F(k, 7),), F(1)) for k in range(1, 21)]
-        oracle._moment.cache_clear()
+        _clear_caches()
         first = misses(phis[0])
         assert first > 0 and misses(phis[0]) == 0
         for phi in phis[1:]:
             misses(phi)
         assert misses(phis[0]) == first
+
+
+def _reference_pair(e: DistExpr, phi: GaussPoly) -> float:
+    """pair's sum as a plain loop: terms x monomials x coordinates, each
+    factor from the uncached _moment or the Taylor table."""
+    total = 0.0
+    for f, coeff in e.terms:
+        for alpha, pc in phi.poly.sorted_terms():
+            val = float(coeff * pc)
+            for atom, a, c in zip(f, alpha, phi.center):
+                if isinstance(atom, Delta):
+                    k, table = atom.k, oracle._taylor(c, phi.width)[0]
+                    v = 0.0
+                    if k >= a:
+                        v = (-1) ** k * math.factorial(k) * float(table[k - a])
+                elif atom.s == 1:
+                    v = oracle._moment(atom.n + a, atom.p, c, phi.width)[0]
+                else:
+                    v = oracle._moment(atom.n + a, atom.p, -c, phi.width)[0]
+                    v = -v if a % 2 else v
+                val *= v
+            total += val
+    return total
+
+
+_ATOMS = st.one_of(
+    st.builds(Delta, st.integers(0, 3)),
+    st.builds(MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from([1, -1])),
+)
+_COEFFS = st.fractions(-5, 5, max_denominator=7).filter(bool)
+
+
+@st.composite
+def _expr_and_phi(draw):
+    d = draw(st.integers(1, 3))
+    terms = draw(
+        st.lists(st.tuples(st.tuples(*[_ATOMS] * d), _COEFFS), min_size=1, max_size=4)
+    )
+    monomials = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * d), _COEFFS, min_size=1, max_size=4
+        )
+    )
+    center = tuple(draw(st.fractions(-1, 1, max_denominator=9)) for _ in range(d))
+    width = draw(st.fractions(F(1, 2), 2, max_denominator=9))
+    return dist(d, terms), GaussPoly(Polynomial(d, monomials), center, width)
+
+
+class TestFloatsPinned:
+    @settings(max_examples=60, deadline=None)
+    @given(_expr_and_phi())
+    def test_pair_equals_the_plain_loop(self, e_phi):
+        # Bit for bit: the cached slices and resolved test functions change
+        # no arithmetic.  tol = 1 only keeps the error gate out of the way.
+        e, phi = e_phi
+        assert pair(e, phi, tol=1.0) == _reference_pair(e, phi)
+
+    # float.hex of each row residual of oracle-suite --nmax 2 --pmax 2
+    # --kmax 2, as first computed.
+    SUITE_RESIDUALS = [
+        ("Delta(k=0)", "0x0.0p+0"),
+        ("Delta(k=1)", "0x0.0p+0"),
+        ("Delta(k=2)", "0x1.ad2098335aa10p-53"),
+        ("MonLog(n=-2, p=0, s=1)", "0x1.4000000000000p-52"),
+        ("MonLog(n=-2, p=0, s=-1)", "0x1.925f45a584647p-53"),
+        ("MonLog(n=-2, p=1, s=1)", "0x1.4000000000000p-52"),
+        ("MonLog(n=-2, p=1, s=-1)", "0x1.8000000000000p-52"),
+        ("MonLog(n=-2, p=2, s=1)", "0x1.75f609fb24d4cp-51"),
+        ("MonLog(n=-2, p=2, s=-1)", "0x1.0000000000000p-52"),
+        ("MonLog(n=-1, p=0, s=1)", "0x1.0000000000000p-51"),
+        ("MonLog(n=-1, p=0, s=-1)", "0x1.8d53f9304e2a6p-52"),
+        ("MonLog(n=-1, p=1, s=1)", "0x1.ee2b062de754fp-53"),
+        ("MonLog(n=-1, p=1, s=-1)", "0x1.34eeff5329897p-53"),
+        ("MonLog(n=-1, p=2, s=1)", "0x1.f6e342062bec9p-52"),
+        ("MonLog(n=-1, p=2, s=-1)", "0x1.0000000000000p-52"),
+        ("MonLog(n=0, p=0, s=1)", "0x1.0000000000000p-53"),
+        ("MonLog(n=0, p=0, s=-1)", "0x1.0000000000000p-53"),
+        ("MonLog(n=0, p=1, s=1)", "0x1.1aa6934ccfcf9p-53"),
+        ("MonLog(n=0, p=1, s=-1)", "0x1.0000000000000p-53"),
+        ("MonLog(n=0, p=2, s=1)", "0x1.2319b9a63d5c4p-50"),
+        ("MonLog(n=0, p=2, s=-1)", "0x1.263bbcda83a04p-52"),
+        ("MonLog(n=1, p=0, s=1)", "0x1.c000000000000p-51"),
+        ("MonLog(n=1, p=0, s=-1)", "0x1.c0fb696d1b333p-51"),
+        ("MonLog(n=1, p=1, s=1)", "0x1.8000000000000p-52"),
+        ("MonLog(n=1, p=1, s=-1)", "0x1.bea99026f0f8cp-52"),
+        ("MonLog(n=1, p=2, s=1)", "0x1.0000000000000p-52"),
+        ("MonLog(n=1, p=2, s=-1)", "0x1.3f5d24c852b4cp-51"),
+        ("MonLog(n=2, p=0, s=1)", "0x1.0082269fb9e84p-51"),
+        ("MonLog(n=2, p=0, s=-1)", "0x1.89e3fc65361b1p-53"),
+        ("MonLog(n=2, p=1, s=1)", "0x1.3f85b207de7d6p-52"),
+        ("MonLog(n=2, p=1, s=-1)", "0x1.5738b754ed269p-51"),
+        ("MonLog(n=2, p=2, s=1)", "0x1.365eb07c18ca1p-53"),
+        ("MonLog(n=2, p=2, s=-1)", "0x1.787af2b3d5613p-51"),
+    ]
+
+    def test_oracle_suite_residuals(self, capsys):
+        argv = ["oracle-suite", "--nmax", "2", "--pmax", "2", "--kmax", "2"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["outputs"]["rows"]
+        got = [(r["atom"], float(r["residual"]).hex()) for r in rows]
+        assert got == self.SUITE_RESIDUALS
 
 
 def _dec(q: F) -> Decimal:

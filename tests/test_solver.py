@@ -17,7 +17,7 @@ from eulerdist.solver import (
     solve_continuous_term,
     verify,
 )
-from eulerdist.theta import apply_polynomial
+from eulerdist.theta import apply_polynomial, apply_theta
 from paperchecks import full_monomial
 
 
@@ -389,6 +389,25 @@ class TestResonant1D:
             W = resonant_1d(1, k, single((Delta(k),)))
             P = zvar() + const(1, k + 1)
             assert apply_polynomial(P, W) == single((Delta(k),))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.fractions(-50, 50, max_denominator=30).filter(bool),
+        st.sampled_from([MonLog(1, 0, 1), MonLog(-2, 1, -1), Delta(3)]),
+    )
+    def test_delta_k_matches_the_fraction_formula(self, k, c, other):
+        # The coefficients as first written: a0 = c / corr_k and
+        # -a0 corr_i / (k - i) on Delta(i), with the corrections corr read
+        # from theta m0 as Fractions.
+        m0 = MonLog(-(k + 1), 0, 1)
+        corr = {a: x for x, a in apply_theta(m0) if isinstance(a, Delta)}
+        a0 = c / corr[Delta(k)]
+        want = [((other, m0), a0)] + [
+            ((other, Delta(i)), -a0 * corr[Delta(i)] / (k - i)) for i in range(k)
+        ]
+        W = resonant_1d(2, k, single((other, Delta(k)), c))
+        assert W == dist(2, want)
 
 
 class TestVerify:

@@ -177,6 +177,7 @@ def _cmd_oracle_suite(args) -> int:
 def _cmd_wagner_check(args) -> int:
     P = parse_poly(args.P, args.dim)
     d = P.dim
+    N = args.grid if args.grid is not None else 4096 if d == 1 else 512
     center = tuple(Fraction(v) for v in args.center.split(",")) if args.center else (
         Fraction(0),
     ) * d
@@ -184,10 +185,10 @@ def _cmd_wagner_check(args) -> int:
         raise DimensionError(f"center has {len(center)} entries for dimension {d}")
     phi = GaussPoly.gaussian(d, center, Fraction(args.width))
     params = WagnerParams.for_polynomial(P)
-    residual = me_check(P, params, phi, (args.grid, args.cutoff))
+    residual = me_check(P, params, phi, (N, args.cutoff))
     outputs = {
         "residual": residual,
-        "N": args.grid,
+        "N": N,
         "R": args.cutoff,
         "eta": list(params.eta),
         "lambda": _fraction_list(params.lam),
@@ -199,7 +200,7 @@ def _cmd_wagner_check(args) -> int:
         "d": d,
         "center": args.center or ",".join(["0"] * d),
         "width": args.width,
-        "grid": args.grid,
+        "grid": N,
         "cutoff": args.cutoff,
     }
     return _emit(_report("wagner-check", inputs, outputs, checks), args)
@@ -212,12 +213,13 @@ def _cmd_parse(args) -> int:
         key, text, parse, fmt = "P", args.P, parse_poly, format_poly
     else:
         key, text, parse, fmt = "T", args.T, parse_dist, format_dist
-    value = parse(text, args.dim)
+    dim = args.dim if args.dim is not None or key == "P" else 1
+    value = parse(text, dim)
     canonical = fmt(value)
     # Without -d a polynomial's dimension is its largest t<j>, which the
     # canonical text may no longer name (t2^0, 0*t3): re-parse at value.dim.
     ok = parse(canonical, value.dim) == value
-    inputs = {key: text, "d": args.dim}
+    inputs = {key: text, "d": dim}
     checks = [_check("round_trip", ok, ok, None)]
     return _emit(_report("parse", inputs, {"canonical": canonical}, checks), args)
 
@@ -375,14 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._t0 = time.monotonic()
-    if args.command == "parse" and args.dim is None:
-        args.dim = None if args.P is not None else 1
     try:
-        if args.command == "wagner-check":
-            if args.dim is None:
-                args.dim = parse_poly(args.P).dim
-            if args.grid is None:
-                args.grid = 4096 if args.dim == 1 else 512
         return args.func(args)
     except EulerDistError as exc:
         extra = {"position": exc.position} if isinstance(exc, ParseError) else {}

@@ -14,7 +14,7 @@ from math import exp
 from typing import Callable, Sequence
 
 from .errors import DimensionError
-from .poly import Polynomial, RationalLike
+from .poly import Polynomial, RationalLike, poly_sum
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,13 @@ def apply_transposed(
 ) -> GaussPoly:
     """sum_alpha c_alpha (-1)^|alpha| D^alpha phi, exactly, with the
     one-coordinate operators D_j = step(., j), which must commute."""
-    total = Polynomial.zero(P.dim)
+    if P.dim != phi.dim:
+        raise DimensionError(f"polynomial dim {P.dim} vs test function dim {phi.dim}")
+    images = []
     for alpha, c in P.sorted_terms():
         g = phi
         for j, a in enumerate(alpha, start=1):
             for _ in range(a):
                 g = step(g, j)
-        total = total + g.poly.scale(-c if sum(alpha) % 2 else c)
-    return phi.with_poly(total)
+        images.append(g.poly.scale(-c if sum(alpha) % 2 else c))
+    return phi.with_poly(poly_sum(P.dim, images))

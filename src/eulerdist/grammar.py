@@ -48,7 +48,7 @@ from typing import Iterable
 
 from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, dist
 from .errors import CoordinateConflict, DimensionError, InputTooLarge, ParseError
-from .poly import Polynomial
+from .poly import Polynomial, poly_sum
 
 # t1..t9 are the only variables the polynomial grammar can name.
 MAX_DIM = 9
@@ -220,16 +220,15 @@ def _poly_product(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
 
 
 def _poly_sum(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
-    """A sum of products, accumulated in one term map (linear in its length)."""
-    acc: dict[tuple[int, ...], Fraction] = {}
-    sign = 1
+    """A sum of products, added once by poly_sum (linear in its length)."""
+    parts = []
+    sign = "+"
     while True:
         p, i = _poly_product(tk, i, dim)
-        for alpha, c in p.terms.items():
-            acc[alpha] = acc.get(alpha, 0) + sign * c
-        if tk.toks[i] not in ("+", "-"):
-            return Polynomial(dim, acc), i
-        sign = 1 if tk.toks[i] == "+" else -1
+        parts.append(p if sign == "+" else -p)
+        sign = tk.toks[i]
+        if sign not in ("+", "-"):
+            return poly_sum(dim, parts), i
         i += 1
 
 

@@ -66,7 +66,7 @@ class _Slice(dict):
         self.c, self.w, self.table, self.length = c, w, table, length
 
     def __missing__(self, key: tuple[int, int]) -> tuple[float, float]:
-        value = self[key] = _moment(*key, self.c, self.w)
+        value = self[key] = _moment(*key, self)
         return value
 
 
@@ -133,12 +133,11 @@ def _panels(c: float, w: float) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]
     return half, nodes
 
 
-def _moment(m: int, p: int, c: Fraction, w: Fraction) -> tuple[float, float]:
-    """Finite part of int_0^inf x^m log^p x e^{-(x-c)^2/w^2} dx, and its
-    error estimate.  On [0, 1]: sum_{i >= -m} f_i int_0^1 x^(m+i) log^p x dx.
-    Uncached: each slice keeps the moments asked of it."""
+def _moment(m: int, p: int, sl: _Slice) -> tuple[float, float]:
+    """Finite part of int_0^inf x^m log^p x e^{-(x-c)^2/w^2} dx on the slice
+    sl of (c, w), and its error estimate.  On [0, 1]: sum_{i >= -m} f_i
+    int_0^1 x^(m+i) log^p x dx.  Uncached: each slice keeps its moments."""
     i, weights = _series_weights(m, p)
-    sl = _slice(c, w)
     table, length = sl.table, sl.length
     series = table[i] * weights
     # Past the table's length every term is zero; fsum reads a list faster
@@ -148,7 +147,7 @@ def _moment(m: int, p: int, c: Fraction, w: Fraction) -> tuple[float, float]:
         raise QuadratureNoConvergence(
             f"inner series for x^{m} log^{p} did not settle within {_SERIES_CAP} terms"
         )
-    outer, err = quad(m, p, float(c), float(w))
+    outer, err = quad(m, p, float(sl.c), float(sl.w))
     return inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
 
 

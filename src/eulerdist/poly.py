@@ -5,9 +5,10 @@ a map from exponent multi-indices (tuples of d nonnegative ints) to nonzero
 ints, over one denominator `den` > 0 with gcd(den, *nums) = 1: the content
 and primitive part of Knuth, TAOCP vol. 2, 4.6.1, so each polynomial has one
 stored form.  Every kernel runs on the numerators, not on Fractions, whose
-every operation costs a gcd, and `_make` reduces each result once.  `terms`
-gives the Fraction coefficients.  Term order is graded lexicographic and all
-printing/iteration is deterministic.
+every operation costs a gcd; `_make` reduces each result once, and every sum
+is one `poly_sum`.  `terms` gives the Fraction coefficients, read only where
+they are printed or turned into floats.  Term order is graded lexicographic;
+printing and iteration are deterministic.
 
 Coordinate indices in the public API are 1-based (j = 1..d).
 """
@@ -53,6 +54,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # For pickle and copy: __new__ takes terms, not the stored form.
+        return _make, (self.dim, self.nums, self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -130,13 +135,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        # Both sides over lcm(den, other.den).
-        g = gcd(self.den, other.den)
-        s1, s2 = other.den // g, self.den // g
-        out = {a: v * s1 for a, v in self.nums.items()}
-        for alpha, v in other.nums.items():
-            out[alpha] = out.get(alpha, 0) + v * s2
-        return _make(self.dim, out, self.den * s1)
+        return poly_sum(self.dim, (self, other))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -213,19 +212,25 @@ def _powers(x: int, n: int) -> list[int]:
 # -- module operations ----------------------------------------------------
 
 
+def poly_sum(dim: int, polys: Sequence[Polynomial]) -> Polynomial:
+    """The sum of polys, all of dimension dim: their numerators over the lcm
+    of their denominators, reduced once."""
+    den = lcm(*(P.den for P in polys))
+    out: dict[Exponent, int] = {}
+    for P in polys:
+        s = den // P.den
+        for alpha, v in P.nums.items():
+            out[alpha] = out.get(alpha, 0) + v * s
+    return _make(dim, out, den)
+
+
 def poly_eval(P: Polynomial, mu: Sequence[RationalLike]) -> Fraction:
-    """Exact evaluation of P at a rational point."""
-    entries = tuple(map(Fraction, mu))
-    if len(entries) != P.dim:
-        raise DimensionError(f"point has {len(entries)} entries, polynomial dim {P.dim}")
-    total = Fraction(0)
-    for alpha, c in P.terms.items():
-        v = c
-        for a, m in zip(alpha, entries):
-            if a:
-                v *= m**a
-        total += v
-    return total
+    """Exact evaluation of P at a rational point, one coordinate at a time."""
+    if len(mu) != P.dim:
+        raise DimensionError(f"point has {len(mu)} entries, polynomial dim {P.dim}")
+    for m in mu:
+        P = substitute_coord(P, 1, m)
+    return Fraction(P.nums.get((), 0), P.den)
 
 
 def substitute_coord(P: Polynomial, j: int, v: RationalLike) -> Polynomial:

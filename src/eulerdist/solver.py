@@ -96,14 +96,14 @@ def _solve_log_system(
     columns of one degree are the lex-initial monomials gamma + N^d of the
     multiples of S's lowest-order part.
     """
-    rest = S.terms
+    rest = dict(S.nums)  # S = nums / den: solve nums(d) u = den z^p
     lead = rest.pop(gamma)
 
     def pops_first(m: tuple[int, ...]) -> tuple:
         """Heap entry of m: grlex-larger monomials pop first."""
         return (-sum(m), tuple(-x for x in m), m)
 
-    rem = {p_exp: Fraction(1)}
+    rem = {p_exp: Fraction(S.den)}
     # Each new monomial is grlex-below the one being divided, so none is
     # pushed twice.
     heap = [pops_first(p_exp)]
@@ -246,7 +246,7 @@ def _solve(
     if T.is_zero():
         return DistExpr.zero(T.dim)
     if P.degree == 0:
-        return T.scaled(1 / P.terms[(0,) * P.dim])
+        return T.scaled(Fraction(P.den, P.nums[(0,) * P.dim]))
     parts: list[Term] = []
     groups: dict[tuple[int, int], list[Term]] = {}
     classes: dict[tuple[tuple[int, int], ...], list[Term]] = {}

@@ -104,6 +104,11 @@ class TestParseCommand:
         assert code == 0
         assert json.loads(out)["outputs"]["canonical"] == canonical
 
+    def test_distribution_without_dim_is_read_at_d_1(self, capsys):
+        code, out = run(capsys, "parse", "-T", "delta(x1,2)")
+        assert code == 0
+        assert json.loads(out)["inputs"]["d"] == 1
+
     def test_parse_error_exit_2(self, capsys):
         code, out = run(capsys, "parse", "-P", "t1*(t1+1")
         assert code == 2
@@ -222,6 +227,22 @@ class TestWagnerCommand:
         ]
         assert json.loads(outs[0])["checks"]
         assert outs[0] == outs[1]
+
+    def test_polynomial_parsed_once_without_dim(self, capsys, monkeypatch):
+        # d comes from the one parse, and N from --grid.
+        calls = []
+        parse_poly = cli.parse_poly
+
+        def counted(*args):
+            calls.append(args)
+            return parse_poly(*args)
+
+        monkeypatch.setattr(cli, "parse_poly", counted)
+        code, out = run(capsys, "wagner-check", "-P", "t1^2+t2^2+1", "--grid", "32")
+        assert code in (0, 1) and len(calls) == 1
+        rep = json.loads(out)
+        assert rep["inputs"]["d"] == 2
+        assert rep["inputs"]["grid"] == rep["outputs"]["N"] == 32
 
     def test_parse_error_without_dim_exit_2(self, capsys):
         code, out = run(capsys, "wagner-check", "-P", "t1 +")

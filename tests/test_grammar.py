@@ -197,6 +197,8 @@ class TestRoundTrip:
         assert parse_poly("t1 - 2*t2 + 3 - t1 + t2^2 - (1 - t2)", 2) == (
             zvar(2, 2) ** 2 - zvar(2, 2) + Polynomial.constant(2, 2)
         )
+        assert parse_poly("1/3*t1 + 1/6*t1 - 1/2*t1") == Polynomial.zero(1)
+        assert format_poly(parse_poly("1/2*t1 - 1/3*t2 + 1/3*t2")) == "1/2*t1"
 
     def test_dist_round_trip(self):
         for src, d in self.CORPUS_DIST:

@@ -131,7 +131,7 @@ class TestMoment:
         _clear_caches()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, err = oracle._moment(-1, 170, F(0), F(1))
+            value, err = oracle._moment(-1, 170, oracle._slice(F(0), F(1)))
         assert math.isfinite(value) and math.isfinite(err)
 
 
@@ -248,7 +248,7 @@ class TestPairingCache:
         k = np.power(m + i + 1.0, -(p + 1) / 2) * math.sqrt(math.factorial(p))
         inner = (-1) ** p * math.fsum(oracle._taylor(c, w)[0][i] * (k * k))
         outer, err = fine, abs(fine - coarse)
-        assert oracle._moment(m, p, c, w) == (
+        assert oracle._moment(m, p, oracle._slice(c, w)) == (
             inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
         )
 
@@ -282,6 +282,29 @@ class TestPairingCache:
             misses(phi)
         assert misses(phis[0]) == first
 
+    def test_a_resolved_slice_outlives_its_cache_entry(self, monkeypatch):
+        # phi keeps its resolved slices after eight other test functions
+        # push them out of _slice; a new moment of phi is computed on them,
+        # with no second Taylor table for the same (c, w).
+        phi = GaussPoly.gaussian(1, (F(1, 3),), F(1))
+        others = [GaussPoly.gaussian(1, (F(k, 7),), F(1)) for k in range(1, 9)]
+        atom = single((MonLog(0, 0, 1),))
+        _clear_caches()
+        pair(atom, phi)
+        for other in others:
+            pair(atom, other)
+        assert oracle._slice.cache_info().currsize == oracle._SLICES
+        tables = []
+        taylor = oracle._taylor
+
+        def counted(*args):
+            tables.append(args)
+            return taylor(*args)
+
+        monkeypatch.setattr(oracle, "_taylor", counted)
+        pair(single((MonLog(3, 1, 1),)), phi)
+        assert tables == []
+
 
 def _reference_pair(e: DistExpr, phi: GaussPoly) -> float:
     """pair's sum as a plain loop: terms x monomials x coordinates, each
@@ -297,9 +320,11 @@ def _reference_pair(e: DistExpr, phi: GaussPoly) -> float:
                     if k >= a:
                         v = (-1) ** k * math.factorial(k) * float(table[k - a])
                 elif atom.s == 1:
-                    v = oracle._moment(atom.n + a, atom.p, c, phi.width)[0]
+                    sl = oracle._slice(c, phi.width)
+                    v = oracle._moment(atom.n + a, atom.p, sl)[0]
                 else:
-                    v = oracle._moment(atom.n + a, atom.p, -c, phi.width)[0]
+                    sl = oracle._slice(-c, phi.width)
+                    v = oracle._moment(atom.n + a, atom.p, sl)[0]
                     v = -v if a % 2 else v
                 val *= v
             total += val

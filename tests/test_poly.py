@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 from math import gcd, prod
 
@@ -6,10 +8,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from eulerdist.errors import DimensionError, ZeroPolynomial
+from eulerdist.gausspoly import GaussPoly
 from eulerdist.poly import (
     Polynomial,
     factor_out,
     poly_eval,
+    poly_sum,
     principal_part,
     substitute_coord,
     taylor_shift,
@@ -292,3 +296,53 @@ def test_every_result_is_in_the_one_stored_form(data):
         results.append(factor_out(lin**2 * P, j, mu[j - 1])[1])
     for R in results:
         _assert_canonical(R)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_poly_sum_equals_the_fraction_sum(data):
+    d = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        # Each polynomial beside its negation: the sum cancels to zero.
+        base = data.draw(st.lists(polys(d), max_size=2))
+        ps = data.draw(st.permutations(base + [-P for P in base]))
+    else:
+        ps = data.draw(st.lists(polys(d), max_size=4))
+    want: dict = {}
+    for P in ps:
+        for alpha, coeff in P.terms.items():
+            want[alpha] = want.get(alpha, 0) + coeff
+    R = poly_sum(d, ps)
+    assert R.dim == d and R == Polynomial(d, want)
+    _assert_canonical(R)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_poly_eval_equals_the_per_term_fraction_loop(data):
+    d = data.draw(st.integers(0, 3))
+    P = data.draw(high_degree_polys(d))
+    mu = data.draw(st.tuples(*[rational] * d))
+    want = F(0)
+    for alpha, coeff in P.terms.items():
+        term = coeff
+        for a, m in zip(alpha, mu):
+            term *= m**a
+        want += term
+    assert poly_eval(P, mu) == want
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        Polynomial.zero(2),
+        Polynomial.constant(0, F(-3, 4)),
+        F(1, 6) * v(2, 1) ** 2 - c(2, F(2, 3)),
+        GaussPoly(F(1, 2) * v(1, 1) + c(1, 1), (F(1, 3),), F(5, 4)),
+    ],
+    ids=["zero", "dim-0 constant", "den 6", "GaussPoly"],
+)
+def test_pickle_and_copy_round_trip(obj):
+    clones = [pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)]
+    for clone in clones:
+        assert clone == obj and hash(clone) == hash(obj)

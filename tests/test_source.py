@@ -60,9 +60,10 @@ def test_traced_benchmark_names_resolve():
 # and write ints only; theta converts a DistExpr's Fractions outside its loops.
 INTEGER_KERNELS = [
     ("poly.py", "_shift_coord"),
-    ("poly.py", "Polynomial.__add__"),
+    ("poly.py", "poly_sum"),
     ("poly.py", "Polynomial.__mul__"),
     ("poly.py", "Polynomial.partial"),
+    ("poly.py", "poly_eval"),
     ("poly.py", "substitute_coord"),
     ("theta.py", "_theta_step"),
     ("theta.py", "apply_polynomial"),

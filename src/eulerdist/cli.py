@@ -35,14 +35,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .gausspoly import GaussPoly
-from .grammar import (
-    MAX_SOLUTION_ORDER,
-    check_orders,
-    format_dist,
-    format_poly,
-    parse_dist,
-    parse_poly,
-)
+from .grammar import check_orders, format_dist, format_poly, parse_dist, parse_poly
+from .limits import MAX_SOLUTION_ORDER, MAX_SUITE_N, MAX_SUITE_ORDER
 from .oracle import adjoint_check
 from .poly import Polynomial
 from .solver import solve, verify
@@ -317,11 +311,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-suite", help="adjoint-identity quadrature sweep")
     p.add_argument("--tol", type=_finite(positive=False), default=1e-6)
-    # Past these a pairing leaves the float range (171! > 1.8e308) or, from
-    # --nmax 42 on, its error estimate passes the oracle's gate.
-    p.add_argument("--nmax", type=_int_in(0, 40), default=3, help="at most 40")
-    p.add_argument("--pmax", type=_int_in(0, 170), default=2, help="at most 170")
-    p.add_argument("--kmax", type=_int_in(0, 170), default=3, help="at most 170")
+    # Past these a pairing leaves the float range or its error estimate
+    # passes the oracle's gate.
+    n, order = _int_in(0, MAX_SUITE_N), _int_in(0, MAX_SUITE_ORDER)
+    p.add_argument("--nmax", type=n, default=3, help=f"at most {MAX_SUITE_N}")
+    p.add_argument("--pmax", type=order, default=2, help=f"at most {MAX_SUITE_ORDER}")
+    p.add_argument("--kmax", type=order, default=3, help=f"at most {MAX_SUITE_ORDER}")
     p.set_defaults(func=_cmd_oracle_suite)
 
     p = sub.add_parser("wagner-check", help="Malgrange-Ehrenpreis desk check")

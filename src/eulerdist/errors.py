@@ -21,10 +21,6 @@ class EscalationExceeded(EulerDistError):
     """A continuous solve left a delta-free residual (defensive)."""
 
 
-class TableEntryError(EulerDistError):
-    """A theta-table entry does not scale to an integer in the exact walk."""
-
-
 class QuadratureNoConvergence(EulerDistError):
     """A numerical pairing failed to reach the requested tolerance."""
 
@@ -34,7 +30,7 @@ class FloatOverflow(EulerDistError):
 
 
 class InputTooLarge(EulerDistError):
-    """An input exceeds a stated size limit (terms, degree, digits, bits, grid)."""
+    """An input or its solution exceeds a stated limit of eulerdist.limits."""
 
 
 class ParseError(EulerDistError):

@@ -3,7 +3,7 @@
 Polynomial grammar: variables t1..t9 (the Euler fields theta_1..theta_9),
 integer and rational literals (3, 3/4), operators + - * ^ with ^ binding
 tighter than unary minus and * (-t1^2 is -(t1^2)), which bind tighter than
-+/-, parentheses, free whitespace.
++/-, parentheses nested at most MAX_NESTING deep, free whitespace.
 
 Distribution grammar: a sum of terms; each term is an optional rational
 coefficient times a product of coordinate factors
@@ -48,31 +48,16 @@ from typing import Iterable
 
 from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, dist
 from .errors import CoordinateConflict, DimensionError, InputTooLarge, ParseError
+from .limits import (
+    MAX_BITS,
+    MAX_DEGREE,
+    MAX_DIGITS,
+    MAX_DIM,
+    MAX_NESTING,
+    MAX_ORDER,
+    MAX_POLY_TERMS,
+)
 from .poly import Polynomial, poly_sum
-
-# t1..t9 are the only variables the polynomial grammar can name.
-MAX_DIM = 9
-# The most terms a product or power may expand to; (t1+...+t6)^7 has 792.
-MAX_TERMS = 1000
-# The highest total degree a product or power may reach.
-MAX_DEGREE = 1000
-# The largest |n| of a power or mono factor, delta order and log power.
-MAX_ORDER = 1000
-# Solving raises orders: delta(x1,k) gives x1^(-k-1), and a root of P of
-# multiplicity v <= MAX_DEGREE adds v to a log power, so a solution is read
-# with a larger bound.  In several variables a log power can also move to
-# another coordinate (t1+t2 on log(x1)^3*H(x1)*H(x2) has a log(x2)^4 term),
-# so the bound is on the total log power of a term as well.  A residual that
-# is solved again can raise it once more: a solution's total log power stays
-# within |p| + d * deg P on random cases up to d = 3 and deg P = 4
-# (tests/test_solver.py), a bound that is tested, not proved, so the solve
-# command checks its own output against this bound before printing it.
-MAX_SOLUTION_ORDER = MAX_ORDER + MAX_DEGREE
-# The longest numeric literal, and the most bits a coefficient may have when
-# it is expanded or printed: both keep every number within Python's
-# 4300-digit limit on int-string conversion (3000 digits < 10000 bits).
-MAX_DIGITS = 3000
-MAX_BITS = 10_000
 
 # A literal, a name (letters, then the digits of an index) or an operator;
 # findall skips the whitespace between them.
@@ -152,12 +137,13 @@ def _check_size(degree: int, bits: int) -> None:
 
 
 def _check_terms(dim: int, degree: int, count: int) -> None:
-    """Refuse, before expanding, a product that could exceed MAX_TERMS terms:
-    one of at most count terms, with at most one per monomial of its degree."""
-    bound = min(count, comb(dim + degree, dim)) if count > MAX_TERMS else count
-    if bound > MAX_TERMS:
+    """Refuse, before expanding, a product that could exceed MAX_POLY_TERMS
+    terms: one of at most count terms, with at most one per monomial of its
+    degree."""
+    bound = min(count, comb(dim + degree, dim)) if count > MAX_POLY_TERMS else count
+    if bound > MAX_POLY_TERMS:
         raise InputTooLarge(
-            f"polynomial expansion could reach {bound} terms, above {MAX_TERMS}"
+            f"polynomial expansion could reach {bound} terms, above {MAX_POLY_TERMS}"
         )
 
 
@@ -184,8 +170,10 @@ def _poly_atom(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
         if not (t[0] == "t" and t[1:].isdigit()):
             raise tk.fail(i, "a t<j> variable")
         j = int(t[1:])
-        if not 1 <= j <= 9:
-            raise ParseError(f"variable index out of range 1..9: {t}", tk.offset(i))
+        if not 1 <= j <= MAX_DIM:
+            raise ParseError(
+                f"variable index out of range 1..{MAX_DIM}: {t}", tk.offset(i)
+            )
         if j > dim:
             raise DimensionError(f"variable t{j} exceeds dimension {dim}")
         return Polynomial.variable(dim, j), i + 1
@@ -193,20 +181,22 @@ def _poly_atom(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
 
 
 def _poly_power(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
-    """An atom with an optional exponent; a unary minus negates the power."""
-    if tk.toks[i] == "-":
-        p, i = _poly_power(tk, i + 1, dim)
-        return -p, i
+    """An atom with an optional exponent; each unary minus before it negates
+    the power, and a run of them is counted in a loop, not by recursion."""
+    signs = i
+    while tk.toks[i] == "-":
+        i += 1
+    negate = (i - signs) % 2
     base, i = _poly_atom(tk, i, dim)
-    if tk.toks[i] != "^":
-        return base, i
-    n, i = tk.number(i + 1)
-    if base.nums:
-        # Each term of base^n comes from a multiset of n terms of base; with
-        # two or more terms the degree check keeps n small enough for comb.
-        _check_size(n * base.degree, n * _coeff_bits(base))
-        _check_terms(dim, n * base.degree, comb(len(base.nums) + n - 1, n))
-    return base**n, i
+    if tk.toks[i] == "^":
+        n, i = tk.number(i + 1)
+        if base.nums:
+            # Each term of base^n comes from a multiset of n terms of base; with
+            # two or more terms the degree check keeps n small enough for comb.
+            _check_size(n * base.degree, n * _coeff_bits(base))
+            _check_terms(dim, n * base.degree, comb(len(base.nums) + n - 1, n))
+        base = base**n
+    return (-base if negate else base), i
 
 
 def _poly_product(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
@@ -232,11 +222,30 @@ def _poly_sum(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
         i += 1
 
 
+def _check_nesting(tk: _Tokens) -> None:
+    """Refuse, before the reader recurses, parentheses nested deeper than
+    MAX_NESTING."""
+    if tk.toks.count("(") <= MAX_NESTING:
+        return
+    depth = 0
+    for i, t in enumerate(tk.toks):
+        if t == ")":
+            depth -= 1
+        elif t == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise InputTooLarge(
+                    f"parentheses at offset {tk.offset(i)} nest deeper than "
+                    f"{MAX_NESTING}"
+                )
+
+
 def parse_poly(src: str, dim: int | None = None) -> Polynomial:
     """Parse a polynomial in t1..t9; dim defaults to the largest index used."""
     if dim is not None:
         _check_dim(dim)
     tk = _Tokens(src)
+    _check_nesting(tk)
     if dim is None:
         # Clamped to MAX_DIM: the parser refuses every t<j> past it that it
         # reaches.  Two significant digits already pass MAX_DIM, so int()

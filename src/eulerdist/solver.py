@@ -48,6 +48,7 @@ from .errors import (
     UnsupportedInput,
     ZeroPolynomial,
 )
+from .limits import MAX_BITS, MAX_HELD_TERMS
 from .poly import (
     Polynomial,
     factor_out,
@@ -55,7 +56,7 @@ from .poly import (
     taylor_shift,
     vanishing_order,
 )
-from .theta import MAX_TERMS, IntTable, apply_polynomial, equal
+from .theta import apply_polynomial, equal, theta_row
 
 TraceEvent = tuple
 
@@ -167,6 +168,8 @@ def solve_continuous_term(
         for q, c in u.items()
     ]
     U_partial = dist(d, terms)
+    # Checked before the residual is walked, which costs far more.
+    _check_bits(U_partial.terms)
     image = apply_polynomial(P, U_partial)
     residual = dist(d, [*ts, *((f, -c) for f, c in image.terms)])
     for f, _ in residual.terms:
@@ -194,8 +197,8 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
         raise DimensionError(f"coordinate {j} out of range 1..{V.dim}")
     m0 = MonLog(-(k + 1), 0, 1)
     # (theta_j + k + 1) m0 = sum_{i <= k} e_i Delta(i)/i!, e_i = +-1: the
-    # table's row of m0 in the basis Delta(i)/i!.
-    e = {b.k: x for x, b in IntTable()[m0] if isinstance(b, Delta)}
+    # theta-row of m0 in the basis Delta(i)/i!.
+    e = {b.k: x for x, b in theta_row(m0) if isinstance(b, Delta)}
     # Delta(k) = (theta_j + k + 1) W, W = a0 m0 + sum_{i < k} b_i Delta(i),
     # needs a0 = k!/e_k and b_i = -a0 e_i/(i! (k - i)) = -e_i r_i/(e_k (k - i))
     # with r_i = k!/i!, built downwards from r_k = 1 in integers.
@@ -223,16 +226,32 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
                 f"factor {a} in coordinate {j} is outside the resonant subspace"
             )
         out_terms += [(f[: j - 1] + (b,) + f[j:], x) for b, x in w]
-    return dist(V.dim, out_terms)
+    W = dist(V.dim, out_terms)
+    _check_bits(W.terms)
+    return W
 
 
 # -- top-level solve ------------------------------------------------------
 
 
 def _check_held(terms: list[Term]) -> None:
-    """Refuse to hold more than MAX_TERMS terms of a solution."""
-    if len(terms) > MAX_TERMS:
-        raise InputTooLarge(f"a solution reaches over {MAX_TERMS} terms")
+    """Refuse to hold more than MAX_HELD_TERMS terms of a solution."""
+    if len(terms) > MAX_HELD_TERMS:
+        raise InputTooLarge(f"a solution reaches over {MAX_HELD_TERMS} terms")
+
+
+def _check_bits(terms: Sequence[Term]) -> None:
+    """Refuse a solution coefficient of more than MAX_BITS bits, which could
+    not be printed.  Each solution coefficient is checked once, where the
+    solver makes it (a continuous class, a resonant inversion or a division
+    by a constant P), before any more work is done on it."""
+    for _, c in terms:
+        n, d = c.as_integer_ratio()
+        if n.bit_length() > MAX_BITS or d.bit_length() > MAX_BITS:
+            bits = max(n.bit_length(), d.bit_length())
+            raise InputTooLarge(
+                f"a solution coefficient of {bits} bits is above {MAX_BITS}"
+            )
 
 
 def _solve(
@@ -246,7 +265,9 @@ def _solve(
     if T.is_zero():
         return DistExpr.zero(T.dim)
     if P.degree == 0:
-        return T.scaled(Fraction(P.den, P.nums[(0,) * P.dim]))
+        U = T.scaled(Fraction(P.den, P.nums[(0,) * P.dim]))
+        _check_bits(U.terms)
+        return U
     parts: list[Term] = []
     groups: dict[tuple[int, int], list[Term]] = {}
     classes: dict[tuple[tuple[int, int], ...], list[Term]] = {}

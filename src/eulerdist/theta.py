@@ -14,41 +14,58 @@ Taylor subtraction on the inner interval, s = -1 atoms defined by
 reflection); the oracle's adjoint-identity suite certifies every entry.
 
 In the basis Delta(k)/k! every correction is a sum of +-Delta(i)/i!, so
-theta has integer entries there: P(theta) is walked on integer numerators in
-that basis, with one table for all coordinates.
+theta has integer entries there.  The rules are written once, as integer
+rows in that basis (theta_row); apply_theta converts a row back to the
+plain basis, and P(theta) is walked on integer numerators with one table of
+rows for all coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm, prod
+from operator import itemgetter
+from typing import Sequence
 
-from .atoms import Atom1D, Delta, DistExpr, MonLog, coeff_map, dist
-from .errors import DimensionError, InputTooLarge, TableEntryError
+from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, coeff_map, dist
+from .errors import DimensionError, InputTooLarge
+from .limits import MAX_HELD_TERMS
 from .poly import Polynomial
 
 # theta on integer numerators: {factors: numerator} maps.
 Numerators = dict[tuple[Atom1D, ...], int]
-# The most terms an expression held by the walk or the solver may have.
-MAX_TERMS = 2**13
+# An atom's kind and its n or k, which fix its theta-eigenvalue.
+_KIND_AND_ORDER = itemgetter(0, 1)
+
+
+def theta_row(a: Atom1D) -> list[tuple[int, Atom1D]]:
+    """theta on one atom in the basis Delta(k)/k!, the same in every
+    coordinate: the entry x of a -> b is x = tc w(b)/w(a) for the
+    coefficient tc of b in theta a, w = _weight.  Every finite-part
+    correction is +-1 there, (-1)^i on the right half-line and + on the
+    left, so every entry is an integer."""
+    if isinstance(a, Delta):
+        return [(-(a.k + 1), a)]
+    row: list[tuple[int, Atom1D]] = []
+    if a.n != 0:
+        row.append((a.n, a))
+    if a.p >= 1:
+        row.append((a.p, MonLog(a.n, a.p - 1, a.s)))
+    elif a.n <= -1:
+        row += [(-1 if a.s == 1 and i % 2 else 1, Delta(i)) for i in range(-a.n)]
+    return row
 
 
 def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
-    """Exact action of theta on one atom; the same in every coordinate."""
+    """Exact action of theta on one atom: theta_row back in the plain basis,
+    where the entry x of a -> b is x w(a)/w(b).  A delta's row holds only
+    itself, and a finite part's delta entries are its corrections."""
     if isinstance(a, Delta):
-        return [(Fraction(-(a.k + 1)), a)]
-    out: list[tuple[Fraction, Atom1D]] = []
-    if a.n != 0:
-        out.append((Fraction(a.n), a))
-    if a.p >= 1:
-        out.append((Fraction(a.p), MonLog(a.n, a.p - 1, a.s)))
-    elif a.n <= -1:
-        for i in range(-a.n):
-            c = Fraction(1, factorial(i))
-            if a.s == 1 and i % 2 == 1:
-                c = -c
-            out.append((c, Delta(i)))
-    return out
+        return [(Fraction(x), b) for x, b in theta_row(a)]
+    return [
+        (Fraction(x, factorial(b.k)) if isinstance(b, Delta) else Fraction(x), b)
+        for x, b in theta_row(a)
+    ]
 
 
 def _weight(factors: tuple[Atom1D, ...]) -> int:
@@ -58,33 +75,24 @@ def _weight(factors: tuple[Atom1D, ...]) -> int:
 
 
 class IntTable(dict):
-    """The theta-table in the basis Delta(k)/k!, one row per atom, read from
-    apply_theta when the walk first reaches the atom.  The entry a -> b is
-    the coefficient tc of b in theta a times w(b)/w(a), w = _weight: every
-    finite-part correction is +-1, and every other entry is an integer."""
+    """The rows of theta_row, one per atom, read when a walk first reaches
+    the atom."""
 
     def __missing__(self, a: Atom1D) -> list[tuple[int, Atom1D]]:
-        row = self[a] = []
-        for tc, b in apply_theta(a):
-            x, r = divmod(tc.numerator * _weight((b,)), tc.denominator * _weight((a,)))
-            if r:
-                raise TableEntryError(
-                    f"theta-table entry {tc} for {a!r} -> {b!r} is no integer "
-                    f"in the basis Delta(k)/k!"
-                )
-            row.append((x, b))
+        row = self[a] = theta_row(a)
         return row
 
 
 def _theta_step(i: int, nums: Numerators, table: IntTable) -> Numerators:
     """theta_(i+1) on a merged {factors: numerator} map (zero entries skipped);
-    a result of more than MAX_TERMS terms is refused as soon as it is held."""
+    a result of more than MAX_HELD_TERMS terms is refused as soon as it is
+    held."""
     out: Numerators = {}
     for f, v in nums.items():
         if not v:
             continue
-        if len(out) > MAX_TERMS:
-            raise InputTooLarge(f"theta-action reaches over {MAX_TERMS} terms")
+        if len(out) > MAX_HELD_TERMS:
+            raise InputTooLarge(f"theta-action reaches over {MAX_HELD_TERMS} terms")
         head, tail = f[:i], f[i + 1 :]
         for tc, a in table[f[i]]:
             g = head + (a,) + tail
@@ -109,18 +117,51 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     numerators over its denominator D_P, and each output term is one
     Fraction over D_e D_P w(f).  One table, shared by all coordinates and
     filled as the walk reaches atoms, holds theta in that basis.
+
+    Terms over more than one denominator are walked one eigenvalue class
+    at a time (per coordinate, the atom kind and its n or k), each over its
+    own common denominator, and the results are merged: the solution of
+    t1^m+1 on x1^-m*H(x1) has m delta terms over pairwise almost coprime
+    denominators, whose lcm would otherwise scale every numerator of the
+    walk.
     """
     if P.dim != e.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {e.dim}")
     if P.is_zero() or e.is_zero():
         return DistExpr.zero(e.dim)
+    slices: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for alpha, c in P.nums.items():
+        k, beta = (alpha[0], alpha[1:]) if alpha else (0, ())
+        slices.setdefault(k, []).append((beta, c))
+    classes = [e.terms]
+    if len({c.denominator for _, c in e.terms}) > 1:
+        by_class: dict[tuple, list[Term]] = {}
+        for t in e.terms:
+            by_class.setdefault(tuple(map(_KIND_AND_ORDER, t[0])), []).append(t)
+        classes = by_class.values()
     table = IntTable()
-    den_e = lcm(*(c.denominator for _, c in e.terms))
+    out: dict[tuple[Atom1D, ...], Fraction] = {}
+    for terms in classes:
+        den, nums = _walk(slices, terms, e.dim, table)
+        _merge(out, den * P.den, nums)
+    return dist(e.dim, out.items())
+
+
+def _walk(
+    slices: dict[int, list[tuple[tuple[int, ...], int]]],
+    terms: Sequence[Term],
+    dim: int,
+    table: IntTable,
+) -> tuple[int, Numerators]:
+    """P(theta) on terms, P read as its numerators by power of z_1: the
+    common denominator D of terms, and the numerators over D w(f) (times
+    P's own denominator) of the result."""
+    den = lcm(*(c.denominator for _, c in terms))
     start: Numerators = {}
-    for f, c in e.terms:
-        start[f] = start.get(f, 0) + c.numerator * (den_e // c.denominator) * _weight(f)
+    for f, c in terms:
+        start[f] = start.get(f, 0) + c.numerator * (den // c.denominator) * _weight(f)
     # theta'^beta e, beta the exponents of coordinates 2..d.
-    powers = {(0,) * (e.dim - 1): start}
+    powers = {(0,) * (dim - 1): start}
 
     def theta_power(beta: tuple[int, ...]) -> Numerators:
         # Walk down to the nearest known power, then apply theta back up;
@@ -135,10 +176,6 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
             val = powers[gamma] = _theta_step(i, val, table)
         return val
 
-    slices: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for alpha, c in P.nums.items():
-        k, beta = (alpha[0], alpha[1:]) if alpha else (0, ())
-        slices.setdefault(k, []).append((beta, c))
     acc: Numerators = {}
     for k in range(max(slices), -1, -1):
         if acc:
@@ -146,8 +183,21 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
         for beta, c in slices.get(k, ()):
             for f, v in theta_power(beta).items():
                 acc[f] = acc.get(f, 0) + c * v
-    den = den_e * P.den
-    return dist(e.dim, ((f, Fraction(v, den * _weight(f))) for f, v in acc.items() if v))
+    return den, acc
+
+
+def _merge(
+    out: dict[tuple[Atom1D, ...], Fraction], den: int, nums: Numerators
+) -> None:
+    """Add the terms nums over den w(f) into out, a {factors: Fraction} map
+    held to the walk's own term bound."""
+    for f, v in nums.items():
+        if v:
+            c = Fraction(v, den * _weight(f))
+            old = out.get(f)
+            out[f] = c if old is None else old + c
+    if len(out) > MAX_HELD_TERMS:
+        raise InputTooLarge(f"theta-action reaches over {MAX_HELD_TERMS} terms")
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:

@@ -45,15 +45,10 @@ import numpy as np
 
 from .errors import DimensionError, FloatOverflow, InputTooLarge, ZeroPolynomial
 from .gausspoly import GaussPoly
+from .limits import MAX_GRID_POINTS, MAX_PAIR_WORK
 from .poly import Polynomial, poly_eval, principal_part, substitute_coord
 # perfbench/tracer.py wraps wagner.apply_polynomial by name, so the import stays.
 from .theta import apply_polynomial  # noqa: F401
-
-# The most xi-grid nodes per axis pair_E allocates (32 MB per complex array).
-MAX_GRID_POINTS = 2**21
-# The most 1-D work pair_E does, (m + 1) * sum_k N * (distinct exponents of P
-# on axis k) node-exponent pairs: about 0.4 s at 2^26.
-MAX_PAIR_WORK = 2**26
 
 
 # -- parameter selection --------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eulerdist import cli, errors, solver, theta
 from eulerdist.cli import main
+from eulerdist.limits import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -535,7 +536,7 @@ class TestInputLimits:
         # verifying it walks as many.  Either side refuses them past its bound.
         argv = ["solve", "-P", "(t1+9)*(t2+9)", "-T", "delta(x1,8)*delta(x2,8)"]
         assert run(capsys, *argv, "-d", "2")[0] == 0
-        monkeypatch.setattr(module, "MAX_TERMS", 40)
+        monkeypatch.setattr(module, "MAX_HELD_TERMS", 40)
         code, out = run(capsys, *argv, "-d", "2")
         assert code == 2
         assert json.loads(out)["error"] == {
@@ -594,6 +595,51 @@ class TestInputLimits:
         assert time.monotonic() - start < 1.5
         assert code == 0 and json.loads(out)["outputs"]["verified"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["parse"], ["solve", "-T", "delta(x1,0)", "-d", "1"], ["wagner-check"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_deep_nesting_is_a_usage_error(self, capsys, argv):
+        # The reader recurses once per parenthesis, so past MAX_NESTING it
+        # refuses the text before it recurses, not as an internal error.
+        depth = 10 * MAX_NESTING
+        code, out = run(capsys, *argv, "-P", "(" * depth + "t1+1" + ")" * depth)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InputTooLarge"
+
+    def test_long_unary_minus_run_is_read(self, capsys):
+        # A run of unary minus signs is counted in a loop, not by recursion.
+        code, out = run(capsys, "parse", "-P", "-" * 10_000 + "t1")
+        assert code == 0
+        assert json.loads(out)["outputs"]["canonical"] == "t1"
+
+    @pytest.mark.parametrize(
+        "m, T, code",
+        [
+            (1000, "x1^-1000*H(x1)", 2),
+            (320, "x1^-320*log(x1)^5*H(x1)", 2),
+            (400, "x1^-400*H(x1)", 0),
+        ],
+        ids=["over-bits", "over-bits-with-logs", "largest-9738-bits"],
+    )
+    def test_solution_coefficients_are_checked_as_they_are_made(
+        self, capsys, m, T, code
+    ):
+        # MAX_BITS bounds every coefficient the solver makes, so a solution
+        # that could not be printed is refused before verify walks it; the
+        # largest coefficient of the m = 400 solution is under the bound.
+        start = time.monotonic()
+        got, out = run(capsys, "solve", "-P", f"t1^{m}+1", "-T", T, "-d", "1")
+        assert time.monotonic() - start < 20.0
+        assert got == code
+        if code:
+            error = json.loads(out)["error"]
+            assert error["type"] == "InputTooLarge"
+            assert error["message"].startswith("a solution coefficient of ")
+        else:
+            assert json.loads(out)["outputs"]["verified"]
+
     def test_negated_power_is_solved(self, capsys):
         argv = ["solve", "-P", "-t1^2+1", "-T", "delta(x1,0)", "-d", "1"]
         code, out = run(capsys, *argv)
@@ -609,7 +655,6 @@ _EXIT_CODES = {
     errors.ZeroPolynomial("zero"): 2,
     errors.UnsupportedInput("unsupported"): 3,
     errors.EscalationExceeded("escalated"): 3,
-    errors.TableEntryError("entry 1/7"): 3,
     errors.QuadratureNoConvergence("no convergence"): 3,
     errors.FloatOverflow("overflow"): 2,
     errors.InputTooLarge("too large"): 2,
@@ -749,17 +794,30 @@ def _dist_text(draw, d):
 
 
 @st.composite
+def _deep_poly_text(draw, d):
+    """_poly_text, now and then inside up to 10 * MAX_NESTING parentheses or
+    after as many unary minus signs."""
+    text = draw(_poly_text(d))
+    depth = draw(st.integers(0, 10 * MAX_NESTING))
+    wrap = draw(st.sampled_from(["", "(", "-"]))
+    if wrap == "(":
+        return "(" * depth + text + ")" * depth
+    return wrap * depth + text
+
+
+@st.composite
 def _argv(draw):
     d = draw(st.integers(1, 3))
     dim = ["-d", str(d)]
     command = draw(st.sampled_from(["solve", "verify", "parse-P", "parse-T"]))
+    P = draw(_deep_poly_text(d))
     if command == "solve":
-        return ["solve", "-P", draw(_poly_text(d)), "-T", draw(_dist_text(d))] + dim
+        return ["solve", "-P", P, "-T", draw(_dist_text(d))] + dim
     if command == "verify":
         U, T = draw(_dist_text(d)), draw(_dist_text(d))
-        return ["verify", "-P", draw(_poly_text(d)), "-U", U, "-T", T] + dim
+        return ["verify", "-P", P, "-U", U, "-T", T] + dim
     if command == "parse-P":
-        return ["parse", "-P", draw(_poly_text(d))] + draw(st.sampled_from([[], dim]))
+        return ["parse", "-P", P] + draw(st.sampled_from([[], dim]))
     return ["parse", "-T", draw(_dist_text(d))] + dim
 
 

@@ -12,6 +12,7 @@ from eulerdist.errors import (
     ParseError,
 )
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
+from eulerdist.limits import MAX_NESTING
 from eulerdist.poly import Polynomial
 from paperchecks import full_monomial
 
@@ -76,6 +77,23 @@ class TestParsePoly:
             parse_poly("(t1+t2+t3+t4+t5+t6)^8")
         with pytest.raises(InputTooLarge):
             parse_poly("(t1+t2+t3)^3*(t4+t5+t6+t7)^4*(t8+t9+1)^3")
+
+    def test_nesting_is_refused_one_past_the_bound(self):
+        def nested(depth):
+            return "(" * depth + "t1+1" + ")" * depth
+
+        assert parse_poly(nested(MAX_NESTING)) == parse_poly("t1+1")
+        with pytest.raises(InputTooLarge, match=f"offset {MAX_NESTING} nest"):
+            parse_poly(nested(MAX_NESTING + 1))
+        # Parentheses that close in between do not add up.
+        assert parse_poly("*".join([nested(MAX_NESTING)] * 3)) == parse_poly(
+            "(t1+1)^3"
+        )
+
+    @pytest.mark.parametrize("signs", [9_999, 10_000])
+    def test_unary_minus_run_is_read_in_a_loop(self, signs):
+        want = parse_poly("-t1^2" if signs % 2 else "t1^2")
+        assert parse_poly("-" * signs + "t1^2") == want
 
 
 class TestParseDist:

@@ -181,7 +181,7 @@ class TestCompareSymbolicNumeric:
         # Double every finite-part delta correction.  The solver and verify
         # share the table, so the wrong solution still verifies; the
         # numerical check does not use the table and must flag it.
-        right = theta.apply_theta
+        right = theta.theta_row
 
         def wrong(a):
             return [
@@ -193,7 +193,7 @@ class TestCompareSymbolicNumeric:
         T = single((MonLog(-1, 0, 1),))
         U = solve(P, T).solution
         assert compare_symbolic_numeric(P, U, T, self.suite()) <= 1e-9
-        monkeypatch.setattr(theta, "apply_theta", wrong)
+        monkeypatch.setattr(theta, "theta_row", wrong)
         rep = solve(P, T)
         assert rep.verified and rep.solution != U
         assert compare_symbolic_numeric(P, rep.solution, T, self.suite()) > 1e-3

@@ -8,7 +8,8 @@ from sympy import Matrix, Rational
 
 from eulerdist.atoms import Delta, DistExpr, MonLog, dist, eigenvalue, single
 from eulerdist.errors import UnsupportedInput, ZeroPolynomial
-from eulerdist.grammar import MAX_SOLUTION_ORDER, format_dist, parse_dist, parse_poly
+from eulerdist.grammar import format_dist, parse_dist, parse_poly
+from eulerdist.limits import MAX_SOLUTION_ORDER
 from eulerdist.poly import Polynomial, grlex_key, vanishing_order
 from eulerdist.solver import (
     _solve_log_system,

@@ -54,6 +54,33 @@ def test_traced_benchmark_names_resolve():
     assert not missing, f"perfbench/tracer.py looks up missing names: {missing}"
 
 
+def test_every_limit_is_assigned_once_in_limits():
+    # Each input and work bound has one name and one definition.
+    assigned = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)
+                and node.id.startswith("MAX_")
+            ):
+                assigned.setdefault(node.id, []).append(path.name)
+    assert assigned
+    elsewhere = {n: files for n, files in assigned.items() if files != ["limits.py"]}
+    assert not elsewhere, f"MAX_* assigned outside limits.py or twice: {elsewhere}"
+
+
+def test_readme_table_lists_every_limit_with_its_value():
+    from eulerdist import limits
+
+    want = {n: v for n, v in vars(limits).items() if n.startswith("MAX_")}
+    rows = re.findall(
+        r"^\| `(MAX_\w+)` \| (\d+) \|", (ROOT / "README.md").read_text(), re.M
+    )
+    assert len(rows) == len(dict(rows)), "a limit is listed twice"
+    assert {n: int(v) for n, v in rows} == want
+
+
 # The exact inner loops run on Python ints over one common denominator; a
 # Fraction there would cost a gcd on every multiply and add again.  A
 # Polynomial stores its numerators over its denominator, so its kernels read
@@ -66,6 +93,7 @@ INTEGER_KERNELS = [
     ("poly.py", "poly_eval"),
     ("poly.py", "substitute_coord"),
     ("theta.py", "_theta_step"),
+    ("theta.py", "_walk"),
     ("theta.py", "apply_polynomial"),
 ]
 

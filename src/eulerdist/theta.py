@@ -58,14 +58,9 @@ def theta_row(a: Atom1D) -> list[tuple[int, Atom1D]]:
 
 def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
     """Exact action of theta on one atom: theta_row back in the plain basis,
-    where the entry x of a -> b is x w(a)/w(b).  A delta's row holds only
-    itself, and a finite part's delta entries are its corrections."""
-    if isinstance(a, Delta):
-        return [(Fraction(x), b) for x, b in theta_row(a)]
-    return [
-        (Fraction(x, factorial(b.k)) if isinstance(b, Delta) else Fraction(x), b)
-        for x, b in theta_row(a)
-    ]
+    where the entry x of a -> b is x w(a)/w(b)."""
+    wa = _weight((a,))
+    return [(Fraction(x * wa, _weight((b,))), b) for x, b in theta_row(a)]
 
 
 def _weight(factors: tuple[Atom1D, ...]) -> int:

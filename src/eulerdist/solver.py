@@ -135,7 +135,7 @@ def _log_class(factors: tuple[Atom1D, ...]) -> tuple[tuple[int, int], ...]:
 
 
 def solve_continuous_term(
-    P: Polynomial, ts: Sequence[Term]
+    P: Polynomial, ts: Sequence[Term], final: bool = True
 ) -> tuple[DistExpr, DistExpr, int]:
     """Solve P(theta) U = sum(ts) modulo delta-supported terms.
 
@@ -146,7 +146,9 @@ def solve_continuous_term(
     with S(d) u = z^p that solves every term of the class.  Returns
     (U_partial, residual, v);
     the residual sum(ts) - P(theta) U_partial is computed in the full
-    calculus and is always delta-supported.
+    calculus and is always delta-supported.  With final, U_partial's
+    coefficients are solution coefficients, held to MAX_BITS before the
+    residual is walked, which costs far more.
     """
     if not ts:
         raise UnsupportedInput("solve_continuous_term needs at least one term")
@@ -168,8 +170,8 @@ def solve_continuous_term(
         for q, c in u.items()
     ]
     U_partial = dist(d, terms)
-    # Checked before the residual is walked, which costs far more.
-    _check_bits(U_partial.terms)
+    if final:
+        _check_bits(U_partial.terms)
     image = apply_polynomial(P, U_partial)
     residual = dist(d, [*ts, *((f, -c) for f, c in image.terms)])
     for f, _ in residual.terms:
@@ -226,9 +228,7 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
                 f"factor {a} in coordinate {j} is outside the resonant subspace"
             )
         out_terms += [(f[: j - 1] + (b,) + f[j:], x) for b, x in w]
-    W = dist(V.dim, out_terms)
-    _check_bits(W.terms)
-    return W
+    return dist(V.dim, out_terms)
 
 
 # -- top-level solve ------------------------------------------------------
@@ -242,9 +242,10 @@ def _check_held(terms: list[Term]) -> None:
 
 def _check_bits(terms: Sequence[Term]) -> None:
     """Refuse a solution coefficient of more than MAX_BITS bits, which could
-    not be printed.  Each solution coefficient is checked once, where the
-    solver makes it (a continuous class, a resonant inversion or a division
-    by a constant P), before any more work is done on it."""
+    not be printed.  Each solution part is checked once, where the solver
+    makes it (a continuous class, a division by a constant P or the last
+    resonant inversion of a delta group), before any more work is done on
+    it; what a resonant inversion rescales is not checked."""
     for _, c in terms:
         n, d = c.as_integer_ratio()
         if n.bit_length() > MAX_BITS or d.bit_length() > MAX_BITS:
@@ -255,9 +256,15 @@ def _check_bits(terms: Sequence[Term]) -> None:
 
 
 def _solve(
-    P: Polynomial, T: DistExpr, trace: list[TraceEvent], esc: list[int]
+    P: Polynomial,
+    T: DistExpr,
+    trace: list[TraceEvent],
+    esc: list[int],
+    final: bool = True,
 ) -> DistExpr:
-    """Solve P(theta) U = T for a canonical T; the result is canonical."""
+    """Solve P(theta) U = T for a canonical T; the result is canonical.
+    With final, the coefficients it makes are solution coefficients, held
+    to MAX_BITS; under a resonant inversion they are not."""
     if P.is_zero():
         raise ZeroPolynomial("the Euler operator must be non-trivial")
     if P.dim != T.dim:
@@ -266,7 +273,8 @@ def _solve(
         return DistExpr.zero(T.dim)
     if P.degree == 0:
         U = T.scaled(Fraction(P.den, P.nums[(0,) * P.dim]))
-        _check_bits(U.terms)
+        if final:
+            _check_bits(U.terms)
         return U
     parts: list[Term] = []
     groups: dict[tuple[int, int], list[Term]] = {}
@@ -280,45 +288,56 @@ def _solve(
         else:
             classes.setdefault(_log_class(f), []).append(t)
     for ts in classes.values():
-        up, residual, v = solve_continuous_term(P, ts)
+        up, residual, v = solve_continuous_term(P, ts, final)
         esc[0] = max(esc[0], v)
         parts.extend(up.terms)
         _check_held(parts)
         residuals.extend(residual.terms)
     for (j, k), ts in sorted(groups.items()):
         # A subsequence of a canonical T is canonical.
-        sub = _solve_delta_group(P, j, k, DistExpr(T.dim, tuple(ts)), trace, esc)
+        G = DistExpr(T.dim, tuple(ts))
+        sub = _solve_delta_group(P, j, k, G, trace, esc, final)
         parts.extend(sub.terms)
         _check_held(parts)
     if residuals:
-        parts.extend(_solve(P, dist(T.dim, residuals), trace, esc).terms)
+        parts.extend(_solve(P, dist(T.dim, residuals), trace, esc, final).terms)
         _check_held(parts)
     return dist(T.dim, parts)
 
 
 def _solve_delta_group(
-    P: Polynomial, j: int, k: int, G: DistExpr, trace: list[TraceEvent], esc: list[int]
+    P: Polynomial,
+    j: int,
+    k: int,
+    G: DistExpr,
+    trace: list[TraceEvent],
+    esc: list[int],
+    final: bool,
 ) -> DistExpr:
     """Solve P(theta) U = G where every term of a canonical G carries
     Delta(k) at j.  Stripping or reinserting that shared factor keeps the
-    canonical order, so neither step re-canonicalises."""
+    canonical order, so neither step re-canonicalises.  Where P vanishes
+    there, the solution of the factored problem is rescaled by the resonant
+    inversions, so only their result is checked (with final)."""
     P1 = substitute_coord(P, j, -(k + 1))
     if not P1.is_zero():
         trace.append(("substitute", j, -(k + 1)))
         rest = tuple((f[: j - 1] + f[j:], c) for f, c in G.terms)
-        sub = _solve(P1, DistExpr(G.dim - 1, rest), trace, esc)
+        sub = _solve(P1, DistExpr(G.dim - 1, rest), trace, esc, final)
         dk = (Delta(k),)
         terms = tuple((f[: j - 1] + dk + f[j - 1 :], c) for f, c in sub.terms)
         return DistExpr(G.dim, terms)
     r, Q = factor_out(P, j, k + 1)
     trace.append(("factor_out", j, k + 1, r))
-    W = _solve(Q, G, trace, esc)
+    W = _solve(Q, G, trace, esc, final=False)
     for _ in range(r):
         trace.append(("resonant_1d", j, k))
         had_log = any(isinstance(f[j - 1], MonLog) for f, _ in W.terms)
         W = resonant_1d(j, k, W)
         if had_log:
             esc[0] = max(esc[0], 1)
+    if final:
+        _check_bits(W.terms)
     return W
 
 

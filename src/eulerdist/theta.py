@@ -118,7 +118,9 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     own common denominator, and the results are merged: the solution of
     t1^m+1 on x1^-m*H(x1) has m delta terms over pairwise almost coprime
     denominators, whose lcm would otherwise scale every numerator of the
-    walk.
+    walk.  The merged result of more than one class is held to the walk's
+    own term bound.  Over one denominator the lcm cannot grow, and one walk
+    skips the per-term class keys.
     """
     if P.dim != e.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {e.dim}")
@@ -133,13 +135,21 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
         by_class: dict[tuple, list[Term]] = {}
         for t in e.terms:
             by_class.setdefault(tuple(map(_KIND_AND_ORDER, t[0])), []).append(t)
-        classes = by_class.values()
+        classes = list(by_class.values())
     table = IntTable()
-    out: dict[tuple[Atom1D, ...], Fraction] = {}
-    for terms in classes:
-        den, nums = _walk(slices, terms, e.dim, table)
-        _merge(out, den * P.den, nums)
-    return dist(e.dim, out.items())
+    walks = [_walk(slices, ts, e.dim, table) for ts in classes]
+    out = dist(
+        e.dim,
+        [
+            (f, Fraction(v, den * P.den * _weight(f)))
+            for den, nums in walks
+            for f, v in nums.items()
+            if v
+        ],
+    )
+    if len(classes) > 1 and len(out.terms) > MAX_HELD_TERMS:
+        raise InputTooLarge(f"theta-action reaches over {MAX_HELD_TERMS} terms")
+    return out
 
 
 def _walk(
@@ -179,20 +189,6 @@ def _walk(
             for f, v in theta_power(beta).items():
                 acc[f] = acc.get(f, 0) + c * v
     return den, acc
-
-
-def _merge(
-    out: dict[tuple[Atom1D, ...], Fraction], den: int, nums: Numerators
-) -> None:
-    """Add the terms nums over den w(f) into out, a {factors: Fraction} map
-    held to the walk's own term bound."""
-    for f, v in nums.items():
-        if v:
-            c = Fraction(v, den * _weight(f))
-            old = out.get(f)
-            out[f] = c if old is None else old + c
-    if len(out) > MAX_HELD_TERMS:
-        raise InputTooLarge(f"theta-action reaches over {MAX_HELD_TERMS} terms")
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:

@@ -383,7 +383,7 @@ class TestInputLimits:
                 "InputTooLarge",
                 id="product",
             ),
-            # More than wagner.MAX_GRID_POINTS nodes per axis.
+            # More than limits.MAX_GRID_POINTS nodes per axis.
             pytest.param(
                 ["wagner-check", "-P", "t1", "--grid", "3000000"],
                 "InputTooLarge",
@@ -394,7 +394,7 @@ class TestInputLimits:
                 "InputTooLarge",
                 id="grid-d3",
             ),
-            # More than wagner.MAX_PAIR_WORK: 41 lambdas times 41 exponents on
+            # More than limits.MAX_PAIR_WORK: 41 lambdas times 41 exponents on
             # each of 2 axes times N.
             pytest.param(
                 ["wagner-check", "-P", "(t1+t2)^40", "--grid", "262144"]
@@ -442,7 +442,7 @@ class TestInputLimits:
                 "InputTooLarge",
                 id="printed-coefficient-bits",
             ),
-            # Atom orders one above grammar.MAX_ORDER.
+            # Atom orders one above limits.MAX_ORDER.
             pytest.param(
                 ["solve", "-P", "t1+1", "-T", "x1^-1001*H(x1)", "-d", "1"],
                 "InputTooLarge",
@@ -500,7 +500,7 @@ class TestInputLimits:
         ids=["power", "log-power", "total-log-power", "moved-log-power"],
     )
     def test_every_printed_solution_reads_back(self, capsys, P, T, d):
-        # Solving raises orders past grammar.MAX_ORDER (x1^-1001*H(x1),
+        # Solving raises orders past limits.MAX_ORDER (x1^-1001*H(x1),
         # log(x1)^1002*H(x1) and log(x2)^1001*H(x2) here), and verify reads
         # them back.
         code, out = run(capsys, "solve", "-P", P, "-T", T, "-d", d)
@@ -554,7 +554,7 @@ class TestInputLimits:
     )
     def test_deep_orders_in_two_coordinates_are_a_quick_usage_error(self, capsys, P, T):
         # 160^2 delta terms in the residual, 201^2 terms in the solution:
-        # both are over theta.MAX_TERMS.
+        # both are over limits.MAX_HELD_TERMS.
         start = time.monotonic()
         code, out = run(capsys, "solve", "-P", P, "-T", T, "-d", "2")
         assert time.monotonic() - start < 5.0
@@ -639,6 +639,16 @@ class TestInputLimits:
             assert error["message"].startswith("a solution coefficient of ")
         else:
             assert json.loads(out)["outputs"]["verified"]
+
+    def test_coefficients_a_resonant_inversion_rescales_are_not_checked(self, capsys):
+        # P = 1000! (t1+1001) vanishes at -1001: delta(x1,1000) is solved for
+        # W with 1000! W = T, and W is inverted through t1+1001.  W's
+        # coefficient 1/(2^1475 1000!) has 10005 bits, but every coefficient
+        # of the solution is within MAX_BITS.
+        P = f"{math.factorial(1000)}*(t1+1001)"
+        T = f"1/{2 ** 1475}*delta(x1,1000)"
+        code, out = run(capsys, "solve", "-P", P, "-T", T, "-d", "1")
+        assert code == 0 and json.loads(out)["outputs"]["verified"]
 
     def test_negated_power_is_solved(self, capsys):
         argv = ["solve", "-P", "-t1^2+1", "-T", "delta(x1,0)", "-d", "1"]

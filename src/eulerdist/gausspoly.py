@@ -92,14 +92,20 @@ def apply_transposed(
     P: Polynomial, phi: GaussPoly, step: Callable[[GaussPoly, int], GaussPoly]
 ) -> GaussPoly:
     """sum_alpha c_alpha (-1)^|alpha| D^alpha phi, exactly, with the
-    one-coordinate operators D_j = step(., j), which must commute."""
+    commuting one-coordinate operators D_j = step(., j).  Each D^alpha phi
+    is one step from a stored D^beta phi, beta alpha with its first nonzero
+    exponent lowered: P = (t1+1)^12 takes 12 steps."""
     if P.dim != phi.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs test function dim {phi.dim}")
-    images = []
+    derived, images = {(0,) * P.dim: phi}, []
     for alpha, c in P.sorted_terms():
-        g = phi
-        for j, a in enumerate(alpha, start=1):
-            for _ in range(a):
-                g = step(g, j)
+        chain, beta = [], alpha
+        while beta not in derived:  # down to a stored derivative, then up
+            j = next(i for i, b in enumerate(beta) if b)
+            chain.append((beta, j + 1))
+            beta = beta[:j] + (beta[j] - 1,) + beta[j + 1 :]
+        g = derived[beta]
+        for gamma, j in reversed(chain):
+            g = derived[gamma] = step(g, j)
         images.append(g.poly.scale(-c if sum(alpha) % 2 else c))
     return phi.with_poly(poly_sum(P.dim, images))

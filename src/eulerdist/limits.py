@@ -38,10 +38,10 @@ MAX_BITS = 10_000
 # four calls per level, so 100 levels stay well inside Python's default
 # recursion limit of 1000 frames, with room for the callers' own frames.
 MAX_NESTING = 100
-# The most terms an expression held by the theta-walk or the solver may
-# have; deep finite parts or delta orders in several coordinates multiply
-# out (160^2 delta terms for t1*t2+1 on x1^-160*x2^-160*H(x1)*H(x2)), and
-# are refused within seconds, before they are all built.
+# The most terms the theta-action or the solver may hold: deep finite parts
+# or delta orders in several coordinates multiply out (160^2 delta terms
+# for t1*t2+1 on x1^-160*x2^-160*H(x1)*H(x2)), and are refused before they
+# are built.
 MAX_HELD_TERMS = 2**13
 # The most xi-grid nodes per axis wagner-check's pairing allocates (32 MB
 # per complex array).

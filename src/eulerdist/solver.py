@@ -147,8 +147,8 @@ def solve_continuous_term(
     (U_partial, residual, v);
     the residual sum(ts) - P(theta) U_partial is computed in the full
     calculus and is always delta-supported.  With final, U_partial's
-    coefficients are solution coefficients, held to MAX_BITS before the
-    residual is walked, which costs far more.
+    coefficients are solution coefficients, held to MAX_BITS before
+    P(theta) is applied to them for the residual, which costs far more.
     """
     if not ts:
         raise UnsupportedInput("solve_continuous_term needs at least one term")

@@ -13,37 +13,42 @@ by the finite-part convention of the pairing oracle (split at |x| = 1,
 Taylor subtraction on the inner interval, s = -1 atoms defined by
 reflection); the oracle's adjoint-identity suite certifies every entry.
 
-In the basis Delta(k)/k! every correction is a sum of +-Delta(i)/i!, so
-theta has integer entries there.  The rules are written once, as integer
-rows in that basis (theta_row); apply_theta converts a row back to the
-plain basis, and P(theta) is walked on integer numerators with one table of
-rows for all coordinates.
+The rules are written once, as integer rows in the basis Delta(k)/k!
+(theta_row); apply_theta and apply_polynomial read them.  theta is
+upper-triangular on the atoms, so P(theta) takes an atom a to each atom b
+it reaches by the weights on its one path times the divided difference of
+P at the eigenvalues on it (Opitz's formula; C. de Boor, "Divided
+differences", 2005, for repeated nodes): for L steps from the eigenvalue
+mu of a to the eigenvalue x of b, q(x), q the quotient of P by (z - mu)^L,
+taken one coordinate at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
 from fractions import Fraction
-from math import factorial, lcm, prod
-from operator import itemgetter
-from typing import Sequence
+from math import factorial, prod
+from operator import getitem, itemgetter
+from typing import Iterable
 
 from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, coeff_map, dist
 from .errors import DimensionError, InputTooLarge
 from .limits import MAX_HELD_TERMS
-from .poly import Polynomial
+from .poly import Exponent, Polynomial
 
-# theta on integer numerators: {factors: numerator} maps.
-Numerators = dict[tuple[Atom1D, ...], int]
-# An atom's kind and its n or k, which fix its theta-eigenvalue.
-_KIND_AND_ORDER = itemgetter(0, 1)
+# A path from an atom: its end b, the product of theta_row's entries on it,
+# w(b), and its nodes (L, x): L steps, x the eigenvalue of b.
+Path = tuple[Atom1D, int, int, tuple[int, int]]
+Parts = dict[tuple, dict[Exponent, int]]  # node indices -> exponents left -> int
+_UNSIGNED = itemgetter(0, 1, 2)  # (kind, n or k, p) fixes an atom's paths
 
 
 def theta_row(a: Atom1D) -> list[tuple[int, Atom1D]]:
     """theta on one atom in the basis Delta(k)/k!, the same in every
-    coordinate: the entry x of a -> b is x = tc w(b)/w(a) for the
-    coefficient tc of b in theta a, w = _weight.  Every finite-part
-    correction is +-1 there, (-1)^i on the right half-line and + on the
-    left, so every entry is an integer."""
+    coordinate: the entry of a -> b is tc w(b)/w(a), tc the coefficient of b
+    in theta a, w(Delta(k)) = k!, w(MonLog) = 1.  Every correction is +-1
+    there, (-1)^i on the right half-line and + on the left."""
     if isinstance(a, Delta):
         return [(-(a.k + 1), a)]
     row: list[tuple[int, Atom1D]] = []
@@ -56,139 +61,127 @@ def theta_row(a: Atom1D) -> list[tuple[int, Atom1D]]:
     return row
 
 
+def _scale(a: Atom1D) -> int:
+    """w(a): k! for Delta(k), 1 for a MonLog."""
+    return factorial(a.k) if isinstance(a, Delta) else 1
+
+
 def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
     """Exact action of theta on one atom: theta_row back in the plain basis,
     where the entry x of a -> b is x w(a)/w(b)."""
-    wa = _weight((a,))
-    return [(Fraction(x * wa, _weight((b,))), b) for x, b in theta_row(a)]
+    return [(Fraction(x * _scale(a), _scale(b)), b) for x, b in theta_row(a)]
 
 
-def _weight(factors: tuple[Atom1D, ...]) -> int:
-    """The product of k! over the Delta(k) factors: the walk holds each
-    Delta(k) as k! times the basis element Delta(k)/k!."""
-    return prod(factorial(a.k) for a in factors if isinstance(a, Delta))
-
-
-class IntTable(dict):
-    """The rows of theta_row, one per atom, read when a walk first reaches
-    the atom."""
-
-    def __missing__(self, a: Atom1D) -> list[tuple[int, Atom1D]]:
-        row = self[a] = theta_row(a)
-        return row
-
-
-def _theta_step(i: int, nums: Numerators, table: IntTable) -> Numerators:
-    """theta_(i+1) on a merged {factors: numerator} map (zero entries skipped);
-    a result of more than MAX_HELD_TERMS terms is refused as soon as it is
-    held."""
-    out: Numerators = {}
-    for f, v in nums.items():
-        if not v:
-            continue
-        if len(out) > MAX_HELD_TERMS:
-            raise InputTooLarge(f"theta-action reaches over {MAX_HELD_TERMS} terms")
-        head, tail = f[:i], f[i + 1 :]
-        for tc, a in table[f[i]]:
-            g = head + (a,) + tail
-            out[g] = out.get(g, 0) + v * tc
+def _paths(a: Atom1D, deg: int) -> list[Path]:
+    """The paths of at most deg steps from a, read off theta_row: a, down
+    the log ladder, and from M(n,0) into its corrections.  Steps leave only
+    MonLogs, of scale 1, so a path's weight is its product over w(b)."""
+    mu = -(a.k + 1) if isinstance(a, Delta) else a.n
+    out, x = [(a, 1, 1, (0, mu))], 1
+    for L in range(1, deg + 1):
+        steps = [(y, b) for y, b in theta_row(a) if b != a]
+        if steps and isinstance(steps[0][1], MonLog):
+            ((y, a),) = steps
+            x *= y
+            out.append((a, x, 1, (L, mu)))
+        else:
+            return out + [(b, x * y, _scale(b), (L, -(b.k + 1))) for y, b in steps]
     return out
+
+
+def _contract(vals: Parts, nodes: tuple) -> Parts:
+    """The divided differences of each part of vals in its first coordinate
+    at nodes: each (L, x) takes q(x) by Horner's rule, q the quotient of a
+    slice by (z - mu)^L, mu the x of the first node.  A part's key gains the
+    node's index; zeros are left out."""
+    mu = nodes[0][1]
+    out: Parts = {}
+    for key, part in vals.items():
+        rows: dict[Exponent, dict[int, int]] = {}
+        for alpha, c in part.items():
+            rows.setdefault(alpha[1:], {})[alpha[0]] = c
+        for rest, row in rows.items():
+            q = [row.get(s, 0) for s in range(max(row) + 1)]
+            divided = 0
+            for i, (L, x) in enumerate(nodes):
+                for _ in range(divided, L):  # q by (z - mu), remainder dropped
+                    for s in range(len(q) - 2, -1, -1):
+                        q[s] += mu * q[s + 1]
+                    q = q[1:]
+                divided = L
+                v = 0
+                for c in reversed(q):
+                    v = v * x + c
+                if v:
+                    out.setdefault(key + (i,), {})[rest] = v
+    return out
+
+
+def _check_held(plans: list, support: Iterable[Exponent]) -> None:
+    """Refuse, before any arithmetic, terms taken to over MAX_HELD_TERMS
+    terms.  A term reaches at most the product of its paths' counts; past
+    the bound, only the paths whose steps (L_1, ..., L_d) lie below a
+    monomial z^alpha of P count, since a divided difference at L + 1 nodes
+    is zero on z^a for a < L."""
+    n = sum(len(ts) * prod(map(len, lead)) for ts, lead in plans)
+    if n > MAX_HELD_TERMS:
+        n = 0
+        for ts, lead in plans:  # down from the steps that P's monomials allow
+            counts = [Counter(L for *_, (L, _) in ps) for ps in lead]
+            tops = [max(c) for c in counts]
+            todo = list({tuple(map(min, alpha, tops)) for alpha in support})
+            seen = set(todo)
+            while todo and n <= MAX_HELD_TERMS:
+                steps = todo.pop()
+                n += len(ts) * prod(map(getitem, counts, steps))
+                for j, L in enumerate(steps):
+                    below = steps[:j] + (L - 1,) + steps[j + 1 :]
+                    if L and below not in seen:
+                        seen.add(below)
+                        todo.append(below)
+    if n > MAX_HELD_TERMS:
+        raise InputTooLarge(f"theta-action reaches over {MAX_HELD_TERMS} terms")
 
 
 def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     """The Euler operator P(theta) applied exactly to an expression.
 
-    With P = sum_k z_1^k P_k(z_2..z_d), P(theta) e is taken by Horner's
-    rule in theta_1: acc = theta_1 acc + P_k(theta') e, from the top power
-    of z_1 down.  The theta'-powers of e are iterated factor-wise on merged
-    {factors: numerator} maps and shared across the P_k by lowering the
-    first nonzero exponent.  So theta_1 acts once per power of z_1, P's
-    coefficients multiply theta'-powers of e only, and the sum is sorted
-    once.
-
-    The walk runs on integers, with each Delta(k) held as k! Delta(k)/k!: a
-    term f of e is scaled by D_e w(f) (D_e the common denominator of e,
-    w(f) the product of k! over the Delta(k) factors of f), P is read as its
-    numerators over its denominator D_P, and each output term is one
-    Fraction over D_e D_P w(f).  One table, shared by all coordinates and
-    filled as the walk reaches atoms, holds theta in that basis.
-
-    Terms over more than one denominator are walked one eigenvalue class
-    at a time (per coordinate, the atom kind and its n or k), each over its
-    own common denominator, and the results are merged: the solution of
-    t1^m+1 on x1^-m*H(x1) has m delta terms over pairwise almost coprime
-    denominators, whose lcm would otherwise scale every numerator of the
-    walk.  The merged result of more than one class is held to the walk's
-    own term bound.  Over one denominator the lcm cannot grow, and one walk
-    skips the per-term class keys.
-    """
+    Terms are grouped by their atoms without the sign, which fix the paths.
+    Per group, _contract's integers times a term's coefficient and its
+    paths' weights, over P's denominator, are its output terms, each one
+    Fraction, merged once by dist."""
     if P.dim != e.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {e.dim}")
     if P.is_zero() or e.is_zero():
         return DistExpr.zero(e.dim)
-    slices: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for alpha, c in P.nums.items():
-        k, beta = (alpha[0], alpha[1:]) if alpha else (0, ())
-        slices.setdefault(k, []).append((beta, c))
-    classes = [e.terms]
-    if len({c.denominator for _, c in e.terms}) > 1:
-        by_class: dict[tuple, list[Term]] = {}
-        for t in e.terms:
-            by_class.setdefault(tuple(map(_KIND_AND_ORDER, t[0])), []).append(t)
-        classes = list(by_class.values())
-    table = IntTable()
-    walks = [_walk(slices, ts, e.dim, table) for ts in classes]
-    out = dist(
-        e.dim,
-        [
-            (f, Fraction(v, den * P.den * _weight(f)))
-            for den, nums in walks
-            for f, v in nums.items()
-            if v
-        ],
-    )
-    if len(classes) > 1 and len(out.terms) > MAX_HELD_TERMS:
-        raise InputTooLarge(f"theta-action reaches over {MAX_HELD_TERMS} terms")
-    return out
-
-
-def _walk(
-    slices: dict[int, list[tuple[tuple[int, ...], int]]],
-    terms: Sequence[Term],
-    dim: int,
-    table: IntTable,
-) -> tuple[int, Numerators]:
-    """P(theta) on terms, P read as its numerators by power of z_1: the
-    common denominator D of terms, and the numerators over D w(f) (times
-    P's own denominator) of the result."""
-    den = lcm(*(c.denominator for _, c in terms))
-    start: Numerators = {}
-    for f, c in terms:
-        start[f] = start.get(f, 0) + c.numerator * (den // c.denominator) * _weight(f)
-    # theta'^beta e, beta the exponents of coordinates 2..d.
-    powers = {(0,) * (dim - 1): start}
-
-    def theta_power(beta: tuple[int, ...]) -> Numerators:
-        # Walk down to the nearest known power, then apply theta back up;
-        # beta[j] acts on factor j + 1.
-        chain = []
-        while beta not in powers:
-            j = next(i for i, b in enumerate(beta) if b > 0)
-            chain.append((beta, j + 1))
-            beta = beta[:j] + (beta[j] - 1,) + beta[j + 1 :]
-        val = powers[beta]
-        for gamma, i in reversed(chain):
-            val = powers[gamma] = _theta_step(i, val, table)
-        return val
-
-    acc: Numerators = {}
-    for k in range(max(slices), -1, -1):
-        if acc:
-            acc = _theta_step(0, acc, table)
-        for beta, c in slices.get(k, ()):
-            for f, v in theta_power(beta).items():
-                acc[f] = acc.get(f, 0) + c * v
-    return den, acc
+    degs = list(map(max, zip(*P.nums)))
+    paths_of = cache(_paths)  # theta_row is read once per atom in a call
+    groups: dict[tuple, list[Term]] = {}
+    for t in e.terms:
+        groups.setdefault(tuple(map(_UNSIGNED, t[0])), []).append(t)
+    plans = [(ts, list(map(paths_of, ts[0][0], degs))) for ts in groups.values()]
+    _check_held(plans, P.nums)
+    done: dict[tuple, Parts] = {}  # groups share their first coordinates' work
+    out: list[tuple[tuple[Atom1D, ...], int, int]] = []
+    for ts, lead in plans:
+        nodes = tuple(tuple(p[3] for p in ps) for ps in lead)
+        values = {(): P.nums}
+        for j in range(1, len(nodes) + 1):
+            if nodes[:j] not in done:
+                done[nodes[:j]] = _contract(values, nodes[j - 1])
+            values = done[nodes[:j]]
+        active = [j for j, ps in enumerate(lead) if len(ps) > 1]
+        for f, c in ts:
+            ends = [(j, paths_of(f[j], degs[j])) for j in active]
+            for idx, part in values.items():
+                g = list(f)
+                x, w = c.numerator * part[()], c.denominator * P.den
+                for j, ps in ends:
+                    g[j], y, z, _ = ps[idx[j]]
+                    x *= y
+                    w *= z
+                out.append((tuple(g), x, w))
+    return dist(e.dim, [(g, Fraction(x, w)) for g, x, w in out])
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:

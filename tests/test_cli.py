@@ -578,7 +578,9 @@ class TestInputLimits:
         assert code == 0 and json.loads(out)["outputs"]["verified"]
 
     def test_high_power_is_solved(self, capsys):
-        # theta^1000 is walked iteratively, not by one recursion per power.
+        # theta^1000 on the solution's one term is one divided difference of
+        # P per path, by synthetic division, with no step or recursion per
+        # power of theta.
         start = time.monotonic()
         argv = ["solve", "-P", "t1^1000", "-T", "log(x1)*H(x1)", "-d", "1"]
         code, out = run(capsys, *argv)
@@ -586,8 +588,9 @@ class TestInputLimits:
         assert code == 0 and json.loads(out)["outputs"]["verified"]
 
     def test_high_degree_resonant_path_is_quick(self, capsys):
-        # factor_out shifts a degree-300 polynomial twice and verify walks
-        # 300 theta-powers of a 300-term solution, all on integers over one
+        # factor_out shifts a degree-300 polynomial twice and verify divides
+        # it by (z + 1) once per step down the log ladder of the solution's
+        # one term x1^-1*log(x1)^299*H(x1), all on integers over one
         # denominator; with a Fraction per coefficient this took about 2 s.
         start = time.monotonic()
         argv = ["solve", "-P", "(t1+1)^300", "-T", "delta(x1,0)", "-d", "1"]
@@ -627,8 +630,9 @@ class TestInputLimits:
         self, capsys, m, T, code
     ):
         # MAX_BITS bounds every coefficient the solver makes, so a solution
-        # that could not be printed is refused before verify walks it; the
-        # largest coefficient of the m = 400 solution is under the bound.
+        # that could not be printed is refused before verify applies P to
+        # it; the largest coefficient of the m = 400 solution is under the
+        # bound.
         start = time.monotonic()
         got, out = run(capsys, "solve", "-P", f"t1^{m}+1", "-T", T, "-d", "1")
         assert time.monotonic() - start < 20.0

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
-from eulerdist.gausspoly import GaussPoly
+from eulerdist.gausspoly import GaussPoly, apply_transposed
 from eulerdist import oracle, theta
 from eulerdist.cli import main
 from eulerdist.grammar import parse_dist, parse_poly
@@ -153,6 +153,30 @@ class TestCompareSymbolicNumeric:
         P = Polynomial.variable(1, 1)
         e = full_monomial((1,))
         assert compare_symbolic_numeric(P, e, e, self.suite()) <= 1e-6
+
+    @pytest.mark.parametrize("P", ["(t1+1)^12", "(t1+t2+1)^3-t1*t2^2"])
+    def test_transposed_action_steps_once_per_derivative(self, P):
+        # Each D^alpha phi is stepped from one stored derivative: (t1+1)^12
+        # takes 12 steps, not 78, and the sum is the monomial-by-monomial
+        # one.
+        P = parse_poly(P, 2 if "t2" in P else 1)
+        phi = self.suite()[2] if P.dim == 1 else self.SUITE_2D[1]
+        steps = []
+
+        def counting(g, j):
+            steps.append(j)
+            return derivative_of_x_phi(g, j)
+
+        got = apply_transposed(P, phi, counting)
+        want = Polynomial.zero(P.dim)
+        for alpha, c in P.terms.items():
+            g = phi
+            for j, a in enumerate(alpha, start=1):
+                for _ in range(a):
+                    g = derivative_of_x_phi(g, j)
+            want = want + g.poly.scale(-c if sum(alpha) % 2 else c)
+        assert got == phi.with_poly(want)
+        assert len(steps) == {1: 12, 2: 9}[P.dim]
 
     SUITE_2D = [
         GaussPoly.gaussian(2, (F(1, 3), F(-1, 4)), F(3, 2)),

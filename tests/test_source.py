@@ -92,8 +92,7 @@ INTEGER_KERNELS = [
     ("poly.py", "Polynomial.partial"),
     ("poly.py", "poly_eval"),
     ("poly.py", "substitute_coord"),
-    ("theta.py", "_theta_step"),
-    ("theta.py", "_walk"),
+    ("theta.py", "_contract"),
     ("theta.py", "apply_polynomial"),
 ]
 

@@ -86,21 +86,34 @@ class TestApplyPolynomial:
 @pytest.mark.parametrize("m", [25, 50, 100])
 def test_walk_numerators_stay_small_over_distinct_denominators(monkeypatch, m):
     # The solution of t1^m+1 on x1^-m*H(x1) has m delta terms over the
-    # pairwise almost coprime denominators (i+1)^m + 1.  Walked over their
-    # lcm, its numerators reached 1917, 10284 and 51599 bits at m = 25, 50
-    # and 100; walked one eigenvalue class at a time, 298, 748 and 1827.
+    # pairwise almost coprime denominators (i+1)^m + 1.  Each term keeps its
+    # own denominator, so the integers contracted are P's numerators and
+    # their divided differences (117, 283 and 665 bits at m = 25, 50 and
+    # 100), never scaled by an lcm of the terms' denominators (which took
+    # them to 51599 bits at m = 100).
     P = Polynomial.variable(1, 1) ** m + Polynomial.constant(1, 1)
     U = solve(P, single((MonLog(-m, 0, 1),))).solution
     largest = [0]
-    step = theta._theta_step
+    contract = theta._contract
 
-    def recording(i, nums, table):
-        largest[0] = max([largest[0], *(abs(v).bit_length() for v in nums.values())])
-        return step(i, nums, table)
+    def recording(vals, nodes):
+        out = contract(vals, nodes)
+        ints = [v for part in [*vals.values(), *out.values()] for v in part.values()]
+        largest[0] = max([largest[0], *(abs(v).bit_length() for v in ints)])
+        return out
 
-    monkeypatch.setattr(theta, "_theta_step", recording)
+    monkeypatch.setattr(theta, "_contract", recording)
     assert apply_polynomial(P, U) == single((MonLog(-m, 0, 1),))
     assert 0 < largest[0] < 40 * m
+
+
+def test_held_terms_are_counted_through_the_monomials_of_P():
+    # Each coordinate has 301 paths, 90601 pairs, but no monomial of P has
+    # both exponents positive, so no pair of corrections is reached: the
+    # 601 terms of the result are under MAX_HELD_TERMS and are not refused.
+    P = Polynomial(2, {(300, 0): 1, (0, 300): 1, (0, 0): 1})
+    e = single((MonLog(-300, 0, 1), MonLog(-300, 0, 1)))
+    assert len(apply_polynomial(P, e).terms) == 601
 
 
 class TestIntTable:
@@ -112,22 +125,19 @@ class TestIntTable:
     deltas = [Delta(k) for k in range(12)]
 
     def test_every_entry_is_an_int(self):
-        table = theta.IntTable()
         for a in self.finite_parts + self.deltas:
-            assert all(type(x) is int for x, _ in table[a])
+            assert all(type(x) is int for x, _ in theta.theta_row(a))
 
     def test_finite_part_corrections_are_plus_or_minus_one(self):
         # The sign is (-1)^i on the right half-line and + on the left.
-        table = theta.IntTable()
         for a in self.finite_parts:
-            got = {b: x for x, b in table[a] if isinstance(b, Delta)}
+            got = {b: x for x, b in theta.theta_row(a) if isinstance(b, Delta)}
             want = {Delta(i): (-1) ** i if a.s == 1 else 1 for i in range(-a.n)}
             assert got == (want if a.p == 0 else {})
 
     def test_delta_eigenvalue(self):
-        table = theta.IntTable()
         for a in self.deltas:
-            assert table[a] == [(-(a.k + 1), a)]
+            assert theta.theta_row(a) == [(-(a.k + 1), a)]
 
 
 class TestEqual:
@@ -271,7 +281,7 @@ def test_apply_polynomial_matches_monomial_reference(P, ts):
     assert apply_polynomial(P, e) == _reference_apply(P, e)
 
 
-# -- the integer theta-walk against the term-by-term reference --------------
+# -- apply_polynomial against the term-by-term reference ---------------------
 
 finite_parts = st.builds(
     MonLog, st.integers(-6, -1), st.integers(0, 2), st.sampled_from((1, -1))
@@ -300,7 +310,7 @@ def raw_terms_3d(draw):
 
 
 polys_3d = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
     max_size=4,
 ).map(lambda terms: Polynomial(3, terms))
@@ -308,8 +318,10 @@ polys_3d = st.dictionaries(
 
 @settings(max_examples=40, deadline=None)
 @given(polys_3d, raw_terms_3d())
-def test_integer_walk_matches_reference_in_three_dimensions(P, ts):
+def test_apply_polynomial_matches_reference_in_three_dimensions(P, ts):
     # n down to -6 puts weights up to 5! on the deltas; P's denominators go
-    # up to 6.
+    # up to 6.  Exponents up to 3 in every coordinate against log powers up
+    # to 2 give paths that stop on the log ladder (deg_j P <= p) and paths
+    # that go on into the corrections (deg_j P > p).
     e = DistExpr(3, tuple(ts))
     assert apply_polynomial(P, e) == _reference_apply(P, e)

@@ -90,13 +90,6 @@ def delta_coord(factors: tuple[Atom1D, ...]) -> int:
     return 0
 
 
-def eigenvalue(factors: tuple[Atom1D, ...]) -> tuple[Fraction, ...]:
-    """Per-coordinate theta-eigenvalue: n for MonLog, -(k+1) for Delta."""
-    return tuple(
-        Fraction(-(f.k + 1)) if isinstance(f, Delta) else Fraction(f.n) for f in factors
-    )
-
-
 @dataclass(frozen=True)
 class DistExpr:
     dim: int

@@ -322,10 +322,10 @@ def taylor_shift(P: Polynomial, mu: Sequence[RationalLike]) -> Polynomial:
     return _make(P.dim, nums, den)
 
 
-def vanishing_order(P: Polynomial, mu: Sequence[RationalLike]) -> tuple[int, Exponent]:
-    """min |beta| with (D^beta P)(mu) != 0, with a grlex-smallest witness beta."""
+def vanishing_order(P: Polynomial) -> tuple[int, Exponent]:
+    """min |beta| with (D^beta P)(0) != 0, with a grlex-smallest witness
+    beta; the order at mu is that of taylor_shift(P, mu)."""
     if P.is_zero():
         raise ZeroPolynomial("vanishing_order requires a nonzero polynomial")
-    shifted = taylor_shift(P, mu)
-    best = min(shifted.nums, key=grlex_key)
+    best = min(P.nums, key=grlex_key)
     return sum(best), best

@@ -7,13 +7,14 @@ T is canonicalised once; the canonical terms are dispatched in groups:
     vanishes identically, by extracting the maximal linear factor
     (z_j + k + 1)^r and inverting (theta_j + k + 1) r times on the finite
     resonant subspace;
-  * delta-free terms sharing one class (eigenvalue mu, log powers p) -- a
-    full-line factor's half-line terms, say -- are solved together in the
-    quotient calculus modulo delta-supported distributions: dividing z^p
-    by the grlex-smallest term z^gamma of P(z + mu), whose order v is the
-    vanishing order of P at mu, gives the solution vector for the whole
-    class, and the exact delta-supported residual of the class is fed back
-    through the solver.
+  * the delta-free terms are solved in one call, in the quotient calculus
+    modulo delta-supported distributions.  Terms sharing one class
+    (eigenvalue mu, log powers p) -- a full-line factor's half-line terms,
+    say -- share one solution vector: dividing z^p by the grlex-smallest
+    term z^gamma of P(z + mu), whose order v is the vanishing order of P at
+    mu.  One forward application of P(theta) to the classes' solutions
+    gives their exact delta-supported residual, which is fed back through
+    the solver.
 
 The recursion needs no cap: every nested solve lowers the dimension
 (substitution), the degree (factor extraction), or solves a delta-supported
@@ -32,14 +33,12 @@ from operator import add, sub
 from typing import Sequence
 
 from .atoms import (
-    Atom1D,
     Delta,
     DistExpr,
     MonLog,
     Term,
     delta_coord,
     dist,
-    eigenvalue,
 )
 from .errors import (
     DimensionError,
@@ -83,12 +82,13 @@ def _solve_log_system(
     """Solve S(d) u = z^p by division by the grlex-smallest term z^gamma of S.
 
     S is the Taylor shift P(z + mu), so gamma is the witness of
-    vanishing_order(P, mu).  The image of z^(r + gamma) under S(d) has
-    grlex-leading term S[gamma] prod_j (r_j + gamma_j)!/r_j! z^r: a term of
-    higher order lowers the degree, and one of order |gamma| is lex-larger
-    than gamma, so it lowers the monomial in lex order.  Taking off the
-    leading term of the remainder z^p one monomial at a time therefore ends,
-    and gives the unique solution supported on the multiples of z^gamma.
+    vanishing_order(S), the order of P at mu.  The image of z^(r + gamma)
+    under S(d) has grlex-leading term S[gamma] prod_j (r_j + gamma_j)!/r_j!
+    z^r: a term of higher order lowers the degree, and one of order |gamma|
+    is lex-larger than gamma, so it lowers the monomial in lex order.  Taking
+    off the leading term of the remainder z^p one monomial at a time
+    therefore ends, and gives the unique solution supported on the multiples
+    of z^gamma.
     That is the solution of the box {q : |q| <= |p| + |gamma|} with all free
     coefficients zero when its columns are eliminated in grlex order, since
     the multiples of z^gamma are exactly that elimination's pivot columns:
@@ -129,57 +129,55 @@ def _solve_log_system(
     return u
 
 
-def _log_class(factors: tuple[Atom1D, ...]) -> tuple[tuple[int, int], ...]:
-    """(eigenvalue, log power) per coordinate of a delta-free term."""
-    return tuple((f.n, f.p) for f in factors)
-
-
 def solve_continuous_term(
     P: Polynomial, ts: Sequence[Term], final: bool = True
 ) -> tuple[DistExpr, DistExpr, int]:
     """Solve P(theta) U = sum(ts) modulo delta-supported terms.
 
-    The terms must be delta-free and share one (eigenvalue, log powers)
-    class; they may differ in half-line signs and coefficients.  Dividing
-    z^p by the grlex-smallest term z^gamma of S = P(z + mu), mu the class
-    eigenvalue and v = |gamma| = vanishing_order(P, mu), gives one vector u
-    with S(d) u = z^p that solves every term of the class.  Returns
-    (U_partial, residual, v);
-    the residual sum(ts) - P(theta) U_partial is computed in the full
-    calculus and is always delta-supported.  With final, U_partial's
-    coefficients are solution coefficients, held to MAX_BITS before
-    P(theta) is applied to them for the residual, which costs far more.
+    The terms must be delta-free; they are grouped by their class (eigenvalue
+    mu, log powers p), and the terms of one class may differ in half-line
+    signs and coefficients.  Dividing z^p by the grlex-smallest term z^gamma
+    of S = P(z + mu), of order v = |gamma| (the vanishing order of P at mu),
+    gives one vector u with S(d) u = z^p that solves every term of the class.
+    Returns (U_partial, residual, largest v over the classes); the residual
+    sum(ts) - P(theta) U_partial is computed in the full calculus by one
+    forward application and is always delta-supported.  With final,
+    U_partial's coefficients are solution coefficients, held to MAX_BITS as
+    each class makes them, before P(theta) is applied to them for the
+    residual, which costs far more.
     """
-    if not ts:
-        raise UnsupportedInput("solve_continuous_term needs at least one term")
-    for f, _ in ts:
+    classes: dict[tuple[tuple[int, int], ...], list[Term]] = {}
+    for f, c in ts:
         if delta_coord(f):
             raise UnsupportedInput("solve_continuous_term requires delta-free terms")
-    key = _log_class(ts[0][0])
-    if any(_log_class(f) != key for f, _ in ts):
-        raise UnsupportedInput(
-            "solve_continuous_term requires one (eigenvalue, log powers) class"
-        )
-    d = len(key)
-    S = taylor_shift(P, eigenvalue(ts[0][0]))
-    v, gamma = vanishing_order(S, (0,) * d)
-    u = _solve_log_system(S, tuple(p for _, p in key), gamma)
-    terms = [
-        (tuple(MonLog(a.n, qj, a.s) for a, qj in zip(f, q)), c * tc)
-        for f, tc in ts
-        for q, c in u.items()
-    ]
-    U_partial = dist(d, terms)
-    if final:
-        _check_bits(U_partial.terms)
+        classes.setdefault(tuple((a.n, a.p) for a in f), []).append((f, c))
+    if not classes:
+        raise UnsupportedInput("solve_continuous_term needs at least one term")
+    terms: list[Term] = []
+    v_max = 0
+    for key, cts in classes.items():
+        S = taylor_shift(P, [n for n, _ in key])
+        v, gamma = vanishing_order(S)
+        v_max = max(v_max, v)
+        u = _solve_log_system(S, tuple(p for _, p in key), gamma)
+        made = [
+            (tuple(MonLog(a.n, qj, a.s) for a, qj in zip(f, q)), c * tc)
+            for f, tc in cts
+            for q, c in u.items()
+        ]
+        if final:
+            _check_bits(made)
+        terms += made
+        _check_held(terms)
+    U_partial = dist(P.dim, terms)
     image = apply_polynomial(P, U_partial)
-    residual = dist(d, [*ts, *((f, -c) for f, c in image.terms)])
+    residual = dist(P.dim, [*ts, *((f, -c) for f, c in image.terms)])
     for f, _ in residual.terms:
         if not delta_coord(f):
             raise EscalationExceeded(
                 "continuous residual contains a delta-free term (internal error)"
             )
-    return U_partial, residual, v
+    return U_partial, residual, v_max
 
 
 # -- resonant one-dimensional inversion ----------------------------------
@@ -245,14 +243,22 @@ def _check_bits(terms: Sequence[Term]) -> None:
     not be printed.  Each solution part is checked once, where the solver
     makes it (a continuous class, a division by a constant P or the last
     resonant inversion of a delta group), before any more work is done on
-    it; what a resonant inversion rescales is not checked."""
-    for _, c in terms:
-        n, d = c.as_integer_ratio()
-        if n.bit_length() > MAX_BITS or d.bit_length() > MAX_BITS:
-            bits = max(n.bit_length(), d.bit_length())
-            raise InputTooLarge(
-                f"a solution coefficient of {bits} bits is above {MAX_BITS}"
-            )
+    it; what a resonant inversion rescales is not checked.  The message
+    names the coefficient of the canonically first term over the bound,
+    whatever order the terms are made in."""
+    over = min(
+        (
+            (f, bits)
+            for f, c in terms
+            if (bits := max(c.numerator.bit_length(), c.denominator.bit_length()))
+            > MAX_BITS
+        ),
+        default=None,
+    )
+    if over:
+        raise InputTooLarge(
+            f"a solution coefficient of {over[1]} bits is above {MAX_BITS}"
+        )
 
 
 def _solve(
@@ -265,42 +271,34 @@ def _solve(
     """Solve P(theta) U = T for a canonical T; the result is canonical.
     With final, the coefficients it makes are solution coefficients, held
     to MAX_BITS; under a resonant inversion they are not."""
-    if P.is_zero():
-        raise ZeroPolynomial("the Euler operator must be non-trivial")
-    if P.dim != T.dim:
-        raise DimensionError(f"polynomial dim {P.dim} vs expression dim {T.dim}")
-    if T.is_zero():
-        return DistExpr.zero(T.dim)
     if P.degree == 0:
         U = T.scaled(Fraction(P.den, P.nums[(0,) * P.dim]))
         if final:
             _check_bits(U.terms)
         return U
-    parts: list[Term] = []
     groups: dict[tuple[int, int], list[Term]] = {}
-    classes: dict[tuple[tuple[int, int], ...], list[Term]] = {}
-    residuals: list[Term] = []
+    continuous: list[Term] = []
     for t in T.terms:
         f = t[0]
         j = delta_coord(f)
         if j:
             groups.setdefault((j, f[j - 1].k), []).append(t)
         else:
-            classes.setdefault(_log_class(f), []).append(t)
-    for ts in classes.values():
-        up, residual, v = solve_continuous_term(P, ts, final)
+            continuous.append(t)
+    parts: list[Term] = []
+    residual = DistExpr.zero(T.dim)
+    if continuous:
+        up, residual, v = solve_continuous_term(P, continuous, final)
         esc[0] = max(esc[0], v)
         parts.extend(up.terms)
-        _check_held(parts)
-        residuals.extend(residual.terms)
     for (j, k), ts in sorted(groups.items()):
         # A subsequence of a canonical T is canonical.
         G = DistExpr(T.dim, tuple(ts))
         sub = _solve_delta_group(P, j, k, G, trace, esc, final)
         parts.extend(sub.terms)
         _check_held(parts)
-    if residuals:
-        parts.extend(_solve(P, dist(T.dim, residuals), trace, esc, final).terms)
+    if not residual.is_zero():
+        parts.extend(_solve(P, residual, trace, esc, final).terms)
         _check_held(parts)
     return dist(T.dim, parts)
 
@@ -352,6 +350,10 @@ def solve(P: Polynomial, T: DistExpr) -> SolveReport:
     trace: list[TraceEvent] = []
     esc = [0]
     T = dist(T.dim, T.terms)
+    if P.is_zero():
+        raise ZeroPolynomial("the Euler operator must be non-trivial")
+    if P.dim != T.dim:
+        raise DimensionError(f"polynomial dim {P.dim} vs expression dim {T.dim}")
     U = _solve(P, T, trace, esc)
     return SolveReport(
         solution=U,

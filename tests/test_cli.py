@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eulerdist import cli, errors, solver, theta
 from eulerdist.cli import main
-from eulerdist.limits import MAX_NESTING
+from eulerdist.limits import MAX_BITS, MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -618,21 +618,22 @@ class TestInputLimits:
         assert json.loads(out)["outputs"]["canonical"] == "t1"
 
     @pytest.mark.parametrize(
-        "m, T, code",
+        "m, T, code, bits",
         [
-            (1000, "x1^-1000*H(x1)", 2),
-            (320, "x1^-320*log(x1)^5*H(x1)", 2),
-            (400, "x1^-400*H(x1)", 0),
+            (1000, "x1^-1000*H(x1)", 2, 10966),
+            (320, "x1^-320*log(x1)^5*H(x1)", 2, 15979),
+            (400, "x1^-400*H(x1)", 0, None),
         ],
         ids=["over-bits", "over-bits-with-logs", "largest-9738-bits"],
     )
     def test_solution_coefficients_are_checked_as_they_are_made(
-        self, capsys, m, T, code
+        self, capsys, m, T, code, bits
     ):
         # MAX_BITS bounds every coefficient the solver makes, so a solution
         # that could not be printed is refused before verify applies P to
         # it; the largest coefficient of the m = 400 solution is under the
-        # bound.
+        # bound.  The message names the coefficient of the canonically first
+        # term over the bound, not the first one made.
         start = time.monotonic()
         got, out = run(capsys, "solve", "-P", f"t1^{m}+1", "-T", T, "-d", "1")
         assert time.monotonic() - start < 20.0
@@ -640,7 +641,9 @@ class TestInputLimits:
         if code:
             error = json.loads(out)["error"]
             assert error["type"] == "InputTooLarge"
-            assert error["message"].startswith("a solution coefficient of ")
+            assert error["message"] == (
+                f"a solution coefficient of {bits} bits is above {MAX_BITS}"
+            )
         else:
             assert json.loads(out)["outputs"]["verified"]
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerdist.atoms import Delta, DistExpr, MonLog, dist, eigenvalue, single
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
 from paperchecks import TermNotHyperplaneSupported, decompose_hyperplane, full_monomial
 
 
@@ -43,21 +43,6 @@ class TestFullMonomial:
         e = full_monomial((2, 0), 2)
         assert len(e.terms) == 4
         assert all(c == 1 for _, c in e.terms)
-
-
-class TestEigenvalue:
-    def test_delta_tensor(self):
-        assert eigenvalue((Delta(2), H)) == (F(-3), F(0))
-
-    def test_monomial(self):
-        assert eigenvalue((MonLog(3, 0, 1),)) == (F(3),)
-
-    def test_finite_part_log(self):
-        assert eigenvalue((MonLog(-1, 0, 1), MonLog(1, 1, 1))) == (F(-1), F(1))
-
-    def test_eig_atoms(self):
-        assert eigenvalue((Delta(4),)) == (-5,)
-        assert eigenvalue((MonLog(-2, 3, -1),)) == (-2,)
 
 
 class TestAtomRepresentation:

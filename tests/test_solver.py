@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, Rational
 
-from eulerdist.atoms import Delta, DistExpr, MonLog, dist, eigenvalue, single
+from eulerdist import solver
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
 from eulerdist.errors import UnsupportedInput, ZeroPolynomial
 from eulerdist.grammar import format_dist, parse_dist, parse_poly
 from eulerdist.limits import MAX_SOLUTION_ORDER
@@ -139,13 +140,19 @@ class TestSolveContinuousTerm:
         with pytest.raises(UnsupportedInput):
             solve_continuous_term(zvar(2, 1), ts)
 
-    def test_rejects_two_classes(self):
-        P = zvar(2, 1) + const(2, 1)
-        # Same eigenvalue, different log powers; then different eigenvalues.
-        for other in (MonLog(0, 1, -1), MonLog(1, 0, 1)):
-            ts = [((H, H), F(1)), ((H, other), F(1))]
-            with pytest.raises(UnsupportedInput):
-                solve_continuous_term(P, ts)
+    def test_one_forward_application_per_level(self, monkeypatch):
+        # Both classes of T are solved in one call: one application of
+        # P(theta) for their residual and one for verify.
+        calls = []
+
+        def counted(P, U):
+            calls.append(U)
+            return apply_polynomial(P, U)
+
+        monkeypatch.setattr(solver, "apply_polynomial", counted)
+        T = parse_dist("x1*H(x1) + x1^2*H(x1)", 1)
+        assert solve(parse_poly("t1+1", 1), T).verified
+        assert len(calls) == 2
 
     def test_class_shares_one_solution_vector(self):
         # The two sign patterns of one class get the same u, scaled by
@@ -219,7 +226,7 @@ def test_log_system_division_matches_elimination(system):
     """Division by the grlex-smallest term gives the free-variables-zero
     solution of the grlex-ordered box elimination."""
     S, p = system
-    v, gamma = vanishing_order(S, (0,) * S.dim)
+    v, gamma = vanishing_order(S)
     u = _solve_log_system(S, p, gamma)
     assert u == _reference_log_system(S, p, v).terms
 
@@ -242,7 +249,7 @@ def _cascading_solve(draw):
         ),
     )
     factors = draw(st.tuples(*[atoms] * d))
-    mu = eigenvalue(factors)
+    mu = [-(a.k + 1) if isinstance(a, Delta) else a.n for a in factors]
     P = const(d, 1)
     for _ in range(draw(st.integers(1, 4))):
         a = draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d).filter(any))
@@ -314,27 +321,23 @@ classes = st.integers(1, 3).flatmap(
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
 
 
-@settings(max_examples=30, deadline=None)
-@given(classes, st.data())
-def test_solution_is_additive_over_terms(cls, data):
-    """solve(P, T) is the canonical sum of the solves of T's terms, for T
-    with several sign patterns per (eigenvalue, log powers) class."""
+def _draw_classes(cls, data, min_signs):
+    """(P, per-class term lists) for the classes cls, with min_signs or
+    more sign patterns per class; P vanishes to order r at the first class's
+    eigenvalue (r = 0: generic)."""
     d = len(cls[0])
-    terms = []
+    per_class = []
     for key in cls:
         signs = data.draw(
             st.lists(
                 st.tuples(*[st.sampled_from((1, -1))] * d),
-                min_size=2,
+                min_size=min_signs,
                 max_size=min(2**d, 3),
                 unique=True,
             )
         )
-        for sv in signs:
-            factors = tuple(MonLog(n, p, s) for (n, p), s in zip(key, sv))
-            terms.append((factors, data.draw(coeffs)))
-    T = dist(d, terms)
-    # P vanishes to order r at the first class's eigenvalue (r = 0: generic).
+        factors = [tuple(MonLog(n, p, s) for (n, p), s in zip(key, sv)) for sv in signs]
+        per_class.append([(f, data.draw(coeffs)) for f in factors])
     mu = [n for n, _ in cls[0]]
     P = const(d, data.draw(st.integers(1, 3)))
     for j in range(1, d + 1):
@@ -342,10 +345,37 @@ def test_solution_is_additive_over_terms(cls, data):
     for _ in range(data.draw(st.integers(0, 2))):
         j = data.draw(st.integers(1, d))
         P = P * (zvar(d, j) - const(d, mu[j - 1]))
+    return P, per_class
+
+
+@settings(max_examples=30, deadline=None)
+@given(classes, st.data())
+def test_solution_is_additive_over_terms(cls, data):
+    """solve(P, T) is the canonical sum of the solves of T's terms, for T
+    with several sign patterns per (eigenvalue, log powers) class."""
+    P, per_class = _draw_classes(cls, data, 2)
+    d = P.dim
+    T = dist(d, [t for ts in per_class for t in ts])
     rep = solve(P, T)
     assert rep.verified
     pieces = [s for t in T.terms for s in solve(P, dist(d, [t])).solution.terms]
     assert rep.solution == dist(d, pieces)
+
+
+@settings(max_examples=30, deadline=None)
+@given(classes, st.data())
+def test_continuous_solve_sums_its_one_class_solves(cls, data):
+    """On terms of several classes, solve_continuous_term returns the
+    canonical sums of the solutions and residuals of its one-class calls,
+    and the largest of their vanishing orders."""
+    P, per_class = _draw_classes(cls, data, 1)
+    d = P.dim
+    T = dist(d, [t for ts in per_class for t in ts])
+    U, residual, v = solve_continuous_term(P, T.terms)
+    ones = [solve_continuous_term(P, ts) for ts in per_class]
+    assert U == dist(d, [t for one, _, _ in ones for t in one.terms])
+    assert residual == dist(d, [t for _, r, _ in ones for t in r.terms])
+    assert v == max(x for _, _, x in ones)
 
 
 class TestSolveDeltaTerm:

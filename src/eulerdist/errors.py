@@ -17,10 +17,6 @@ class UnsupportedInput(EulerDistError):
     """Input is outside the structured distribution class."""
 
 
-class EscalationExceeded(EulerDistError):
-    """A continuous solve left a delta-free residual (defensive)."""
-
-
 class QuadratureNoConvergence(EulerDistError):
     """A numerical pairing failed to reach the requested tolerance."""
 

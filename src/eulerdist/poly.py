@@ -165,6 +165,18 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
+        if len(self.nums) == 2:
+            # Binomial theorem: (a z^alpha + b z^beta)^n has the n + 1
+            # distinct terms C(n, k) a^k b^(n-k) z^(k alpha + (n-k) beta).
+            (alpha, a), (beta, b) = self.nums.items()
+            apow, bpow = _powers(a, n), _powers(b, n)
+            out: dict[Exponent, int] = {}
+            c = 1
+            for k in range(n + 1):
+                e = tuple(k * x + (n - k) * y for x, y in zip(alpha, beta))
+                out[e] = c * apow[k] * bpow[n - k]
+                c = c * (n - k) // (k + 1)
+            return _make(self.dim, out, self.den**n)
         out = Polynomial.constant(self.dim, 1)
         base = self
         while n:

@@ -12,9 +12,12 @@ T is canonicalised once; the canonical terms are dispatched in groups:
     (eigenvalue mu, log powers p) -- a full-line factor's half-line terms,
     say -- share one solution vector: dividing z^p by the grlex-smallest
     term z^gamma of P(z + mu), whose order v is the vanishing order of P at
-    mu.  One forward application of P(theta) to the classes' solutions
-    gives their exact delta-supported residual, which is fed back through
-    the solver.
+    mu.  On a class's MonLogs P(theta) acts as P(mu + d), so the image of
+    its solution is its own terms plus the deltas that a finite-part
+    coordinate (n_j <= -1) reaches.  Only the classes with such a
+    coordinate are applied forward; the delta-bearing part of that image,
+    negated, is the residual, which is fed back through the solver.  Every
+    other class leaves none.
 
 The recursion needs no cap: every nested solve lowers the dimension
 (substitution), the degree (factor extraction), or solves a delta-supported
@@ -42,7 +45,6 @@ from .atoms import (
 )
 from .errors import (
     DimensionError,
-    EscalationExceeded,
     InputTooLarge,
     UnsupportedInput,
     ZeroPolynomial,
@@ -139,12 +141,17 @@ def solve_continuous_term(
     signs and coefficients.  Dividing z^p by the grlex-smallest term z^gamma
     of S = P(z + mu), of order v = |gamma| (the vanishing order of P at mu),
     gives one vector u with S(d) u = z^p that solves every term of the class.
-    Returns (U_partial, residual, largest v over the classes); the residual
-    sum(ts) - P(theta) U_partial is computed in the full calculus by one
-    forward application and is always delta-supported.  With final,
-    U_partial's coefficients are solution coefficients, held to MAX_BITS as
-    each class makes them, before P(theta) is applied to them for the
-    residual, which costs far more.
+    Returns (U_partial, residual, largest v over the classes), with residual
+    sum(ts) - P(theta) U_partial, which is delta-supported.
+
+    On the MonLogs of one class P(theta) acts as S(d), so the delta-free
+    part of the image of a class's solution is the class's own terms.  A
+    class with every n_j >= 0 reaches no delta (theta_row), and its residual
+    is zero.  Only the classes with a finite-part coordinate (some n_j <= -1)
+    are applied forward, in one call; their residual is the negated
+    delta-bearing part of that image.  With final, U_partial's coefficients
+    are solution coefficients, held to MAX_BITS as each class makes them,
+    before the forward application, which costs far more.
     """
     classes: dict[tuple[tuple[int, int], ...], list[Term]] = {}
     for f, c in ts:
@@ -154,6 +161,7 @@ def solve_continuous_term(
     if not classes:
         raise UnsupportedInput("solve_continuous_term needs at least one term")
     terms: list[Term] = []
+    finite_part: list[Term] = []
     v_max = 0
     for key, cts in classes.items():
         S = taylor_shift(P, [n for n, _ in key])
@@ -169,15 +177,15 @@ def solve_continuous_term(
             _check_bits(made)
         terms += made
         _check_held(terms)
-    U_partial = dist(P.dim, terms)
-    image = apply_polynomial(P, U_partial)
-    residual = dist(P.dim, [*ts, *((f, -c) for f, c in image.terms)])
-    for f, _ in residual.terms:
-        if not delta_coord(f):
-            raise EscalationExceeded(
-                "continuous residual contains a delta-free term (internal error)"
-            )
-    return U_partial, residual, v_max
+        if any(n <= -1 for n, _ in key):
+            finite_part += made
+    residual = DistExpr.zero(P.dim)
+    if finite_part:
+        image = apply_polynomial(P, dist(P.dim, finite_part))
+        residual = DistExpr(
+            P.dim, tuple((f, -c) for f, c in image.terms if delta_coord(f))
+        )
+    return dist(P.dim, terms), residual, v_max
 
 
 # -- resonant one-dimensional inversion ----------------------------------

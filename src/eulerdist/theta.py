@@ -28,14 +28,17 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import getitem, itemgetter
 from typing import Iterable
 
-from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, coeff_map, dist
+from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, coeff_map
 from .errors import DimensionError, InputTooLarge
 from .limits import MAX_HELD_TERMS
 from .poly import Exponent, Polynomial
+
+# perfbench/tracer.py wraps theta.dist by name, so the import stays.
+from .atoms import dist  # noqa: F401
 
 # A path from an atom: its end b, the product of theta_row's entries on it,
 # w(b), and its nodes (L, x): L steps, x the eigenvalue of b.
@@ -148,8 +151,10 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
 
     Terms are grouped by their atoms without the sign, which fix the paths.
     Per group, _contract's integers times a term's coefficient and its
-    paths' weights, over P's denominator, are its output terms, each one
-    Fraction, merged once by dist."""
+    paths' weights, over P's denominator, are its output terms.  They are
+    summed as integer fractions per factor tuple, over the first
+    denominator met or, where the denominators differ, their lcm; each
+    distinct output becomes one Fraction."""
     if P.dim != e.dim:
         raise DimensionError(f"polynomial dim {P.dim} vs expression dim {e.dim}")
     if P.is_zero() or e.is_zero():
@@ -162,7 +167,7 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     plans = [(ts, list(map(paths_of, ts[0][0], degs))) for ts in groups.values()]
     _check_held(plans, P.nums)
     done: dict[tuple, Parts] = {}  # groups share their first coordinates' work
-    out: list[tuple[tuple[Atom1D, ...], int, int]] = []
+    acc: dict[tuple[Atom1D, ...], list[int]] = {}  # g -> [numerator, denominator]
     for ts, lead in plans:
         nodes = tuple(tuple(p[3] for p in ps) for ps in lead)
         values = {(): P.nums}
@@ -180,8 +185,17 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
                     g[j], y, z, _ = ps[idx[j]]
                     x *= y
                     w *= z
-                out.append((tuple(g), x, w))
-    return dist(e.dim, [(g, Fraction(x, w)) for g, x, w in out])
+                slot = acc.setdefault(tuple(g), [0, w])
+                if slot[1] != w:  # both over the lcm of the denominators
+                    m = lcm(slot[1], w)
+                    slot[0] *= m // slot[1]
+                    x *= m // w
+                    slot[1] = m
+                slot[0] += x
+    # The factor tuples are distinct and the zeros are left out, so sorting
+    # alone makes the canonical form.
+    out = sorted((g, Fraction(x, w)) for g, (x, w) in acc.items() if x)
+    return DistExpr(e.dim, tuple(out))
 
 
 def equal(a: DistExpr, b: DistExpr) -> bool:

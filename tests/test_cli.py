@@ -671,7 +671,6 @@ _EXIT_CODES = {
     errors.DimensionError("dim"): 2,
     errors.ZeroPolynomial("zero"): 2,
     errors.UnsupportedInput("unsupported"): 3,
-    errors.EscalationExceeded("escalated"): 3,
     errors.QuadratureNoConvergence("no convergence"): 3,
     errors.FloatOverflow("overflow"): 2,
     errors.InputTooLarge("too large"): 2,

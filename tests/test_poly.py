@@ -263,6 +263,20 @@ def test_power_makes_no_product_larger_than_its_result(monkeypatch):
     assert sizes and max(sizes) <= 35
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_binomial_power_equals_repeated_multiplication(data):
+    d = data.draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * d)
+    alpha, beta = data.draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    nonzero = rational.filter(bool)
+    B = Polynomial(d, {alpha: data.draw(nonzero), beta: data.draw(nonzero)})
+    n = data.draw(st.integers(0, 12))
+    R = B**n
+    assert R == prod([B] * n, start=c(d, 1))
+    _assert_canonical(R)
+
+
 def _assert_canonical(R):
     assert R.den > 0
     assert all(R.nums.values())

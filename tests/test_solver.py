@@ -140,9 +140,9 @@ class TestSolveContinuousTerm:
         with pytest.raises(UnsupportedInput):
             solve_continuous_term(zvar(2, 1), ts)
 
-    def test_one_forward_application_per_level(self, monkeypatch):
-        # Both classes of T are solved in one call: one application of
-        # P(theta) for their residual and one for verify.
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        """The expressions solver.apply_polynomial is called on."""
         calls = []
 
         def counted(P, U):
@@ -150,9 +150,39 @@ class TestSolveContinuousTerm:
             return apply_polynomial(P, U)
 
         monkeypatch.setattr(solver, "apply_polynomial", counted)
+        return calls
+
+    def test_one_forward_application_per_level(self, forward_calls):
+        # Neither class reaches a delta, so verify is the only application.
         T = parse_dist("x1*H(x1) + x1^2*H(x1)", 1)
         assert solve(parse_poly("t1+1", 1), T).verified
-        assert len(calls) == 2
+        assert len(forward_calls) == 1
+
+    def test_finite_part_class_is_applied_for_its_residual(self, forward_calls):
+        T = parse_dist("x1^-1*H(x1)", 1)
+        assert solve(parse_poly("t1+1", 1), T).verified
+        assert len(forward_calls) == 2
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_resonant_solve_applies_p_once(self, forward_calls, d, m):
+        # P = L^m*Q with L(mu) = 0 != Q(mu), mu_j >= 0, and two half-line
+        # terms at mu of log power p: verify is the only application.
+        mu = [(m + j) % 3 for j in range(d)]
+        L = "+".join(f"{(-2) ** j}*(t{j + 1}-{x})" for j, x in enumerate(mu))
+        P = parse_poly(f"({L})^{m}*(t1^2+t{d}+3)", d)
+        p = 0 if d == 3 and m == 5 else m % 3
+        T = dist(
+            d,
+            [
+                ((MonLog(mu[0], p, s), *(MonLog(x, 0, -s) for x in mu[1:])), F(1))
+                for s in (1, -1)
+            ],
+        )
+        rep = solve(P, T)
+        assert rep.verified
+        assert rep.escalation_depth == m
+        assert len(forward_calls) == 1
 
     def test_class_shares_one_solution_vector(self):
         # The two sign patterns of one class get the same u, scaled by
@@ -376,6 +406,22 @@ def test_continuous_solve_sums_its_one_class_solves(cls, data):
     assert U == dist(d, [t for one, _, _ in ones for t in one.terms])
     assert residual == dist(d, [t for _, r, _ in ones for t in r.terms])
     assert v == max(x for _, _, x in ones)
+
+
+@settings(max_examples=40, deadline=None)
+@given(classes, st.data())
+def test_continuous_residual_is_the_full_forward_residual(cls, data):
+    """The residual, built from the finite-part classes only, is
+    sum(ts) - P(theta) U_partial by a full forward application; classes
+    with every n_j >= 0 are mapped back onto their own terms exactly."""
+    P, per_class = _draw_classes(cls, data, 1)
+    d = P.dim
+    ts = [t for one in per_class for t in one]
+    U, residual, _ = solve_continuous_term(P, ts)
+    image = apply_polynomial(P, U)
+    assert residual == dist(d, [*ts, *((f, -c) for f, c in image.terms)])
+    if all(n >= 0 for key in cls for n, _ in key):
+        assert image == dist(d, ts)
 
 
 class TestSolveDeltaTerm:

@@ -365,10 +365,20 @@ def _write_error(name: str, message: str, **extra) -> None:
     sys.stdout.write(_json({"error": err}) + "\n")
 
 
+def _parse_args(argv: list[str]):
+    args = _PARSER.parse_args(_attach_signed_values(argv))
+    # argparse takes `-T=--` (and so `-T --`) as an option given no value:
+    # it stores [] and applies no type.  No option here holds a list.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            _PARSER.error(f"argument {name}: expected a value, found '--'")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(_attach_signed_values(argv))
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._t0 = time.monotonic()

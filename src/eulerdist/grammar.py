@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from math import comb
 from string import ascii_letters
 from typing import Iterable
 
-from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, dist
+from .atoms import Delta, DistExpr, MonLog, Term, dist
 from .errors import CoordinateConflict, DimensionError, InputTooLarge, ParseError
 from .limits import (
     MAX_BITS,
@@ -147,15 +147,15 @@ def _check_terms(dim: int, degree: int, count: int) -> None:
         )
 
 
-def _rational(tk: _Tokens, i: int) -> tuple[Fraction, int]:
-    """An `n` or `n/m` literal."""
+def _rational(tk: _Tokens, i: int) -> tuple[int, int, int]:
+    """The numerator and denominator of an `n` or `n/m` literal."""
     num, i = tk.number(i)
     if tk.toks[i] != "/":
-        return Fraction(num), i
+        return num, 1, i
     den, i = tk.number(i + 1)
     if den == 0:
         raise ParseError("zero denominator", tk.offset(i - 1))
-    return Fraction(num, den), i
+    return num, den, i
 
 
 def _poly_atom(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
@@ -164,8 +164,8 @@ def _poly_atom(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
         p, i = _poly_sum(tk, i + 1, dim)
         return p, tk.expect(i, ")")
     if t[:1].isdigit():
-        c, i = _rational(tk, i)
-        return Polynomial.constant(dim, c), i
+        num, den, i = _rational(tk, i)
+        return Polynomial.constant(dim, Fraction(num, den)), i
     if t[:1].isalpha():
         if not (t[0] == "t" and t[1:].isdigit()):
             raise tk.fail(i, "a t<j> variable")
@@ -287,16 +287,22 @@ def format_poly(P: Polynomial) -> str:
 
 # -- distributions ---------------------------------------------------------
 
-# A delta or mono factor owns its coordinate; power, log and H may each
-# appear once.  Messages of the CoordinateConflict a kind of factor raises.
-_OWNS_COORDINATE = frozenset({"delta", "mono"})
-_CONFLICT = {
-    "power": "power factor conflicts with an earlier factor",
-    "log": "log factor conflicts with an earlier factor",
-    "H": "half-line factor conflicts with an earlier factor",
-    "delta": "delta combined with another factor",
-    "mono": "mono combined with another factor",
+# Each coordinate of a term keeps its factors in fixed slots: a mask of these
+# kind bits, and the integers n (power or mono), p (log), s (H) and k
+# (delta).  A delta or mono factor owns its coordinate; power, log and H may
+# each appear once.
+_POWER, _LOG, _H, _DELTA, _MONO = 1, 2, 4, 8, 16
+_OWNS_COORDINATE = _DELTA | _MONO
+# The name of each kind, and the message of the CoordinateConflict it raises.
+_KINDS = {
+    _POWER: ("power", "power factor conflicts with an earlier factor"),
+    _LOG: ("log", "log factor conflicts with an earlier factor"),
+    _H: ("H", "half-line factor conflicts with an earlier factor"),
+    _DELTA: ("delta", "delta combined with another factor"),
+    _MONO: ("mono", "mono combined with another factor"),
 }
+# The factors written as a name and an argument in parentheses.
+_CALLS = {"log": _LOG, "H": _H, "delta": _DELTA, "mono": _MONO}
 
 
 # The coordinate names format_dist prints, looked up before int() reads a
@@ -331,125 +337,142 @@ def _signed_int(tk: _Tokens, i: int) -> tuple[int, int]:
     return -n, i
 
 
-def _add_factor(
-    groups: dict[int, dict[str, int]],
-    j: int,
-    kind: str,
-    value: int,
-    max_order: int,
-    tk: _Tokens,
-    at: int,
-) -> None:
-    """Record factor kind with integer argument value in x<j>'s group, after
-    the order bounds and the ownership and conflict test; at is the index of
-    the factor's first token, for the messages."""
-    if abs(value) > max_order:
-        raise InputTooLarge(
-            f"{kind} order at offset {tk.offset(at)} is above {max_order}"
-        )
-    if kind == "log":
-        total = value + sum(g.get("log", 0) for g in groups.values())
-        if total > max_order:
-            raise InputTooLarge(
-                f"total log power at offset {tk.offset(at)} is above {max_order}"
-            )
-    g = groups.setdefault(j, {})
-    owned = kind in _OWNS_COORDINATE or not _OWNS_COORDINATE.isdisjoint(g)
-    if kind in g or (g and owned):
-        raise CoordinateConflict(
-            f"{_CONFLICT[kind]} for x{j} (at offset {tk.offset(at)})"
-        )
-    g[kind] = value
-
-
-# The factors written as a name and an argument in parentheses.
-_CALLS = frozenset({"log", "H", "delta", "mono"})
-
-
-def _dist_factor(
-    tk: _Tokens, i: int, d: int, groups: dict[int, dict[str, int]], max_order: int
-) -> int:
-    """Read the factor at token i into groups[j][kind], its integer argument."""
-    toks, at = tk.toks, i
-    kind = toks[i]
-    if kind in _CALLS:
-        i = tk.expect(i + 1, "(")
-        value = 1
-        if kind == "H" and toks[i] == "-":
-            value, i = -1, i + 1
+def _dist_factor(tk: _Tokens, i: int, d: int) -> tuple[int, int, int, int]:
+    """The factor at token i: (j, its kind bit, its integer argument, the
+    index after it)."""
+    toks = tk.toks
+    t = toks[i]
+    kind = _CALLS.get(t)
+    if kind is None:
+        j = _COORDS.get(t)
+        if j is None or j > d:
+            j = _x_index(t, d)
+            if j is None:
+                raise ParseError(
+                    f"expected a factor (x<j>, log, H, delta, mono), found {t!r}",
+                    tk.offset(i),
+                )
+        if toks[i + 1] != "^":
+            return j, _POWER, 1, i + 1
+        value, i = _signed_int(tk, i + 2)
+        return j, _POWER, value, i
+    at = i
+    if toks[i + 1] != "(":
+        raise tk.fail(i + 1, "'('")
+    i += 2
+    value = 1
+    if kind == _H and toks[i] == "-":
+        value, i = -1, i + 1
+    j = _COORDS.get(toks[i])
+    if j is None or j > d:
         j, i = _coord_arg(tk, i, d)
-        # A delta order is an unsigned literal; only mono can read a '-'.
-        if kind == "delta":
-            value, i = tk.number(tk.expect(i, ","))
-        elif kind == "mono":
-            value, i = _signed_int(tk, tk.expect(i, ","))
-        i = tk.expect(i, ")")
-        if kind == "log" and toks[i] == "^":
-            value, i = tk.number(i + 1)
-            if value < 1:
-                raise ParseError("log power must be >= 1", tk.offset(at))
-        elif kind == "mono" and value < 0:
-            raise ParseError("mono needs a nonnegative exponent", tk.offset(at))
     else:
-        j = _x_index(kind, d)
-        if j is None:
-            raise ParseError(
-                f"expected a factor (x<j>, log, H, delta, mono), found {kind!r}",
-                tk.offset(at),
-            )
-        kind, value, i = "power", 1, i + 1
-        if toks[i] == "^":
-            value, i = _signed_int(tk, i + 1)
-    _add_factor(groups, j, kind, value, max_order, tk, at)
-    return i
-
-
-def _group_atoms(g: dict[str, int]) -> list[tuple[int, Atom1D]]:
-    """Expand one coordinate group into (sign, atom) alternatives."""
-    if "delta" in g:
-        return [(1, Delta(g["delta"]))]
-    n = g.get("power", g.get("mono", 0))
-    p = g.get("log", 0)
-    if "H" in g:
-        return [(1, MonLog(n, p, g["H"]))]
-    # The full line: MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1).
-    return [(1, MonLog(n, p, 1)), (-1 if n % 2 else 1, MonLog(n, p, -1))]
+        i += 1
+    # A delta order is an unsigned literal; only mono can read a '-'.
+    if kind == _DELTA:
+        value, i = tk.number(tk.expect(i, ","))
+    elif kind == _MONO:
+        value, i = _signed_int(tk, tk.expect(i, ","))
+    if toks[i] != ")":
+        raise tk.fail(i, "')'")
+    i += 1
+    if kind == _LOG and toks[i] == "^":
+        value, i = tk.number(i + 1)
+        if value < 1:
+            raise ParseError("log power must be >= 1", tk.offset(at))
+    elif kind == _MONO and value < 0:
+        raise ParseError("mono needs a nonnegative exponent", tk.offset(at))
+    return j, kind, value, i
 
 
 def _term_tensors(
-    coeff: Fraction, groups: dict[int, dict[str, int]], d: int
+    coeff: Fraction,
+    mask: list[int],
+    n: list[int],
+    p: list[int],
+    s: list[int],
+    k: list[int],
 ) -> list[Term]:
-    """The tensor terms of coeff times the product of the coordinate groups."""
-    if coeff == 0:
-        return []
-    alternatives = [_group_atoms(groups.get(j, {})) for j in range(1, d + 1)]
-    terms = []
-    negated = -coeff
-    for combo in product(*alternatives):
-        sign = 1
-        for s, _ in combo:
-            sign *= s
-        terms.append((tuple(a for _, a in combo), coeff if sign > 0 else negated))
-    return terms
+    """The tensor terms of coeff times the product of the coordinates' atoms.
+    A coordinate with no H or delta is the full line
+    MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1), so it doubles the terms."""
+    factors = []
+    full = []
+    for at, (m, nj, pj, sj, kj) in enumerate(zip(mask, n, p, s, k)):
+        if m & _DELTA:
+            factors.append(Delta(kj))
+        elif m & _H:
+            factors.append(MonLog(nj, pj, sj))
+        else:
+            factors.append(MonLog(nj, pj, 1))
+            full.append((at, MonLog(nj, pj, -1), nj % 2))
+    if not full:
+        return [(tuple(factors), coeff)]
+    rows = [(factors, 0)]
+    for at, left, odd in full:
+        for f, negated in rows[:]:
+            f = f.copy()
+            f[at] = left
+            rows.append((f, negated ^ odd))
+    negative = -coeff
+    return [(tuple(f), negative if negated else coeff) for f, negated in rows]
 
 
 def _dist_term(
-    tk: _Tokens, i: int, d: int, coeff: Fraction, max_order: int
+    tk: _Tokens, i: int, d: int, sign: int, max_order: int
 ) -> tuple[list[Term], int]:
-    """The tensor terms of one product; coeff is the sign in front of it."""
+    """The tensor terms of one product; sign is the sign in front of it.
+
+    Its coefficient literals multiply into one integer numerator and
+    denominator, and each factor is checked against the slots of its
+    coordinate: the order bound, the running total of log powers, then
+    ownership and conflicts."""
     toks = tk.toks
-    groups: dict[int, dict[str, int]] = {}
+    num, den, logs = sign, 1, 0
+    # Coordinate j's slots are at index j - 1.
+    mask, n, p, s, k = [0] * d, [0] * d, [0] * d, [0] * d, [0] * d
     while True:
         t = toks[i]
         if t[:1].isalpha():
-            i = _dist_factor(tk, i, d, groups, max_order)
+            at = i
+            j, kind, value, i = _dist_factor(tk, i, d)
+            if abs(value) > max_order:
+                raise InputTooLarge(
+                    f"{_KINDS[kind][0]} order at offset {tk.offset(at)} is above "
+                    f"{max_order}"
+                )
+            if kind == _LOG:
+                logs += value
+                if logs > max_order:
+                    raise InputTooLarge(
+                        f"total log power at offset {tk.offset(at)} is above "
+                        f"{max_order}"
+                    )
+            slot = j - 1
+            m = mask[slot]
+            if m & kind or (m and (m | kind) & _OWNS_COORDINATE):
+                raise CoordinateConflict(
+                    f"{_KINDS[kind][1]} for x{j} (at offset {tk.offset(at)})"
+                )
+            mask[slot] = m | kind
+            if kind == _H:
+                s[slot] = value
+            elif kind == _LOG:
+                p[slot] = value
+            elif kind == _DELTA:
+                k[slot] = value
+            else:
+                n[slot] = value
         elif t[:1].isdigit():
-            c, i = _rational(tk, i)
-            coeff *= c
+            a, b, i = _rational(tk, i)
+            num *= a
+            den *= b
         else:
             raise tk.fail(i, "a coefficient or factor")
         if toks[i] != "*":
-            return _term_tensors(coeff, groups, d), i
+            if not num:
+                return [], i
+            return _term_tensors(Fraction(num, den), mask, n, p, s, k), i
         i += 1
 
 
@@ -468,7 +491,7 @@ def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
         sign = -1 if toks[i] == "-" else 1
         if toks[i] in ("+", "-"):
             i += 1
-        more, i = _dist_term(tk, i, d, Fraction(sign), max_order)
+        more, i = _dist_term(tk, i, d, sign, max_order)
         terms += more
         if toks[i] not in ("+", "-"):
             break
@@ -504,7 +527,17 @@ def _format_atom(j: int, a) -> str:
 
 
 def format_dist(e: DistExpr) -> str:
-    """Canonical text form; parse_dist(format_dist(e), e.dim) == e."""
-    return _signed_sum(
-        (c, [_format_atom(j, a) for j, a in enumerate(f, start=1)]) for f, c in e.terms
-    )
+    """Canonical text form; parse_dist(format_dist(e), e.dim) == e.
+
+    Each distinct atom of a coordinate is formatted once per call."""
+    texts: list[dict] = [{} for _ in range(e.dim)]
+    rows = []
+    for f, c in e.terms:
+        row = []
+        for j, a in enumerate(f):
+            text = texts[j].get(a)
+            if text is None:
+                text = texts[j][a] = _format_atom(j + 1, a)
+            row.append(text)
+        rows.append((c, row))
+    return _signed_sum(rows)

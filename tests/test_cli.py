@@ -357,6 +357,29 @@ def test_tol_must_be_finite_and_nonnegative(capsys, command, tol):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "parse -P --",
+        "parse -T -- -d 2",
+        "solve -P t1+2 -T -- -d 2",
+        "verify -P t1 -U -- -T x1 -d 1",
+        "wagner-check -P=--",
+        "wagner-check -P t1 --width=--",
+        "oracle-suite --nmax=--",
+        "parse -d=-- -T x1",
+        "wagner-check -P t1 --center --",
+    ],
+)
+def test_option_value_of_double_dash_is_a_usage_error(capsys, argv):
+    # argparse stores [] for such a value and applies no type.
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "expected a value, found '--'" in captured.err
+
+
 BIG = "7" * 5000
 ONES = "1" * 5000
 

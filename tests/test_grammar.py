@@ -1,9 +1,11 @@
 import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulerdist import grammar
 from eulerdist.atoms import Delta, MonLog, dist, single
 from eulerdist.errors import (
     CoordinateConflict,
@@ -14,6 +16,7 @@ from eulerdist.errors import (
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
 from eulerdist.limits import MAX_NESTING
 from eulerdist.poly import Polynomial
+from eulerdist.solver import solve
 from paperchecks import full_monomial
 
 
@@ -259,6 +262,132 @@ def test_format_parse_identity(case):
     d, e, text, want = case
     assert parse_dist(format_dist(e), d) == e
     assert parse_dist(text, d) == want
+
+
+@st.composite
+def _coordinate_group(draw, j):
+    """The factor token lists of one coordinate, in no set order, and the
+    (sign, atom) alternatives they denote."""
+    shape = draw(st.sampled_from(["absent", "delta", "mono", "half", "full"]))
+    if shape == "absent":
+        return [], [(1, MonLog(0, 0, 1)), (1, MonLog(0, 0, -1))]
+    if shape == "delta":
+        k = draw(st.integers(0, 3))
+        return [["delta", "(", f"x{j}", ",", str(k), ")"]], [(1, Delta(k))]
+    n = draw(st.integers(-3, 3))
+    if shape == "mono":
+        n = abs(n)
+        factors, p = [["mono", "(", f"x{j}", ",", str(n), ")"]], 0
+    else:
+        factors, p = [], draw(st.integers(0, 2))
+        if n != 0 or draw(st.booleans()):
+            power = ["^", "-", str(-n)] if n < 0 else ["^", str(n)]
+            bare = n == 1 and draw(st.booleans())
+            factors.append([f"x{j}"] + ([] if bare else power))
+        if p:
+            log = ["log", "(", f"x{j}", ")"]
+            bare = p == 1 and draw(st.booleans())
+            factors.append(log + ([] if bare else ["^", str(p)]))
+    if shape == "half":
+        s = draw(st.sampled_from([1, -1]))
+        arg = [f"x{j}"] if s == 1 else ["-", f"x{j}"]
+        factors.append(["H", "("] + arg + [")"])
+        return factors, [(1, MonLog(n, p, s))]
+    return factors, [(1, MonLog(n, p, 1)), (-1 if n % 2 else 1, MonLog(n, p, -1))]
+
+
+@st.composite
+def _written_terms(draw, d):
+    """(token lists of one term's items, the term's coefficient, the per
+    coordinate alternatives): coefficient literals, unreduced ones among
+    them, and factors, shuffled."""
+    items, coeff, alternatives = [], F(1), []
+    for j in range(1, d + 1):
+        factors, alts = draw(_coordinate_group(j))
+        items += factors
+        alternatives.append(alts)
+    for _ in range(draw(st.integers(0, 3))):
+        num, den = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+        if den == 1 and draw(st.booleans()):
+            items.append([str(num)])
+        else:
+            items.append([str(num), "/", str(den)])
+        coeff *= F(num, den)
+    items = draw(st.permutations(items)) or [["1"]]
+    return items, coeff, alternatives
+
+
+@st.composite
+def written_sums(draw):
+    """(d, text, want): a sum of written terms, some of them cancelled by a
+    reordered copy of opposite sign, and its expansion into canonical terms
+    built here from MonLog and Delta."""
+    d = draw(st.integers(1, 3))
+    terms = []
+    written = draw(st.lists(_written_terms(d), min_size=1, max_size=4))
+    for items, coeff, alternatives in written:
+        sign = draw(st.sampled_from([1, -1]))
+        terms.append((sign, items, coeff, alternatives))
+        if draw(st.booleans()):
+            terms.append((-sign, draw(st.permutations(items)), coeff, alternatives))
+    tokens, want = [], {}
+    for sign, items, coeff, alternatives in terms:
+        if tokens or sign < 0:
+            tokens.append("-" if sign < 0 else "+")
+        for i, item in enumerate(items):
+            tokens += (["*"] if i else []) + item
+        for combo in product(*alternatives):
+            c = sign * coeff
+            for s, _ in combo:
+                c *= s
+            f = tuple(a for _, a in combo)
+            want[f] = want.get(f, 0) + c
+    space = st.sampled_from(["", " ", "\t", "\n  "])
+    spaces = draw(st.lists(space, min_size=len(tokens), max_size=len(tokens)))
+    text = "".join(t + w for t, w in zip(tokens, spaces))
+    return d, text, {f: c for f, c in want.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_sums())
+def test_parse_matches_an_independent_expansion(case):
+    d, text, want = case
+    got = parse_dist(text, d)
+    assert dict(got.terms) == want
+    assert len(got.terms) == len(want)
+
+
+def _printed_solution():
+    """A 256-term solution at d = 9, with coefficient -1/2 and the x2, H(-x2)
+    and delta factors repeated across its terms."""
+    P, T = parse_poly("t1+t2+3", 9), parse_dist("delta(x1,1)*mono(x2,1)", 9)
+    e = solve(P, T).solution
+    assert len(e.terms) == 256
+    return e
+
+
+def _counted(monkeypatch, name):
+    """Count the calls the grammar makes to its global name."""
+    calls = []
+    fn = getattr(grammar, name)
+    monkeypatch.setattr(grammar, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_parse_makes_one_fraction_per_written_term(monkeypatch):
+    e = _printed_solution()
+    text = format_dist(e)
+    calls = _counted(monkeypatch, "Fraction")
+    assert parse_dist(text, 9) == e
+    assert len(calls) == len(e.terms)
+
+
+def test_format_formats_each_atom_of_a_coordinate_once(monkeypatch):
+    e = _printed_solution()
+    calls = _counted(monkeypatch, "_format_atom")
+    format_dist(e)
+    distinct = {(j, a) for f, _ in e.terms for j, a in enumerate(f, 1)}
+    assert sorted(calls) == sorted(distinct)
 
 
 def _reads_back_or_raises(text, d):

@@ -4,10 +4,11 @@ One-dimensional atoms:
 
   MonLog(n, p, s)  -- for s=+1 the function x^n log^p|x| H(x) on the right
                       half-line (a Hadamard finite part when n <= -1), and
-                      for s=-1 its reflection x -> -x.  With this convention
-                      MonLog(n, p, -1) is |x|^n log^p|x| H(-x), and the
-                      full-line monomial x^n equals
-                      MonLog(n,0,+1) + (-1)^n MonLog(n,0,-1).
+                      for s=-1 its reflection x -> -x, so that
+                      MonLog(n, p, -1) is |x|^n log^p|x| H(-x).  For s=0
+                      the full-line atom x^n log^p|x|,
+                      MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1); MonLog(0,0,0)
+                      is the function 1.
   Delta(k)         -- the k-th derivative of the Dirac delta at 0.
 
 Atoms are tagged tuples: MonLog(n, p, s) is (1, n, p, s) and Delta(k) is
@@ -17,7 +18,10 @@ never equals a MonLog, and deltas sort first.
 Expressions are finite rational linear combinations of tensor products of
 atoms, kept in a deterministic canonical form: terms are sorted (factors,
 coefficient) pairs, with distinct factor tuples and nonzero coefficients,
-so the pairs sort by the factor tuples' own order.  Everything is an
+so the pairs sort by the factor tuples' own order.  A full-line atom is the
+sum of its two half-line atoms, so one distribution has several such forms;
+dist picks one by a rule that reads only the distribution (see dist), and
+== on canonical forms is distributional equality.  Everything is an
 immutable value; dimension 0 is allowed (a bare scalar) to make recursion
 uniform.
 """
@@ -29,20 +33,22 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionError
+from .errors import DimensionError, InputTooLarge
+from .limits import MAX_HELD_TERMS
 from .poly import RationalLike
 
 
 class MonLog(tuple):
-    """x^n log^p|x| on the half-line of sign s: the tuple (1, n, p, s)."""
+    """x^n log^p|x| on the half-line of sign s = +-1, or on the full line for
+    s = 0: the tuple (1, n, p, s)."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, p: int = 0, s: int = 1) -> "MonLog":
         if p < 0:
             raise ValueError(f"log power must be >= 0, got {p}")
-        if s not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {s}")
+        if s not in (1, -1, 0):
+            raise ValueError(f"sign must be +1, -1 or 0, got {s}")
         return tuple.__new__(cls, (1, n, p, s))
 
     n = property(itemgetter(1))
@@ -124,12 +130,77 @@ def coeff_map(terms: Iterable[Term]) -> dict[tuple[Atom1D, ...], Fraction]:
     return acc
 
 
+# (kind, n or k, p): what a coordinate's atom keeps when its sign is dropped.
+_SKELETON = itemgetter(0, 1, 2)
+
+
+def _half_line(f: tuple[Atom1D, ...], c: Fraction) -> list[Term]:
+    """The terms of c f with each full-line atom written as its two
+    half-line atoms, MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1)."""
+    rows = [(f, c)]
+    for j, a in enumerate(f):
+        if a[0] and not a[3]:
+            right, left = MonLog(a[1], a[2], 1), MonLog(a[1], a[2], -1)
+            odd = a[1] % 2
+            rows = [(g[:j] + (right,) + g[j + 1 :], x) for g, x in rows] + [
+                (g[:j] + (left,) + g[j + 1 :], -x if odd else x) for g, x in rows
+            ]
+    return rows
+
+
+def _compress(fs: list, acc: dict) -> None:
+    """Replace in acc the terms fs of one skeleton by their canonical form:
+    expanded to half-line atoms and merged, then, for each coordinate j in
+    order, each pair a M(n,p,+1) + (-1)^n a M(n,p,-1) at j whose other
+    factors agree becomes a MonLog(n,p,0).  A zero coefficient pairs only
+    with a zero one, so zeros need not be dropped first."""
+    half: dict[tuple[Atom1D, ...], Fraction] = {}
+    for f in fs:
+        # Sign patterns of one skeleton: at most 2^dim distinct tuples.
+        for g, x in _half_line(f, acc.pop(f)):
+            old = half.get(g)
+            half[g] = x if old is None else old + x
+        if len(half) > MAX_HELD_TERMS:
+            raise InputTooLarge(f"an expression reaches over {MAX_HELD_TERMS} terms")
+    for j, a in enumerate(fs[0]):
+        if not a[0]:  # a delta has no sign
+            continue
+        right = [g for g in half if g[j][3] == 1]
+        if not right or len(right) == len(half):  # no pair at j
+            continue
+        left = a[:3] + (-1,)  # finds MonLog(n, p, -1): atoms compare as tuples
+        odd = a[1] % 2
+        for g in right:
+            x = half[g]
+            partner = g[:j] + (left,) + g[j + 1 :]
+            if half.get(partner) == (-x if odd else x):
+                del half[g], half[partner]
+                half[g[:j] + (MonLog(a[1], a[2], 0),) + g[j + 1 :]] = x
+    acc.update(half)
+
+
 def dist(dim: int, terms: Iterable[Term]) -> DistExpr:
-    """Build a DistExpr in canonical form: merged, zero-free, sorted by factors."""
+    """Build a DistExpr in canonical form: merged, zero-free, sorted by factors.
+
+    Terms whose atoms agree up to their signs (one skeleton) are the only
+    ones a full-line atom can merge with or split into, so the rule reads
+    each skeleton on its own.  A skeleton with one factor tuple is kept as
+    it is; one with more is written in half-line atoms, where the form is
+    unique, and then compressed coordinate by coordinate (_compress).  A
+    lone tuple comes out of that rule unchanged, so the result depends only
+    on the distribution."""
     acc = coeff_map(terms)
     for f in acc:
         if len(f) != dim:
             raise DimensionError(f"term has dim {len(f)}, expression dim {dim}")
+    if len(acc) > 1:
+        skeletons: dict[tuple, list] = {}
+        for f in acc:
+            skeletons.setdefault(tuple(map(_SKELETON, f)), []).append(f)
+        if len(skeletons) < len(acc):
+            for fs in skeletons.values():
+                if len(fs) > 1:
+                    _compress(fs, acc)
     factors = sorted([f for f, c in acc.items() if c])
     return DistExpr(dim, tuple([(f, acc[f]) for f in factors]))
 

@@ -147,7 +147,7 @@ def _cmd_oracle_suite(args) -> int:
         MonLog(n, p, s)
         for n in range(-args.nmax, args.nmax + 1)
         for p in range(args.pmax + 1)
-        for s in (1, -1)
+        for s in (1, -1, 0)
     ]
     worst = 0.0
     worst_name = ""

@@ -20,14 +20,15 @@ Every exponent, log power and delta order is at most MAX_ORDER in size, and
 so is the sum of the log powers of one term (MAX_SOLUTION_ORDER in a
 solution read back).
 
-Factors naming one coordinate combine into a single half-line or delta atom
-for that coordinate.  A delta or mono factor owns its coordinate, and a
-power, log or H factor may appear once per coordinate; anything else is a
+Factors naming one coordinate combine into a single atom for that
+coordinate.  A delta or mono factor owns its coordinate, and a power, log or
+H factor may appear once per coordinate; anything else is a
 CoordinateConflict.  In a group carrying H(-x<j>), powers and logs refer
 to |x_j|, matching the reflected-atom convention.  A group with no H factor
-denotes the full-line object and expands into the two half-line atoms with
-the parity sign (-1)^n on the left piece.  Coordinates absent from a term
-default to the full-line constant 1.
+denotes the full-line atom MonLog(n, p, 0), one factor like any other, and
+coordinates absent from a term are the full-line constant 1,
+MonLog(0, 0, 0), so each product is one tensor term.  The printer writes a
+full-line atom without H and leaves MonLog(0, 0, 0) out.
 
 One reader serves both grammars.  A single regex search finds the first
 lexical error, a character no token has or a run of more than MAX_DIGITS
@@ -385,43 +386,11 @@ def _dist_factor(tk: _Tokens, i: int, d: int) -> tuple[int, int, int, int]:
     return j, kind, value, i
 
 
-def _term_tensors(
-    coeff: Fraction,
-    mask: list[int],
-    n: list[int],
-    p: list[int],
-    s: list[int],
-    k: list[int],
-) -> list[Term]:
-    """The tensor terms of coeff times the product of the coordinates' atoms.
-    A coordinate with no H or delta is the full line
-    MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1), so it doubles the terms."""
-    factors = []
-    full = []
-    for at, (m, nj, pj, sj, kj) in enumerate(zip(mask, n, p, s, k)):
-        if m & _DELTA:
-            factors.append(Delta(kj))
-        elif m & _H:
-            factors.append(MonLog(nj, pj, sj))
-        else:
-            factors.append(MonLog(nj, pj, 1))
-            full.append((at, MonLog(nj, pj, -1), nj % 2))
-    if not full:
-        return [(tuple(factors), coeff)]
-    rows = [(factors, 0)]
-    for at, left, odd in full:
-        for f, negated in rows[:]:
-            f = f.copy()
-            f[at] = left
-            rows.append((f, negated ^ odd))
-    negative = -coeff
-    return [(tuple(f), negative if negated else coeff) for f, negated in rows]
-
-
 def _dist_term(
     tk: _Tokens, i: int, d: int, sign: int, max_order: int
-) -> tuple[list[Term], int]:
-    """The tensor terms of one product; sign is the sign in front of it.
+) -> tuple[Term | None, int]:
+    """The tensor term of one product, None if its coefficient is zero; sign
+    is the sign in front of it.
 
     Its coefficient literals multiply into one integer numerator and
     denominator, and each factor is checked against the slots of its
@@ -471,8 +440,15 @@ def _dist_term(
             raise tk.fail(i, "a coefficient or factor")
         if toks[i] != "*":
             if not num:
-                return [], i
-            return _term_tensors(Fraction(num, den), mask, n, p, s, k), i
+                return None, i
+            # s is 0, the full line, where no H factor set it.
+            factors = tuple(
+                [
+                    Delta(kj) if m & _DELTA else MonLog(nj, pj, sj)
+                    for m, nj, pj, sj, kj in zip(mask, n, p, s, k)
+                ]
+            )
+            return (factors, Fraction(num, den)), i
         i += 1
 
 
@@ -491,8 +467,9 @@ def parse_dist(src: str, d: int, max_order: int = MAX_ORDER) -> DistExpr:
         sign = -1 if toks[i] == "-" else 1
         if toks[i] in ("+", "-"):
             i += 1
-        more, i = _dist_term(tk, i, d, sign, max_order)
-        terms += more
+        term, i = _dist_term(tk, i, d, sign, max_order)
+        if term:
+            terms.append(term)
         if toks[i] not in ("+", "-"):
             break
     if toks[i]:
@@ -515,6 +492,8 @@ def check_orders(e: DistExpr, max_order: int) -> None:
 
 
 def _format_atom(j: int, a) -> str:
+    """The text of atom a at coordinate j; "" for MonLog(0, 0, 0), the 1
+    that an absent coordinate means."""
     if isinstance(a, Delta):
         return f"delta(x{j},{a.k})"
     parts = []
@@ -522,14 +501,16 @@ def _format_atom(j: int, a) -> str:
         parts.append(f"x{j}" if a.n == 1 else f"x{j}^{a.n}")
     if a.p:
         parts.append(f"log(x{j})" if a.p == 1 else f"log(x{j})^{a.p}")
-    parts.append(f"H(x{j})" if a.s == 1 else f"H(-x{j})")
+    if a.s:
+        parts.append(f"H(x{j})" if a.s == 1 else f"H(-x{j})")
     return "*".join(parts)
 
 
 def format_dist(e: DistExpr) -> str:
     """Canonical text form; parse_dist(format_dist(e), e.dim) == e.
 
-    Each distinct atom of a coordinate is formatted once per call."""
+    Each distinct atom of a coordinate is formatted once per call.  A term
+    whose every factor is MonLog(0, 0, 0) prints as its coefficient."""
     texts: list[dict] = [{} for _ in range(e.dim)]
     rows = []
     for f, c in e.terms:
@@ -538,6 +519,7 @@ def format_dist(e: DistExpr) -> str:
             text = texts[j].get(a)
             if text is None:
                 text = texts[j][a] = _format_atom(j + 1, a)
-            row.append(text)
+            if text:
+                row.append(text)
         rows.append((c, row))
     return _signed_sum(rows)

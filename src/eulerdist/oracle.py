@@ -8,7 +8,10 @@ n <= -1, nu = -n, the right half-line atom pairs as
 
 with T_{nu-1} the Taylor polynomial of phi at 0 of order nu-1; the split
 point is fixed at |x| = 1.  Left half-line atoms pair through the
-reflection x -> -x.  Atoms with n >= 0 pair by absolutely convergent
+reflection x -> -x, and a full-line atom MonLog(n,p,0), its right part
+plus (-1)^n its left one, as x^n log^p x on x > 0 against phi(x) +
+(-1)^n phi(-x): one moment, so the two halves' leading terms, which cancel
+for odd n + a, are never formed.  Atoms with n >= 0 pair by absolutely convergent
 integrals, and Delta(k) pairs as (-1)^k phi^(k)(0).
 
 Numerically, every 1-D slice pairing reduces to one moment (_moment): the
@@ -57,13 +60,17 @@ _SIGNS = np.resize([1.0, -1.0], _SERIES_CAP)
 
 
 class _Slice(dict):
-    """One 1-D slice e^{-(x-c)^2/w^2} of test functions: its Taylor table
-    at 0, the table's length without the zeros it ends in, and the moments
-    (_moment) asked of it so far, keyed by (m, p)."""
+    """One 1-D slice e^{-(x-c)^2/w^2} of test functions, plus mirror times
+    its reflection e^{-(x+c)^2/w^2} (mirror +-1 for a full-line atom, else
+    0): its Taylor table at 0, the table's length without the zeros it ends
+    in, and the moments (_moment) asked of it so far, keyed by (m, p)."""
 
-    def __init__(self, c: Fraction, w: Fraction, table: np.ndarray, length: int):
+    def __init__(
+        self, c: Fraction, w: Fraction, table: np.ndarray, length: int, mirror: int = 0
+    ):
         super().__init__()
         self.c, self.w, self.table, self.length = c, w, table, length
+        self.mirror = mirror
 
     def __missing__(self, key: tuple[int, int]) -> tuple[float, float]:
         value = self[key] = _moment(*key, self)
@@ -79,6 +86,16 @@ def _slice(c: Fraction, w: Fraction) -> _Slice:
         table.flags.writeable = False
         return _Slice(c, w, table, mirror.length)
     return _Slice(c, w, *_taylor(c, w))
+
+
+@lru_cache(maxsize=_SLICES)
+def _full_slice(c: Fraction, w: Fraction, mirror: int) -> _Slice:
+    """The slice of e^{-(x-c)^2/w^2} + mirror e^{-(x+c)^2/w^2}: its Taylor
+    coefficients are c's times 1 + mirror (-1)^k, each doubled or zero."""
+    right = _slice(c, w)
+    table = right.table * (1 + mirror * _SIGNS)
+    table.flags.writeable = False
+    return _Slice(c, w, table, right.length, mirror)
 
 
 def _taylor(c: Fraction, w: Fraction) -> tuple[np.ndarray, int]:
@@ -99,14 +116,15 @@ def _taylor(c: Fraction, w: Fraction) -> tuple[np.ndarray, int]:
     return table, int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
-def quad(m: int, p: int, c: float, w: float) -> tuple[float, float]:
-    """int_1^cutoff x^m log^p x e^{-(x-c)^2/w^2} dx and an error estimate.
+def quad(m: int, p: int, c: float, w: float, mirror: int = 0) -> tuple[float, float]:
+    """int_1^cutoff x^m log^p x g(x) dx and an error estimate, for g(x) =
+    e^{-(x-c)^2/w^2} + mirror e^{-(x+c)^2/w^2}.
 
     Panel i is [x_i, x_i + min(x_i, w)], so both the pole or log at 0 and
     the Gaussian's width stay resolved; the estimate is the difference
     between the 32- and 16-node rules.
     """
-    half, nodes = _panels(c, w)
+    half, nodes = _panels(c, w, mirror)
     fine, coarse = (
         float(half @ ((x**m * log_x**p * gauss) @ wt))
         for (x, log_x, gauss), (_, wt) in zip(nodes, _RULES)
@@ -115,10 +133,13 @@ def quad(m: int, p: int, c: float, w: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=_SLICES)
-def _panels(c: float, w: float) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
-    """quad's panel half-widths and, per rule, its nodes x, log x and
-    e^{-(x-c)^2/w^2}: every moment of one slice shares them."""
-    cutoff = max(2.0, c + 7.0 * w, 1.0 + 7.0 * w)
+def _panels(
+    c: float, w: float, mirror: int = 0
+) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """quad's panel half-widths and, per rule, its nodes x, log x and g(x):
+    every moment of one slice shares them.  A mirrored g reaches as far as
+    its farther Gaussian."""
+    cutoff = max(2.0, (abs(c) if mirror else c) + 7.0 * w, 1.0 + 7.0 * w)
     edges = [1.0]
     while edges[-1] < cutoff:
         edges.append(min(cutoff, edges[-1] + min(edges[-1], w)))
@@ -127,7 +148,10 @@ def _panels(c: float, w: float) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]
     nodes = []
     for t, _ in _RULES:
         x = (lo + half)[:, None] + half[:, None] * t
-        nodes.append((x, np.log(x), np.exp(-(((x - c) / w) ** 2))))
+        gauss = np.exp(-(((x - c) / w) ** 2))
+        if mirror:
+            gauss = gauss + mirror * np.exp(-(((x + c) / w) ** 2))
+        nodes.append((x, np.log(x), gauss))
     for array in (half, *(a for rule in nodes for a in rule)):
         array.flags.writeable = False  # shared by every caller, as in _taylor
     return half, nodes
@@ -147,7 +171,7 @@ def _moment(m: int, p: int, sl: _Slice) -> tuple[float, float]:
         raise QuadratureNoConvergence(
             f"inner series for x^{m} log^{p} did not settle within {_SERIES_CAP} terms"
         )
-    outer, err = quad(m, p, float(sl.c), float(sl.w))
+    outer, err = quad(m, p, float(sl.c), float(sl.w), sl.mirror)
     return inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
 
 
@@ -176,8 +200,12 @@ def _pair1d(atom: Atom1D, a: int, right: _Slice, left: _Slice) -> tuple[float, f
     if atom.s == 1:
         return right[atom.n + a, atom.p]
     # Through the reflection x -> -x: x^a g(-x) = (-1)^a x^a e^{-(x+c)^2/w^2}.
-    v, err = left[atom.n + a, atom.p]
-    return (-v if a % 2 else v), err
+    if atom.s == -1:
+        v, err = left[atom.n + a, atom.p]
+        return (-v if a % 2 else v), err
+    # The full line: x^n log^p x x^a (g(x) + (-1)^(n+a) g(-x)) on x > 0.
+    mirror = -1 if (atom.n + a) % 2 else 1
+    return _full_slice(right.c, right.w, mirror)[atom.n + a, atom.p]
 
 
 @lru_cache(maxsize=_SLICES)

@@ -250,16 +250,20 @@ def substitute_coord(P: Polynomial, j: int, v: RationalLike) -> Polynomial:
     if not 1 <= j <= P.dim:
         raise DimensionError(f"coordinate {j} out of range 1..{P.dim}")
     v = Fraction(v)
-    # c v^e = c a^e b^(n-e) / b^n for v = a/b and n the top exponent of z_j.
+    # c v^e = c a^e b^(n-e) / b^n for v = a/b and n the top exponent of z_j,
+    # with a^e b^(n-e) made once for each exponent e of z_j in P.
+    a, b = v.numerator, v.denominator
     n = max((alpha[j - 1] for alpha in P.nums), default=0)
-    apow = _powers(v.numerator, n)
-    bpow = _powers(v.denominator, n)
+    scale: dict[int, int] = {}
     out: dict[Exponent, int] = {}
     for alpha, c in P.nums.items():
         e = alpha[j - 1]
+        x = scale.get(e)
+        if x is None:
+            x = scale[e] = a**e * b ** (n - e)
         rest = alpha[: j - 1] + alpha[j:]
-        out[rest] = out.get(rest, 0) + c * apow[e] * bpow[n - e]
-    return _make(P.dim - 1, out, P.den * bpow[n])
+        out[rest] = out.get(rest, 0) + c * x
+    return _make(P.dim - 1, out, P.den * b**n)
 
 
 def factor_out(P: Polynomial, j: int, c: RationalLike) -> tuple[int, Polynomial]:

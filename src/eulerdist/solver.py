@@ -9,10 +9,10 @@ T is canonicalised once; the canonical terms are dispatched in groups:
     resonant subspace;
   * the delta-free terms are solved in one call, in the quotient calculus
     modulo delta-supported distributions.  Terms sharing one class
-    (eigenvalue mu, log powers p) -- a full-line factor's half-line terms,
-    say -- share one solution vector: dividing z^p by the grlex-smallest
-    term z^gamma of P(z + mu), whose order v is the vanishing order of P at
-    mu.  On a class's MonLogs P(theta) acts as P(mu + d), so the image of
+    (eigenvalue mu, log powers p) -- terms that differ only in the signs of
+    their half-line or full-line atoms, say -- share one solution vector:
+    dividing z^p by the grlex-smallest term z^gamma of P(z + mu), whose
+    order v is the vanishing order of P at mu.  On a class's MonLogs P(theta) acts as P(mu + d), so the image of
     its solution is its own terms plus the deltas that a finite-part
     coordinate (n_j <= -1) reaches.  Only the classes with such a
     coordinate are applied forward; the delta-bearing part of that image,
@@ -57,7 +57,7 @@ from .poly import (
     taylor_shift,
     vanishing_order,
 )
-from .theta import apply_polynomial, equal, theta_row
+from .theta import apply_polynomial, theta_row
 
 TraceEvent = tuple
 
@@ -71,15 +71,21 @@ class SolveReport:
 
 
 def verify(P: Polynomial, U: DistExpr, T: DistExpr) -> bool:
-    """Exact check that P(theta) U = T."""
-    return equal(apply_polynomial(P, U), T)
+    """Exact check that P(theta) U = T, for a canonical T.  The image is
+    canonical too, and the canonical form is unique, so == is the test."""
+    if P.dim != T.dim:
+        raise DimensionError(f"polynomial dim {P.dim} vs expression dim {T.dim}")
+    return apply_polynomial(P, U) == T
 
 
 # -- quotient calculus (log-polynomial) solve ----------------------------
 
 
 def _solve_log_system(
-    S: Polynomial, p_exp: tuple[int, ...], gamma: tuple[int, ...]
+    S: Polynomial,
+    p_exp: tuple[int, ...],
+    gamma: tuple[int, ...],
+    scales: Sequence[Fraction] = (),
 ) -> dict[tuple[int, ...], Fraction]:
     """Solve S(d) u = z^p by division by the grlex-smallest term z^gamma of S.
 
@@ -98,6 +104,14 @@ def _solve_log_system(
     to multiplication by z_j under the Fischer pairing, the independent
     columns of one degree are the lex-initial monomials gamma + N^d of the
     multiples of S's lowest-order part.
+
+    Given scales, the coefficients that u is multiplied by into solution
+    terms, a u[q] that takes every such product over MAX_BITS is refused as
+    soon as it is made, before the divisions after it, which cost more as
+    it grows.  The height H(x) = max(|num|, den) of a reduced fraction obeys
+    H(xy) >= H(x)/H(y), so a u[q] of more than MAX_BITS + 1 bits plus the
+    bits of the largest scale does; the message names u[q] times the first
+    scale.
     """
     rest = dict(S.nums)  # S = nums / den: solve nums(d) u = den z^p
     lead = rest.pop(gamma)
@@ -111,6 +125,7 @@ def _solve_log_system(
     # pushed twice.
     heap = [pops_first(p_exp)]
     u: dict[tuple[int, ...], Fraction] = {}
+    most = MAX_BITS + 1 + max(map(_bits, scales)) if scales else None
     while heap:
         r = heappop(heap)[2]
         a = rem.pop(r)
@@ -118,6 +133,8 @@ def _solve_log_system(
             continue
         q = tuple(map(add, r, gamma))
         c = u[q] = a / (lead * prod(map(perm, q, gamma)))
+        if most is not None and _bits(c) > most:
+            _check_bits([((), c * scales[0])])  # over MAX_BITS, so it raises
         for beta, s in rest.items():
             # d^beta z^q = prod_j perm(q_j, beta_j) z^(q - beta); perm is 0
             # where beta_j > q_j.
@@ -137,10 +154,12 @@ def solve_continuous_term(
     """Solve P(theta) U = sum(ts) modulo delta-supported terms.
 
     The terms must be delta-free; they are grouped by their class (eigenvalue
-    mu, log powers p), and the terms of one class may differ in half-line
-    signs and coefficients.  Dividing z^p by the grlex-smallest term z^gamma
-    of S = P(z + mu), of order v = |gamma| (the vanishing order of P at mu),
-    gives one vector u with S(d) u = z^p that solves every term of the class.
+    mu, log powers p), and the terms of one class may differ in the signs
+    s = +1, -1, 0 of their atoms and in coefficients: theta acts on the log
+    ladder of a full-line atom as on that of a half-line one.  Dividing z^p
+    by the grlex-smallest term z^gamma of S = P(z + mu), of order
+    v = |gamma| (the vanishing order of P at mu), gives one vector u with
+    S(d) u = z^p that solves every term of the class.
     Returns (U_partial, residual, largest v over the classes), with residual
     sum(ts) - P(theta) U_partial, which is delta-supported.
 
@@ -151,7 +170,8 @@ def solve_continuous_term(
     are applied forward, in one call; their residual is the negated
     delta-bearing part of that image.  With final, U_partial's coefficients
     are solution coefficients, held to MAX_BITS as each class makes them,
-    before the forward application, which costs far more.
+    before the forward application, which costs far more; a coefficient of
+    u that is sure to pass the bound is refused as the division makes it.
     """
     classes: dict[tuple[tuple[int, int], ...], list[Term]] = {}
     for f, c in ts:
@@ -167,7 +187,8 @@ def solve_continuous_term(
         S = taylor_shift(P, [n for n, _ in key])
         v, gamma = vanishing_order(S)
         v_max = max(v_max, v)
-        u = _solve_log_system(S, tuple(p for _, p in key), gamma)
+        scales = [c for _, c in cts] if final else ()
+        u = _solve_log_system(S, tuple(p for _, p in key), gamma, scales)
         made = [
             (tuple(MonLog(a.n, qj, a.s) for a, qj in zip(f, q)), c * tc)
             for f, tc in cts
@@ -176,7 +197,7 @@ def solve_continuous_term(
         if final:
             _check_bits(made)
         terms += made
-        _check_held(terms)
+        _check_held(len(terms))
         if any(n <= -1 for n, _ in key):
             finite_part += made
     residual = DistExpr.zero(P.dim)
@@ -217,7 +238,7 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
     lower = [(Delta(i), Fraction(-e[i] * r[i], e[k] * (k - i))) for i in range(k)]
     out_terms: list[Term] = []
     for f, c in V.terms:
-        _check_held(out_terms)
+        _check_held(len(out_terms))
         a = f[j - 1]
         if isinstance(a, MonLog) and a.n == -(k + 1):
             # Log lift: (theta_j + k + 1) M(q+1, s) = (q+1) M(q, s), q+1 >= 1.
@@ -240,10 +261,15 @@ def resonant_1d(j: int, k: int, V: DistExpr) -> DistExpr:
 # -- top-level solve ------------------------------------------------------
 
 
-def _check_held(terms: list[Term]) -> None:
+def _check_held(count: int) -> None:
     """Refuse to hold more than MAX_HELD_TERMS terms of a solution."""
-    if len(terms) > MAX_HELD_TERMS:
+    if count > MAX_HELD_TERMS:
         raise InputTooLarge(f"a solution reaches over {MAX_HELD_TERMS} terms")
+
+
+def _bits(c: Fraction) -> int:
+    """The bits of the larger of c's numerator and denominator."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
 def _check_bits(terms: Sequence[Term]) -> None:
@@ -255,13 +281,7 @@ def _check_bits(terms: Sequence[Term]) -> None:
     names the coefficient of the canonically first term over the bound,
     whatever order the terms are made in."""
     over = min(
-        (
-            (f, bits)
-            for f, c in terms
-            if (bits := max(c.numerator.bit_length(), c.denominator.bit_length()))
-            > MAX_BITS
-        ),
-        default=None,
+        ((f, bits) for f, c in terms if (bits := _bits(c)) > MAX_BITS), default=None
     )
     if over:
         raise InputTooLarge(
@@ -293,22 +313,24 @@ def _solve(
             groups.setdefault((j, f[j - 1].k), []).append(t)
         else:
             continuous.append(t)
-    parts: list[Term] = []
+    solved: list[DistExpr] = []
     residual = DistExpr.zero(T.dim)
     if continuous:
         up, residual, v = solve_continuous_term(P, continuous, final)
         esc[0] = max(esc[0], v)
-        parts.extend(up.terms)
+        solved.append(up)
     for (j, k), ts in sorted(groups.items()):
-        # A subsequence of a canonical T is canonical.
+        # The terms of one (j, k) are whole skeletons of a canonical T
+        # (atoms.dist), so they are canonical on their own.
         G = DistExpr(T.dim, tuple(ts))
-        sub = _solve_delta_group(P, j, k, G, trace, esc, final)
-        parts.extend(sub.terms)
-        _check_held(parts)
+        solved.append(_solve_delta_group(P, j, k, G, trace, esc, final))
+        _check_held(sum(len(U.terms) for U in solved))
     if not residual.is_zero():
-        parts.extend(_solve(P, residual, trace, esc, final).terms)
-        _check_held(parts)
-    return dist(T.dim, parts)
+        solved.append(_solve(P, residual, trace, esc, final))
+        _check_held(sum(len(U.terms) for U in solved))
+    if len(solved) == 1:  # each part is canonical; only a sum is merged
+        return solved[0]
+    return dist(T.dim, [t for U in solved for t in U.terms])
 
 
 def _solve_delta_group(
@@ -322,9 +344,10 @@ def _solve_delta_group(
 ) -> DistExpr:
     """Solve P(theta) U = G where every term of a canonical G carries
     Delta(k) at j.  Stripping or reinserting that shared factor keeps the
-    canonical order, so neither step re-canonicalises.  Where P vanishes
-    there, the solution of the factored problem is rescaled by the resonant
-    inversions, so only their result is checked (with final)."""
+    canonical order and the skeletons, so neither step re-canonicalises.
+    Where P vanishes there, the solution of the factored problem is rescaled
+    by the resonant inversions, so only their result is checked (with
+    final)."""
     P1 = substitute_coord(P, j, -(k + 1))
     if not P1.is_zero():
         trace.append(("substitute", j, -(k + 1)))

@@ -7,11 +7,14 @@ theta = x d/dx acts coordinate-wise.  On the atom class:
   theta MonLog(n,0,s)   = n MonLog(n,0,s)                          (n >= 0)
   theta MonLog(n,0,s)   = n MonLog(n,0,s) + correction             (n <= -1)
 
-with correction sum_{i=0}^{-n-1} ((-1)^i / i!) Delta(i) for s = +1 and
-sum_{i=0}^{-n-1} (1 / i!) Delta(i) for s = -1.  The corrections are fixed
-by the finite-part convention of the pairing oracle (split at |x| = 1,
-Taylor subtraction on the inner interval, s = -1 atoms defined by
-reflection); the oracle's adjoint-identity suite certifies every entry.
+with correction sum_{i=0}^{-n-1} ((-1)^i / i!) Delta(i) for s = +1,
+sum_{i=0}^{-n-1} (1 / i!) Delta(i) for s = -1, and for the full-line atom
+(s = 0), the sum of the two with the parity sign (-1)^n on the left one:
+sum_i (((-1)^i + (-1)^n) / i!) Delta(i), which leaves out every i of the
+other parity than n.  The corrections are fixed by the finite-part
+convention of the pairing oracle (split at |x| = 1, Taylor subtraction on
+the inner interval, s = -1 atoms defined by reflection); the oracle's
+adjoint-identity suite certifies every entry.
 
 The rules are written once, as integer rows in the basis Delta(k)/k!
 (theta_row); apply_theta and apply_polynomial read them.  theta is
@@ -29,29 +32,27 @@ from collections import Counter
 from functools import cache
 from fractions import Fraction
 from math import factorial, lcm, prod
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import Iterable
 
-from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, coeff_map
+from .atoms import Atom1D, Delta, DistExpr, MonLog, Term, dist
 from .errors import DimensionError, InputTooLarge
 from .limits import MAX_HELD_TERMS
 from .poly import Exponent, Polynomial
-
-# perfbench/tracer.py wraps theta.dist by name, so the import stays.
-from .atoms import dist  # noqa: F401
 
 # A path from an atom: its end b, the product of theta_row's entries on it,
 # w(b), and its nodes (L, x): L steps, x the eigenvalue of b.
 Path = tuple[Atom1D, int, int, tuple[int, int]]
 Parts = dict[tuple, dict[Exponent, int]]  # node indices -> exponents left -> int
-_UNSIGNED = itemgetter(0, 1, 2)  # (kind, n or k, p) fixes an atom's paths
 
 
 def theta_row(a: Atom1D) -> list[tuple[int, Atom1D]]:
     """theta on one atom in the basis Delta(k)/k!, the same in every
     coordinate: the entry of a -> b is tc w(b)/w(a), tc the coefficient of b
-    in theta a, w(Delta(k)) = k!, w(MonLog) = 1.  Every correction is +-1
-    there, (-1)^i on the right half-line and + on the left."""
+    in theta a, w(Delta(k)) = k!, w(MonLog) = 1.  A half-line correction
+    is +-1 there, (-1)^i on the right half-line and + on the left; a
+    full-line one is (-1)^i + (-1)^n: +-2 where i has the parity of n, and
+    0, left out, where it has not."""
     if isinstance(a, Delta):
         return [(-(a.k + 1), a)]
     row: list[tuple[int, Atom1D]] = []
@@ -60,7 +61,11 @@ def theta_row(a: Atom1D) -> list[tuple[int, Atom1D]]:
     if a.p >= 1:
         row.append((a.p, MonLog(a.n, a.p - 1, a.s)))
     elif a.n <= -1:
-        row += [(-1 if a.s == 1 and i % 2 else 1, Delta(i)) for i in range(-a.n)]
+        if a.s:
+            row += [(-1 if a.s == 1 and i % 2 else 1, Delta(i)) for i in range(-a.n)]
+        else:
+            sign = -2 if a.n % 2 else 2
+            row += [(sign, Delta(i)) for i in range(a.n % 2, -a.n, 2)]
     return row
 
 
@@ -149,7 +154,9 @@ def _check_held(plans: list, support: Iterable[Exponent]) -> None:
 def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     """The Euler operator P(theta) applied exactly to an expression.
 
-    Terms are grouped by their atoms without the sign, which fix the paths.
+    Terms are grouped by their atoms without the half-line sign, which fix
+    the paths; a full-line atom keeps its own key, as it reaches only some
+    of its half-line parts' corrections.
     Per group, _contract's integers times a term's coefficient and its
     paths' weights, over P's denominator, are its output terms.  They are
     summed as integer fractions per factor tuple, over the first
@@ -163,7 +170,7 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
     paths_of = cache(_paths)  # theta_row is read once per atom in a call
     groups: dict[tuple, list[Term]] = {}
     for t in e.terms:
-        groups.setdefault(tuple(map(_UNSIGNED, t[0])), []).append(t)
+        groups.setdefault(tuple([a[:3] if a[3] else a for a in t[0]]), []).append(t)
     plans = [(ts, list(map(paths_of, ts[0][0], degs))) for ts in groups.values()]
     _check_held(plans, P.nums)
     done: dict[tuple, Parts] = {}  # groups share their first coordinates' work
@@ -192,21 +199,7 @@ def apply_polynomial(P: Polynomial, e: DistExpr) -> DistExpr:
                     x *= m // w
                     slot[1] = m
                 slot[0] += x
-    # The factor tuples are distinct and the zeros are left out, so sorting
-    # alone makes the canonical form.
-    out = sorted((g, Fraction(x, w)) for g, (x, w) in acc.items() if x)
-    return DistExpr(e.dim, tuple(out))
+    # The factor tuples are distinct, but terms of opposite half-line signs
+    # can meet in a full-line atom, so dist makes the canonical form.
+    return dist(e.dim, [(g, Fraction(x, w)) for g, (x, w) in acc.items() if x])
 
-
-def equal(a: DistExpr, b: DistExpr) -> bool:
-    """Exact distributional equality within the class (canonical identity).
-
-    Either side may be non-canonical (repeated factor tuples, zero
-    coefficients): both are merged into one map, b with the opposite sign.
-    """
-    if a.dim != b.dim:
-        raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
-    acc = coeff_map(a.terms)
-    for f, c in b.terms:
-        acc[f] = acc.get(f, 0) - c
-    return not any(acc.values())

@@ -6,6 +6,9 @@ the package:
 - the full-line monomial x^alpha, the split of a delta-supported expression
   along coordinate hyperplanes, and theta_j on a whole expression, the
   term-by-term reference that `theta.apply_polynomial` is tested against;
+- an expression in half-line atoms only, where its form is unique, and the
+  canonical rule written out on it: the references that the reader and
+  `atoms.dist` are tested against;
 - the brute-force lattice scan that `wagner.choose_eta`'s depth-first
   search is tested against;
 - the pairing of Wagner's elementary solution against a general chi on the
@@ -22,11 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from eulerdist.atoms import Delta, DistExpr, MonLog, delta_coord, dist
+from eulerdist.atoms import Delta, DistExpr, MonLog, Term, delta_coord, dist
 from eulerdist.errors import DimensionError, EulerDistError, UnsupportedInput
 from eulerdist.gausspoly import GaussPoly
 from eulerdist.poly import Polynomial, poly_eval, principal_part
@@ -43,8 +46,9 @@ class SymbolZeroOnGrid(EulerDistError):
 
 
 def full_monomial(alpha: Sequence[int], d: int | None = None) -> DistExpr:
-    """The full-line monomial x^alpha as a sum over half-line sign patterns:
-    x^n = MonLog(n,0,+1) + (-1)^n MonLog(n,0,-1) in every coordinate."""
+    """The full-line monomial x^alpha, built as a sum over half-line sign
+    patterns, x^n = MonLog(n,0,+1) + (-1)^n MonLog(n,0,-1) in every
+    coordinate, which dist compresses to one term of full-line atoms."""
     alpha = tuple(int(a) for a in alpha)
     if d is None:
         d = len(alpha)
@@ -56,6 +60,44 @@ def full_monomial(alpha: Sequence[int], d: int | None = None) -> DistExpr:
         odd = sum(n for n, s in zip(alpha, signs) if s < 0) % 2
         terms.append((factors, Fraction(-1 if odd else 1)))
     return dist(d, terms)
+
+
+def half_line_form(terms: Iterable[Term]) -> dict:
+    """The merged, zero-free coefficients of terms with every full-line atom
+    written as MonLog(n,p,+1) + (-1)^n MonLog(n,p,-1): the form in which
+    the atoms are independent, so two expressions are equal exactly where
+    these maps are."""
+    out: dict = {}
+    for f, c in terms:
+        rows = [((), Fraction(c))]
+        for a in f:
+            if isinstance(a, MonLog) and a.s == 0:
+                odd = a.n % 2
+                rows = [(g + (MonLog(a.n, a.p, 1),), x) for g, x in rows] + [
+                    (g + (MonLog(a.n, a.p, -1),), -x if odd else x) for g, x in rows
+                ]
+            else:
+                rows = [(g + (a,), x) for g, x in rows]
+        for g, x in rows:
+            out[g] = out.get(g, 0) + x
+    return {g: x for g, x in out.items() if x}
+
+
+def compressed_form(dim: int, half: dict) -> dict:
+    """The canonical rule on a half-line form: for j = 1..dim in turn, each
+    pair of terms that differ only at coordinate j, by c MonLog(n,p,+1) and
+    (-1)^n c MonLog(n,p,-1), becomes c MonLog(n,p,0)."""
+    out = dict(half)
+    for j in range(dim):
+        for g, x in list(out.items()):
+            a = g[j]
+            if g not in out or not isinstance(a, MonLog) or a.s != 1:
+                continue
+            left = g[:j] + (MonLog(a.n, a.p, -1),) + g[j + 1 :]
+            if out.get(left) == (-x if a.n % 2 else x):
+                del out[g], out[left]
+                out[g[:j] + (MonLog(a.n, a.p, 0),) + g[j + 1 :]] = x
+    return out
 
 
 def decompose_hyperplane(e: DistExpr) -> list[tuple[int, DistExpr]]:
@@ -253,9 +295,10 @@ def _eval_quadrant(e: DistExpr, y: Sequence[float]) -> float:
             if isinstance(f, Delta):
                 v = 0.0
                 break
-            if f.s != 1 or f.n < 0:
+            # On the positive quadrant a full-line atom is its right part.
+            if f.s == -1 or f.n < 0:
                 raise UnsupportedInput(
-                    "quadrant evaluation needs MonLog(n >= 0, p, +1) factors"
+                    "quadrant evaluation needs MonLog(n >= 0, p, +1 or 0) factors"
                 )
             v *= yj**f.n * math.log(yj) ** f.p
         total += v

@@ -201,7 +201,7 @@ def test_acceptance_adjoint_oracle():
         MonLog(n, p, s)
         for n in range(-4, 5)
         for p in range(4)
-        for s in (1, -1)
+        for s in (1, -1, 0)
     ]
     worst = 0.0
     for a in atoms:

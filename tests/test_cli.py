@@ -644,7 +644,7 @@ class TestInputLimits:
         "m, T, code, bits",
         [
             (1000, "x1^-1000*H(x1)", 2, 10966),
-            (320, "x1^-320*log(x1)^5*H(x1)", 2, 15979),
+            (320, "x1^-320*log(x1)^5*H(x1)", 2, 10653),
             (400, "x1^-400*H(x1)", 0, None),
         ],
         ids=["over-bits", "over-bits-with-logs", "largest-9738-bits"],
@@ -655,8 +655,10 @@ class TestInputLimits:
         # MAX_BITS bounds every coefficient the solver makes, so a solution
         # that could not be printed is refused before verify applies P to
         # it; the largest coefficient of the m = 400 solution is under the
-        # bound.  The message names the coefficient of the canonically first
-        # term over the bound, not the first one made.
+        # bound.  A continuous class is refused at the first coefficient it
+        # makes that is sure to pass the bound, and the message names it;
+        # otherwise it names the coefficient of the canonically first term
+        # over the bound.
         start = time.monotonic()
         got, out = run(capsys, "solve", "-P", f"t1^{m}+1", "-T", T, "-d", "1")
         assert time.monotonic() - start < 20.0

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
-from paperchecks import TermNotHyperplaneSupported, decompose_hyperplane, full_monomial
+from paperchecks import (
+    TermNotHyperplaneSupported,
+    compressed_form,
+    decompose_hyperplane,
+    full_monomial,
+    half_line_form,
+)
 
 
 H = MonLog(0, 0, 1)
@@ -40,9 +46,29 @@ class TestFullMonomial:
         assert e == single((MonLog(1, 0, 1),)) + single((MonLog(1, 0, -1),), -1)
 
     def test_2d_even_all_plus(self):
+        # Four half-line sign patterns, all with coefficient 1: one term of
+        # full-line atoms.
         e = full_monomial((2, 0), 2)
-        assert len(e.terms) == 4
-        assert all(c == 1 for _, c in e.terms)
+        assert e == single((MonLog(2, 0, 0), MonLog(0, 0, 0)))
+        assert half_line_form(e.terms) == {
+            (MonLog(2, 0, s), MonLog(0, 0, t)): 1 for s in (1, -1) for t in (1, -1)
+        }
+
+    def test_non_matching_pair_stays_split(self):
+        # x H(x) + x H(-x) is |x|, not x: (-1)^n a != a for odd n.
+        e = single((MonLog(1, 0, 1),)) + single((MonLog(1, 0, -1),))
+        assert len(e.terms) == 2
+
+    def test_compression_runs_over_coordinates_in_order(self):
+        # Three of the four sign patterns of 1 x 1: coordinate 1 pairs up
+        # first, in the patterns with x2 > 0, and what is left cannot pair.
+        R, L = MonLog(0, 0, 1), MonLog(0, 0, -1)
+        e = dist(2, [((R, R), F(1)), ((L, R), F(1)), ((R, L), F(1))])
+        assert e.terms == (
+            ((MonLog(0, 0, 0), R), F(1)),
+            ((R, L), F(1)),
+        )
+
 
 
 class TestAtomRepresentation:
@@ -50,6 +76,7 @@ class TestAtomRepresentation:
         # oracle-suite rows print repr(atom).
         assert repr(MonLog(1)) == "MonLog(n=1, p=0, s=1)"
         assert repr(MonLog(-2, 3, -1)) == "MonLog(n=-2, p=3, s=-1)"
+        assert repr(MonLog(-2, 3, 0)) == "MonLog(n=-2, p=3, s=0)"
         assert repr(Delta(2)) == "Delta(k=2)"
 
     @pytest.mark.parametrize(
@@ -68,11 +95,13 @@ class TestAtomRepresentation:
 
     def test_delta_never_equals_monlog(self):
         deltas = [Delta(k) for k in range(4)]
-        monlogs = [MonLog(n, p, s) for n in range(-3, 4) for p in range(3) for s in (1, -1)]
+        monlogs = [
+            MonLog(n, p, s) for n in range(-3, 4) for p in range(3) for s in (1, -1, 0)
+        ]
         assert not any(a == b for a in deltas for b in monlogs)
         assert len(set(deltas + monlogs)) == len(deltas) + len(monlogs)
 
-    @pytest.mark.parametrize("atom", [MonLog(-2, 3, -1), Delta(2)])
+    @pytest.mark.parametrize("atom", [MonLog(-2, 3, -1), MonLog(1, 0, 0), Delta(2)])
     def test_copy_and_pickle_round_trip(self, atom):
         for back in (copy.copy(atom), copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
             assert back == atom and type(back) is type(atom)
@@ -104,7 +133,7 @@ class TestDecomposeHyperplane:
 atoms = st.one_of(
     st.builds(Delta, st.integers(0, 3)),
     st.builds(
-        MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from((1, -1))
+        MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from((1, -1, 0))
     ),
 )
 terms_2d = st.tuples(
@@ -161,9 +190,56 @@ def _old_atom_key(a):
     )
 )
 def test_canonical_order_is_the_old_key(case):
+    # Which terms dist keeps is the reference test's to check; here, only
+    # their order.
     d, coeffs = case
     got = [f for f, _ in dist(d, coeffs.items()).terms]
-    want = sorted(
-        (f for f, c in coeffs.items() if c), key=lambda f: [_old_atom_key(a) for a in f]
+    assert got == sorted(got, key=lambda f: [_old_atom_key(a) for a in f])
+
+
+@st.composite
+def _one_distribution_several_ways(draw):
+    """(d, terms, pieces) at d <= 4: terms over Delta and the three MonLog
+    signs, most of them of one skeleton (a delta or a MonLog(n, p) per
+    coordinate, each term drawing the MonLogs' signs anew) so that their
+    sign patterns meet, and the same distribution in half-line atoms, each
+    coefficient split in two parts, shuffled."""
+    d = draw(st.integers(1, 4))
+    shape = draw(
+        st.lists(
+            st.one_of(
+                st.builds(Delta, st.integers(0, 2)),
+                st.tuples(st.integers(-3, 3), st.integers(0, 2)),
+            ),
+            min_size=d,
+            max_size=d,
+        )
     )
-    assert got == want
+    signs = st.sampled_from((1, -1, 0))
+    terms = [
+        (
+            tuple(x if isinstance(x, Delta) else MonLog(*x, draw(signs)) for x in shape),
+            draw(st.fractions(-3, 3, max_denominator=3)),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    terms += draw(st.lists(st.tuples(st.tuples(*[atoms] * d), st.integers(-2, 2)), max_size=2))
+    pieces = []
+    for g, x in half_line_form(terms).items():
+        part = draw(st.fractions(-2, 2, max_denominator=4))
+        pieces += [(g, part), (g, x - part)]
+    return d, terms, draw(st.permutations(pieces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_distribution_several_ways())
+def test_dist_is_the_compressed_half_line_form(case):
+    """dist is the reference rule: expand to half-line atoms, merge, and
+    compress for j = 1..d in turn; so it reads only the distribution, and
+    == is distributional equality."""
+    d, terms, pieces = case
+    want = compressed_form(d, half_line_form(terms))
+    got = dist(d, terms)
+    assert dict(got.terms) == want
+    assert dist(d, pieces) == got
+    assert dist(d, reversed(got.terms)) == got

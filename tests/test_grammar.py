@@ -16,8 +16,7 @@ from eulerdist.errors import (
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
 from eulerdist.limits import MAX_NESTING
 from eulerdist.poly import Polynomial
-from eulerdist.solver import solve
-from paperchecks import full_monomial
+from paperchecks import compressed_form, full_monomial, half_line_form
 
 
 def zvar(d, j):
@@ -120,7 +119,16 @@ class TestParseDist:
         want = single((Delta(1), MonLog(0, 0, 1))) + single(
             (Delta(1), MonLog(0, 0, -1))
         )
-        assert got == want
+        assert got == want == single((Delta(1), MonLog(0, 0, 0)))
+        assert format_dist(got) == "delta(x1,1)"
+
+    def test_full_line_atoms_print_without_H(self):
+        got = parse_dist("x1^-3*log(x1)^2*x2 + 2", 2)
+        assert got == single((MonLog(-3, 2, 0), MonLog(1, 0, 0))) + single(
+            (MonLog(0, 0, 0), MonLog(0, 0, 0)), 2
+        )
+        assert format_dist(got) == "x1^-3*log(x1)^2*x2 + 2"
+        assert format_dist(got.scaled(-1)) == "-x1^-3*log(x1)^2*x2 - 2"
 
     def test_bare_monomial_expands(self):
         assert parse_dist("x1^3", 1) == full_monomial((3,))
@@ -230,7 +238,7 @@ class TestRoundTrip:
 atoms = st.one_of(
     st.builds(Delta, st.integers(0, 4)),
     st.builds(
-        MonLog, st.integers(-4, 4), st.integers(0, 3), st.sampled_from((1, -1))
+        MonLog, st.integers(-4, 4), st.integers(0, 3), st.sampled_from((1, -1, 0))
     ),
 )
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=7)
@@ -320,7 +328,7 @@ def _written_terms(draw, d):
 @st.composite
 def written_sums(draw):
     """(d, text, want): a sum of written terms, some of them cancelled by a
-    reordered copy of opposite sign, and its expansion into canonical terms
+    reordered copy of opposite sign, and its expansion into half-line terms
     built here from MonLog and Delta."""
     d = draw(st.integers(1, 3))
     terms = []
@@ -351,17 +359,24 @@ def written_sums(draw):
 @settings(max_examples=200, deadline=None)
 @given(written_sums())
 def test_parse_matches_an_independent_expansion(case):
+    # The half-line form is unique; the reader's canonical form is the
+    # compressed one.
     d, text, want = case
     got = parse_dist(text, d)
-    assert dict(got.terms) == want
-    assert len(got.terms) == len(want)
+    assert half_line_form(got.terms) == want
+    assert dict(got.terms) == compressed_form(d, want)
 
 
 def _printed_solution():
-    """A 256-term solution at d = 9, with coefficient -1/2 and the x2, H(-x2)
-    and delta factors repeated across its terms."""
-    P, T = parse_poly("t1+t2+3", 9), parse_dist("delta(x1,1)*mono(x2,1)", 9)
-    e = solve(P, T).solution
+    """A 256-term expression at d = 9, the delta, x2 and H(-x2) factors
+    repeated across its terms: the half-line sign patterns of
+    delta(x1,1)*x2*1*...*1, with coefficients that no two patterns share up
+    to sign, so that no pair merges into a full-line atom."""
+    terms = []
+    for signs in product((1, -1), repeat=8):
+        f = (Delta(1), MonLog(1, 0, signs[0])) + tuple(MonLog(0, 0, s) for s in signs[1:])
+        terms.append((f, F(-1 - signs.count(-1), 2)))
+    e = dist(9, terms)
     assert len(e.terms) == 256
     return e
 

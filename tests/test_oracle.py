@@ -104,6 +104,43 @@ class TestAdjointCheck:
         )
         assert adjoint_check(MonLog(-3, 0, 1), phi) <= 1e-8
 
+    @pytest.mark.parametrize("n", range(-4, 5))
+    def test_full_line_atoms(self, n):
+        # Each full-line row of the theta-table, against the pairing of its
+        # atom alone; the shifted and odd test functions see the parity of
+        # the corrections.
+        phis = [
+            GAUSS,
+            GaussPoly(Polynomial(1, {(1,): F(1), (0,): F(1)}), (F(1, 2),), F(3, 2)),
+            GaussPoly(Polynomial(1, {(3,): F(1), (1,): F(-1)}), (F(-1, 3),), F(2)),
+        ]
+        for p in range(4):
+            for phi in phis:
+                assert adjoint_check(MonLog(n, p, 0), phi) <= 1e-8, (p, phi)
+
+    @pytest.mark.parametrize(
+        "option", [["--nmax", "40"], ["--pmax", "170"], ["--kmax", "170"]],
+        ids=lambda o: o[0],
+    )
+    def test_suite_passes_at_its_bounds(self, capsys, option):
+        # Each bound is a usage limit, so within it every pairing, the
+        # full-line atoms' included, passes the oracle's error gate.  At
+        # p = 100, MonLog(1, p, 0) against a Gaussian pairs to about 1e-18
+        # of either half line's pairing: it is paired as one moment, not as
+        # the difference of the two.
+        assert main(["oracle-suite", *option]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][0]["pass"]
+
+    def test_full_line_pairing_is_its_half_lines(self):
+        phi = GaussPoly(Polynomial(1, {(1,): F(1), (0,): F(2)}), (F(1, 3),), F(1))
+        for n in range(-3, 3):
+            for p in range(3):
+                right = pair(single((MonLog(n, p, 1),)), phi)
+                left = pair(single((MonLog(n, p, -1),)), phi)
+                got = pair(single((MonLog(n, p, 0),)), phi)
+                assert got == pytest.approx(right + (-1) ** n * left, abs=1e-12)
+
     def test_wrong_table_entry_detected(self, monkeypatch, capsys):
         # Flip the sign of the delta' correction of theta x^-2 H(x).  The
         # centred Gaussian has phi'(0) = 0 and cannot see it; the suite's
@@ -186,8 +223,29 @@ class TestCompareSymbolicNumeric:
     ]
 
     @pytest.mark.parametrize(
+        "P, T, U",
+        [
+            ("t1+2", "x1^-1", "x1^-1"),
+            ("t1+2", "x1^-2", "x1^-2*log(x1)"),
+            (
+                "t1^2+3",
+                "x1^-3*log(x1)",
+                "-1/28*delta(x1,1) + 1/24*x1^-3 + 1/12*x1^-3*log(x1)",
+            ),
+        ],
+    )
+    def test_full_line_finite_part_solutions(self, P, T, U):
+        # Solutions whose full-line atoms have finite parts, checked without
+        # the theta-table.
+        P, T = parse_poly(P, 1), parse_dist(T, 1)
+        got = solve(P, T).solution
+        assert got == parse_dist(U, 1)
+        assert compare_symbolic_numeric(P, got, T, self.suite()) <= 1e-9
+
+    @pytest.mark.parametrize(
         "P, T",
         [
+            ("(t1+t2)^2*(t1^2+1)", "x1^-2*log(x2)"),
             ("(t1+t2)^2*(t1^2+1)", "log(x1)*H(x1)*log(x2)^2*H(-x2)"),
             ("(t1+1)^2*(t2-1)", "delta(x1,0)*x2*H(x2)"),
             ("t1^2+t2^2-1", "x1^-2*H(x1)*log(x2)*H(x2) + delta(x2,1)"),
@@ -227,6 +285,7 @@ def _clear_caches():
     """Forget every slice, with its moments, and every resolved test function."""
     oracle._test.cache_clear()
     oracle._slice.cache_clear()
+    oracle._full_slice.cache_clear()
 
 
 class TestPairingCache:
@@ -346,10 +405,14 @@ def _reference_pair(e: DistExpr, phi: GaussPoly) -> float:
                 elif atom.s == 1:
                     sl = oracle._slice(c, phi.width)
                     v = oracle._moment(atom.n + a, atom.p, sl)[0]
-                else:
+                elif atom.s == -1:
                     sl = oracle._slice(-c, phi.width)
                     v = oracle._moment(atom.n + a, atom.p, sl)[0]
                     v = -v if a % 2 else v
+                else:
+                    mirror = (-1) ** (atom.n + a)
+                    sl = oracle._full_slice(c, phi.width, mirror)
+                    v = oracle._moment(atom.n + a, atom.p, sl)[0]
                 val *= v
             total += val
     return total
@@ -357,7 +420,9 @@ def _reference_pair(e: DistExpr, phi: GaussPoly) -> float:
 
 _ATOMS = st.one_of(
     st.builds(Delta, st.integers(0, 3)),
-    st.builds(MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from([1, -1])),
+    st.builds(
+        MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from([1, -1, 0])
+    ),
 )
 _COEFFS = st.fractions(-5, 5, max_denominator=7).filter(bool)
 
@@ -388,41 +453,57 @@ class TestFloatsPinned:
         assert pair(e, phi, tol=1.0) == _reference_pair(e, phi)
 
     # float.hex of each row residual of oracle-suite --nmax 2 --pmax 2
-    # --kmax 2, as first computed.
+    # --kmax 2, as first computed; the full-line (s=0) rows as first
+    # computed when the sweep took them in.
     SUITE_RESIDUALS = [
         ("Delta(k=0)", "0x0.0p+0"),
         ("Delta(k=1)", "0x0.0p+0"),
         ("Delta(k=2)", "0x1.ad2098335aa10p-53"),
         ("MonLog(n=-2, p=0, s=1)", "0x1.4000000000000p-52"),
         ("MonLog(n=-2, p=0, s=-1)", "0x1.925f45a584647p-53"),
+        ("MonLog(n=-2, p=0, s=0)", "0x1.925f45a584647p-53"),
         ("MonLog(n=-2, p=1, s=1)", "0x1.4000000000000p-52"),
         ("MonLog(n=-2, p=1, s=-1)", "0x1.8000000000000p-52"),
+        ("MonLog(n=-2, p=1, s=0)", "0x1.644ae54286bf6p-51"),
         ("MonLog(n=-2, p=2, s=1)", "0x1.75f609fb24d4cp-51"),
         ("MonLog(n=-2, p=2, s=-1)", "0x1.0000000000000p-52"),
+        ("MonLog(n=-2, p=2, s=0)", "0x1.0b734106e6d3ap-52"),
         ("MonLog(n=-1, p=0, s=1)", "0x1.0000000000000p-51"),
         ("MonLog(n=-1, p=0, s=-1)", "0x1.8d53f9304e2a6p-52"),
+        ("MonLog(n=-1, p=0, s=0)", "0x1.2f3155e71e769p-52"),
         ("MonLog(n=-1, p=1, s=1)", "0x1.ee2b062de754fp-53"),
         ("MonLog(n=-1, p=1, s=-1)", "0x1.34eeff5329897p-53"),
+        ("MonLog(n=-1, p=1, s=0)", "0x1.2f070a7e57663p-53"),
         ("MonLog(n=-1, p=2, s=1)", "0x1.f6e342062bec9p-52"),
         ("MonLog(n=-1, p=2, s=-1)", "0x1.0000000000000p-52"),
+        ("MonLog(n=-1, p=2, s=0)", "0x1.c8eed814326f4p-53"),
         ("MonLog(n=0, p=0, s=1)", "0x1.0000000000000p-53"),
         ("MonLog(n=0, p=0, s=-1)", "0x1.0000000000000p-53"),
+        ("MonLog(n=0, p=0, s=0)", "0x1.0000000000000p-51"),
         ("MonLog(n=0, p=1, s=1)", "0x1.1aa6934ccfcf9p-53"),
         ("MonLog(n=0, p=1, s=-1)", "0x1.0000000000000p-53"),
+        ("MonLog(n=0, p=1, s=0)", "0x1.812746b0379e7p-53"),
         ("MonLog(n=0, p=2, s=1)", "0x1.2319b9a63d5c4p-50"),
         ("MonLog(n=0, p=2, s=-1)", "0x1.263bbcda83a04p-52"),
+        ("MonLog(n=0, p=2, s=0)", "0x1.9a754e4c05522p-52"),
         ("MonLog(n=1, p=0, s=1)", "0x1.c000000000000p-51"),
         ("MonLog(n=1, p=0, s=-1)", "0x1.c0fb696d1b333p-51"),
+        ("MonLog(n=1, p=0, s=0)", "0x1.4be334bdf9756p-51"),
         ("MonLog(n=1, p=1, s=1)", "0x1.8000000000000p-52"),
         ("MonLog(n=1, p=1, s=-1)", "0x1.bea99026f0f8cp-52"),
+        ("MonLog(n=1, p=1, s=0)", "0x1.077fcc7e63626p-50"),
         ("MonLog(n=1, p=2, s=1)", "0x1.0000000000000p-52"),
         ("MonLog(n=1, p=2, s=-1)", "0x1.3f5d24c852b4cp-51"),
+        ("MonLog(n=1, p=2, s=0)", "0x1.ab08ee2fea1e2p-52"),
         ("MonLog(n=2, p=0, s=1)", "0x1.0082269fb9e84p-51"),
         ("MonLog(n=2, p=0, s=-1)", "0x1.89e3fc65361b1p-53"),
+        ("MonLog(n=2, p=0, s=0)", "0x1.527d40704719bp-51"),
         ("MonLog(n=2, p=1, s=1)", "0x1.3f85b207de7d6p-52"),
         ("MonLog(n=2, p=1, s=-1)", "0x1.5738b754ed269p-51"),
+        ("MonLog(n=2, p=1, s=0)", "0x1.9cc37ad3dee6cp-52"),
         ("MonLog(n=2, p=2, s=1)", "0x1.365eb07c18ca1p-53"),
         ("MonLog(n=2, p=2, s=-1)", "0x1.787af2b3d5613p-51"),
+        ("MonLog(n=2, p=2, s=0)", "0x1.17eb4d31d6580p-51"),
     ]
 
     def test_oracle_suite_residuals(self, capsys):
@@ -480,12 +561,17 @@ class TestAgainstScipy:
         [(F(3), F(1, 4)), (F(0), F(16)), (F(-3), F(8))],
         ids=["sharp", "wide", "wide-off-centre"],
     )
-    @pytest.mark.parametrize("s", [1, -1], ids=["right", "left"])
+    @pytest.mark.parametrize("s", [1, -1, 0], ids=["right", "left", "full"])
     def test_monlog_pairings(self, c, w, s):
         poly = Polynomial(1, {(0,): F(1), (1,): F(-1, 2), (2,): F(1, 3)})
         phi = GaussPoly(poly, (c,), w)
         for n in range(-3, 3):
             for p in range(4):
                 got = pair(single((MonLog(n, p, s),)), phi)
-                want = _finite_part_reference(n, p, s, phi)
+                if s:
+                    want = _finite_part_reference(n, p, s, phi)
+                else:
+                    want = _finite_part_reference(n, p, 1, phi) + (
+                        -1
+                    ) ** n * _finite_part_reference(n, p, -1, phi)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (n, p)

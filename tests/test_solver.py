@@ -8,9 +8,9 @@ from sympy import Matrix, Rational
 
 from eulerdist import solver
 from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
-from eulerdist.errors import UnsupportedInput, ZeroPolynomial
+from eulerdist.errors import InputTooLarge, UnsupportedInput, ZeroPolynomial
 from eulerdist.grammar import format_dist, parse_dist, parse_poly
-from eulerdist.limits import MAX_SOLUTION_ORDER
+from eulerdist.limits import MAX_BITS, MAX_SOLUTION_ORDER
 from eulerdist.poly import Polynomial, grlex_key, vanishing_order
 from eulerdist.solver import (
     _solve_log_system,
@@ -106,6 +106,42 @@ class TestSolve:
         assert rep.verified
         assert format_dist(rep.solution) == solution
         assert rep.escalation_depth == depth
+
+
+class TestFullLineTermCounts:
+    """Counts, not times: a coordinate that T leaves free is one full-line
+    factor in T, U and P(theta) U, not 2^(d-1) half-line sign patterns."""
+
+    def test_delta_at_d9_parses_to_one_term(self):
+        T = parse_dist("delta(x1,0)", 9)
+        assert T.terms == (((Delta(0),) + (MonLog(0, 0, 0),) * 8, F(1)),)
+
+    def test_d9_solution_prints_and_applies_as_one_term(self):
+        P = parse_poly("t1^2+3*t2*t5-t9*t3+t4+2", 9)
+        T = parse_dist("delta(x1,0)", 9)
+        rep = solve(P, T)
+        assert rep.verified
+        assert format_dist(rep.solution) == "1/3*delta(x1,0)"
+        assert len(apply_polynomial(P, rep.solution).terms) == 1
+
+
+@pytest.mark.parametrize("m, divisions", [(90, 18), (150, 10), (1000, 2)])
+def test_log_system_is_refused_at_its_first_coefficient_past_the_bound(
+    monkeypatch, m, divisions
+):
+    # The log system of t1^m+1 on x1^-m*log(x1)^m*H(x1) has m + 1
+    # divisions, each dearer than the last as the coefficients grow; run to
+    # the end, m = 150 took over a minute before its refusal.  A coefficient
+    # of u over MAX_BITS + 1 bits (the right-hand side's coefficient is 1)
+    # is refused where it is made.
+    P = parse_poly(f"t1^{m}+1", 1)
+    T = parse_dist(f"x1^-{m}*log(x1)^{m}*H(x1)", 1)
+    made = []
+    divide = F.__truediv__
+    monkeypatch.setattr(F, "__truediv__", lambda a, b: made.append(b) or divide(a, b))
+    with pytest.raises(InputTooLarge, match=f"bits is above {MAX_BITS}"):
+        solve(P, T)
+    assert len(made) == divisions
 
 
 class TestSolveContinuousTerm:
@@ -275,7 +311,7 @@ def _cascading_solve(draw):
     atoms = st.one_of(
         st.builds(Delta, st.integers(0, 2)),
         st.builds(
-            MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from((1, -1))
+            MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from((1, -1, 0))
         ),
     )
     factors = draw(st.tuples(*[atoms] * d))
@@ -308,7 +344,8 @@ def test_solution_log_power_stays_within_bound(case):
 def _assert_canonical(e):
     """Every term is a (factors, Fraction) pair with one factor per
     coordinate and a nonzero coefficient, in strictly increasing order of
-    the factor tuples."""
+    the factor tuples, and no pair of them merges into a full-line atom:
+    dist keeps e as it is."""
     for t in e.terms:
         assert type(t) is tuple and len(t) == 2
         f, c = t
@@ -316,6 +353,7 @@ def _assert_canonical(e):
         assert type(c) is F and c != 0
     fs = [f for f, _ in e.terms]
     assert all(a < b for a, b in zip(fs, fs[1:]))
+    assert dist(e.dim, e.terms) == e
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,9 +398,9 @@ def _draw_classes(cls, data, min_signs):
     for key in cls:
         signs = data.draw(
             st.lists(
-                st.tuples(*[st.sampled_from((1, -1))] * d),
+                st.tuples(*[st.sampled_from((1, -1, 0))] * d),
                 min_size=min_signs,
-                max_size=min(2**d, 3),
+                max_size=min(3**d, 3),
                 unique=True,
             )
         )

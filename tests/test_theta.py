@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ from eulerdist import theta
 from eulerdist.atoms import Atom1D, Delta, DistExpr, MonLog, dist, single
 from eulerdist.poly import Polynomial, poly_eval
 from eulerdist.solver import solve
-from eulerdist.theta import apply_polynomial, apply_theta, equal
+from eulerdist.theta import apply_polynomial, apply_theta
 from paperchecks import apply_theta_expr, full_monomial
 
 
@@ -49,6 +49,23 @@ class TestThetaTable:
         # For p >= 1 the regularization absorbs the boundary term.
         out = dict((a, c) for c, a in apply_theta(MonLog(-2, 1, 1)))
         assert out == {MonLog(-2, 1, 1): F(-2), MonLog(-2, 0, 1): F(1)}
+
+    def test_full_line_correction(self):
+        # x^-2 on the full line is x^-2 H(x) + x^-2 H(-x): the two rows add,
+        # and their Delta(1) entries (-1 and +1) cancel.
+        out = dict((a, c) for c, a in apply_theta(MonLog(-2, 0, 0)))
+        assert out == {MonLog(-2, 0, 0): F(-2), Delta(0): F(2)}
+        # x^-1 on the full line (the principal value) reaches no delta.
+        assert apply_theta(MonLog(-1, 0, 0)) == [(F(-1), MonLog(-1, 0, 0))]
+
+    def test_full_line_row_is_its_half_lines(self):
+        for n in range(-6, 3):
+            for p in range(3):
+                full = apply_theta(MonLog(n, p, 0))
+                right = apply_theta_expr(1, single((MonLog(n, p, 1),)))
+                left = apply_theta_expr(1, single((MonLog(n, p, -1),)))
+                want = right + left.scaled((-1) ** n)
+                assert dist(1, [((b,), c) for c, b in full]) == want
 
     def test_reflected_correction_sign(self):
         # Reflected finite parts leak into deltas with all-positive weights;
@@ -122,10 +139,11 @@ class TestIntTable:
     finite_parts = [
         MonLog(n, p, s) for n in range(-12, 0) for p in (0, 1) for s in (1, -1)
     ]
+    full_lines = [MonLog(n, p, 0) for n in range(-12, 0) for p in (0, 1)]
     deltas = [Delta(k) for k in range(12)]
 
     def test_every_entry_is_an_int(self):
-        for a in self.finite_parts + self.deltas:
+        for a in self.finite_parts + self.full_lines + self.deltas:
             assert all(type(x) is int for x, _ in theta.theta_row(a))
 
     def test_finite_part_corrections_are_plus_or_minus_one(self):
@@ -135,44 +153,35 @@ class TestIntTable:
             want = {Delta(i): (-1) ** i if a.s == 1 else 1 for i in range(-a.n)}
             assert got == (want if a.p == 0 else {})
 
+    def test_full_line_corrections_are_plus_or_minus_two(self):
+        # (-1)^i + (-1)^n: the right row plus (-1)^n times the left one,
+        # the zeros, at the i of the other parity than n, left out.
+        for a in self.full_lines:
+            got = {b: x for x, b in theta.theta_row(a) if isinstance(b, Delta)}
+            want = {Delta(i): 2 * (-1) ** i for i in range(-a.n) if (i - a.n) % 2 == 0}
+            assert got == (want if a.p == 0 else {})
+
     def test_delta_eigenvalue(self):
         for a in self.deltas:
             assert theta.theta_row(a) == [(-(a.k + 1), a)]
 
 
 class TestEqual:
+    """Canonical forms are unique, so == is distributional equality."""
+
     def test_permutation(self):
         a = single((Delta(0),)) + single((H,), 2)
         b = single((H,), 2) + single((Delta(0),))
-        assert equal(a, b)
+        assert a == b
 
     def test_constant_forms(self):
-        assert equal(
-            single((H,)) + single((MonLog(0, 0, -1),)), full_monomial((0,))
-        )
+        # H(x1) + H(-x1) is the function 1, the full-line MonLog(0, 0, 0).
+        one = single((MonLog(0, 0, 0),))
+        assert single((H,)) + single((MonLog(0, 0, -1),)) == one
+        assert full_monomial((0,)) == one
 
     def test_scaling_distinguished(self):
-        assert not equal(single((Delta(0),)), single((Delta(0),), 2))
-
-    def test_non_canonical_operands(self):
-        # Built directly: a repeated factor tuple, a zero coefficient and
-        # an unsorted order, on either side.
-        raw = DistExpr(
-            1,
-            (
-                ((H,), F(1)),
-                ((MonLog(2, 0, 1),), F(0)),
-                ((Delta(0),), F(1)),
-                ((H,), F(2)),
-            ),
-        )
-        canon = single((Delta(0),)) + single((H,), 3)
-        assert equal(raw, canon) and equal(canon, raw)
-        assert not equal(raw, single((H,), 3))
-        assert not equal(raw, canon + single((MonLog(2, 0, 1),)))
-        cancelled = DistExpr(1, (((H,), F(1)), ((H,), F(-1))))
-        assert equal(cancelled, dist(1, []))
-        assert equal(dist(1, []), cancelled)
+        assert single((Delta(0),)) != single((Delta(0),), 2)
 
 
 class TestClosure:
@@ -198,7 +207,7 @@ class TestClosure:
 atom_strategy = st.one_of(
     st.builds(Delta, st.integers(0, 3)),
     st.builds(
-        MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from((1, -1))
+        MonLog, st.integers(-3, 3), st.integers(0, 2), st.sampled_from((1, -1, 0))
     ),
 )
 
@@ -281,15 +290,32 @@ def test_apply_polynomial_matches_monomial_reference(P, ts):
     assert apply_polynomial(P, e) == _reference_apply(P, e)
 
 
+@pytest.mark.parametrize("n", [-1, -2, -3, -4])
+def test_full_and_half_line_terms_of_one_skeleton(n):
+    # A full-line finite part reaches only some of its half-line parts'
+    # delta corrections, so the theta-action must not read one's paths by
+    # the other's positions, whichever of them comes first.
+    P = Polynomial(2, {(3, 0): 1, (1, 1): F(1, 2), (0, 2): -2, (0, 0): 3})
+    for signs in permutations((1, -1, 0)):
+        ts = [
+            ((MonLog(n, 0, s), MonLog(-2, 0, t)), F(i + 1, 2))
+            for i, (s, t) in enumerate(zip(signs, signs[::-1]))
+        ]
+        e = DistExpr(2, tuple(ts))
+        assert apply_polynomial(P, e) == _reference_apply(P, e)
+
+
 # -- apply_polynomial against the term-by-term reference ---------------------
 
 finite_parts = st.builds(
-    MonLog, st.integers(-6, -1), st.integers(0, 2), st.sampled_from((1, -1))
+    MonLog, st.integers(-6, -1), st.integers(0, 2), st.sampled_from((1, -1, 0))
 )
 wide_atoms = st.one_of(
     st.builds(Delta, st.integers(0, 5)),
     finite_parts,
-    st.builds(MonLog, st.integers(0, 3), st.integers(0, 2), st.sampled_from((1, -1))),
+    st.builds(
+        MonLog, st.integers(0, 3), st.integers(0, 2), st.sampled_from((1, -1, 0))
+    ),
 )
 coefficients = st.one_of(
     st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=6)

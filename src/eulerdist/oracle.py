@@ -22,23 +22,38 @@ Gaussian are an explicit two-term recurrence, and int_0^1 x^m log^p x dx =
 on panels [x, x + min(x, w)] up to a Gaussian-decay cutoff, run at two node
 counts whose difference is the error estimate.
 
-Each slice e^{-(x-c)^2/w^2} keeps its Taylor table and one dict of the
-moments asked of it, keyed by (m, p).  pair resolves its test function once
-(_test): the monomials, and per coordinate the slices of c and -c, so the
-inner loop looks moments up by small integer keys.
+The series is the correctly rounded sum (fsum) of its float products, yet
+only a head of them is summed (_series).  Each slice stores, once, the index
+head from which its absolute Taylor coefficients add up to at most 2^-80 of
+the largest, and that tail sum.  The weights p!/k^(p+1) decrease along the
+series, so the products left out add up to at most B = tail * weight(head)
+* (1 + 2^-40), plus 2^-1074 for each that rounds to a subnormal.  Rounding
+is monotone: if the head minus B and the head plus B round to the same
+float, the whole sum rounds to it as well, and that float is returned;
+otherwise every product is summed.  Either way the float is the full sum's,
+bit for bit; in an adjoint sweep the head is about 41 of some 320 nonzero
+terms, and the full sum is never needed.
+
+Each slice e^{-(x-c)^2/w^2} keeps its Taylor table, its head and tail, c
+and w as floats, and one dict of the moments asked of it, keyed by (m, p).
+pair resolves its test function once (_test): the monomials, and per
+coordinate the slices of c and -c, so the inner loop looks moments up by
+small integer keys.  An atom past the Taylor table raises
+QuadratureNoConvergence, and a pairing whose k!, p!, series or sum leaves
+the float range FloatOverflow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, factorial, fsum, sqrt
+from math import exp, factorial, fsum, inf, sqrt
 from typing import Iterable
 
 import numpy as np
 
 from .atoms import Atom1D, Delta, DistExpr, single
-from .errors import DimensionError, QuadratureNoConvergence
+from .errors import DimensionError, FloatOverflow, QuadratureNoConvergence
 from .gausspoly import GaussPoly, apply_transposed
 from .poly import Polynomial
 # perfbench/tracer.py wraps oracle.apply_polynomial by name, so the import stays.
@@ -57,13 +72,22 @@ _POWERS = 64
 # (-1)^k: the Taylor table of e^{-(x+c)^2/w^2} is that of e^{-(x-c)^2/w^2}
 # times these, bit for bit, as the recurrence is odd in c.
 _SIGNS = np.resize([1.0, -1.0], _SERIES_CAP)
+# A slice's head keeps the Taylor terms down to this share of its largest.
+_TAIL = 2.0**-80
+# The relative slack of the omitted terms' bound: it covers the rounding of
+# the tail's suffix sum and of the weights, each well under 2^-40.
+_SLACK = 1.0 + 2.0**-40
+# The smallest normal float, and the largest rounding error of a product
+# that lands below it.
+_NORMAL, _TINY = 2.0**-1022, 2.0**-1074
 
 
 class _Slice(dict):
     """One 1-D slice e^{-(x-c)^2/w^2} of test functions, plus mirror times
     its reflection e^{-(x+c)^2/w^2} (mirror +-1 for a full-line atom, else
     0): its Taylor table at 0, the table's length without the zeros it ends
-    in, and the moments (_moment) asked of it so far, keyed by (m, p)."""
+    in, the head and tail of the table (_head), c and w also as floats, and
+    the moments (_moment) asked of it so far, keyed by (m, p)."""
 
     def __init__(
         self, c: Fraction, w: Fraction, table: np.ndarray, length: int, mirror: int = 0
@@ -71,10 +95,23 @@ class _Slice(dict):
         super().__init__()
         self.c, self.w, self.table, self.length = c, w, table, length
         self.mirror = mirror
+        self.cf, self.wf = float(c), float(w)
+        self.head, self.tail = _head(table)
 
     def __missing__(self, key: tuple[int, int]) -> tuple[float, float]:
         value = self[key] = _moment(*key, self)
         return value
+
+
+def _head(table: np.ndarray) -> tuple[int, float]:
+    """The first index h from which sum_{k >= h} |table[k]| <= 2^-80
+    max |table|, and that sum, both as the float suffix sums give them:
+    their rounding, under 800 units in the last place, is covered by the
+    slack of _moment's bound."""
+    size = np.abs(table)
+    suffix = np.cumsum(size[::-1])
+    kept = int(np.searchsorted(suffix, _TAIL * size.max(), side="right"))
+    return _SERIES_CAP - kept, float(suffix[kept - 1]) if kept else 0.0
 
 
 @lru_cache(maxsize=_SLICES)
@@ -161,31 +198,73 @@ def _moment(m: int, p: int, sl: _Slice) -> tuple[float, float]:
     """Finite part of int_0^inf x^m log^p x e^{-(x-c)^2/w^2} dx on the slice
     sl of (c, w), and its error estimate.  On [0, 1]: sum_{i >= -m} f_i
     int_0^1 x^(m+i) log^p x dx.  Uncached: each slice keeps its moments."""
-    i, weights = _series_weights(m, p)
-    table, length = sl.table, sl.length
-    series = table[i] * weights
-    # Past the table's length every term is zero; fsum reads a list faster
-    # than an array.
-    inner = (-1) ** p * fsum(series[: max(0, length - i[0])].tolist())
-    if i.size < 10 or not np.abs(series[-8:]).max() <= 1e-18 * max(1.0, abs(inner)):
+    start = max(0, -m)
+    if _SERIES_CAP - start < 10:
         raise QuadratureNoConvergence(
-            f"inner series for x^{m} log^{p} did not settle within {_SERIES_CAP} terms"
+            f"inner series for x^{m} log^{p} keeps fewer than 10 of its {_SERIES_CAP} terms"
         )
-    outer, err = quad(m, p, float(sl.c), float(sl.w), sl.mirror)
+    weights = _series_weights(m, p)
+    try:
+        inner = (-1) ** p * _series(sl, start, weights)
+    except (ValueError, OverflowError):  # fsum of inf and -inf, or past the range
+        inner = inf
+    if not abs(inner) < inf:
+        raise FloatOverflow(f"inner series for x^{m} log^{p} leaves the float range")
+    # The series' last 8 terms must have settled; they are zero when the
+    # table ends before them.
+    if sl.length > _SERIES_CAP - 8:
+        last = np.abs(sl.table[-8:] * weights[-8:]).max()
+        if not last <= 1e-18 * max(1.0, abs(inner)):
+            raise QuadratureNoConvergence(
+                f"inner series for x^{m} log^{p} did not settle within {_SERIES_CAP} terms"
+            )
+    outer, err = quad(m, p, sl.cf, sl.wf, sl.mirror)
     return inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
 
 
+def _series(sl: _Slice, start: int, weights: np.ndarray) -> float:
+    """fsum of the products table[i] * weights[i - start], i >= start: the
+    correctly rounded sum of every one, read off the head i < sl.head alone
+    when that is certain to give the same float.
+
+    The products left out add up to at most B = tail * (the weight at head)
+    * _SLACK + 2^-1074 per product, for one that rounds to a subnormal: the
+    weights decrease along the series.  The whole sum lies between the head
+    minus B and the head plus B, so if both round to the same float, so does
+    the whole sum; otherwise every product is summed."""
+    table, length, head = sl.table, sl.length, sl.head
+    # A weight below the normal range can exceed a later one by a unit in its
+    # last place, which the slack does not cover.
+    if start < head < length and weights[head - start] >= _NORMAL:
+        bound = sl.tail * weights[head - start] * _SLACK + (length - head) * _TINY
+        terms = (table[start:head] * weights[: head - start]).tolist()
+        terms.append(-bound)
+        low = fsum(terms)
+        terms[-1] = bound
+        if fsum(terms) == low:
+            return low
+    # Past the table's length every term is zero; fsum reads a list faster
+    # than an array.
+    end = max(start, length)
+    return fsum((table[start:end] * weights[: end - start]).tolist())
+
+
 @lru_cache(maxsize=_POWERS)
-def _series_weights(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The indices i >= -m of _moment's series and |int_0^1 x^(m+i) log^p x dx|."""
+def _series_weights(m: int, p: int) -> np.ndarray:
+    """|int_0^1 x^(m+i) log^p x dx| for the indices i >= -m of _moment's
+    series, from i = max(0, -m); they decrease along the series."""
     i = np.arange(max(0, -m), _SERIES_CAP)
     # The integral is p!/k^(p+1), k = m+i+1, taken as the square of
     # sqrt(p!)/k^((p+1)/2): k^(p+1) leaves the float range long before the
     # quotient does; for p <= 170 the square root's two factors stay inside.
-    half = np.power(m + i + 1.0, -(p + 1) / 2) * sqrt(factorial(p))
+    try:
+        root = sqrt(factorial(p))
+    except OverflowError:
+        raise FloatOverflow(f"log power {p}: {p}! leaves the float range") from None
+    half = np.power(m + i + 1.0, -(p + 1) / 2) * root
     weights = half * half
-    i.flags.writeable = weights.flags.writeable = False
-    return i, weights
+    weights.flags.writeable = False
+    return weights
 
 
 def _pair1d(atom: Atom1D, a: int, right: _Slice, left: _Slice) -> tuple[float, float]:
@@ -195,7 +274,14 @@ def _pair1d(atom: Atom1D, a: int, right: _Slice, left: _Slice) -> tuple[float, f
         # (-1)^k d^k/dx^k [x^a g](0) = (-1)^k k! f_{k-a}
         if atom.k < a:
             return 0.0, 0.0
-        v = (-1) ** atom.k * factorial(atom.k) * float(right.table[atom.k - a])
+        if atom.k - a >= _SERIES_CAP:
+            raise QuadratureNoConvergence(
+                f"{atom} reads past the {_SERIES_CAP} Taylor coefficients of a slice"
+            )
+        try:
+            v = (-1) ** atom.k * factorial(atom.k) * float(right.table[atom.k - a])
+        except OverflowError:
+            raise FloatOverflow(f"{atom}: {atom.k}! leaves the float range") from None
         return v, 1e-15 * abs(v)
     if atom.s == 1:
         return right[atom.n + a, atom.p]
@@ -227,7 +313,7 @@ def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
     """
     if e.dim != phi.dim:
         raise DimensionError(f"expression dim {e.dim} vs test function dim {phi.dim}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     total = 0.0
     total_err = 0.0
@@ -244,6 +330,9 @@ def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
                 val *= v
             total += val
             total_err += err
+    # Past the float range the error gate cannot fire: tol * inf is inf.
+    if not abs(total) < inf:
+        raise FloatOverflow(f"a pairing left the float range: {total}")
     if total_err > max(tol, tol * abs(total)):
         raise QuadratureNoConvergence(
             f"accumulated pairing error estimate {total_err} above tolerance {tol}"

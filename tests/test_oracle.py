@@ -13,7 +13,9 @@ from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
 from eulerdist.gausspoly import GaussPoly, apply_transposed
 from eulerdist import oracle, theta
 from eulerdist.cli import main
+from eulerdist.errors import FloatOverflow, QuadratureNoConvergence
 from eulerdist.grammar import parse_dist, parse_poly
+from eulerdist.limits import MAX_SUITE_N, MAX_SUITE_ORDER
 from eulerdist.oracle import (
     adjoint_check,
     compare_symbolic_numeric,
@@ -70,6 +72,49 @@ class TestPair:
         lhs = pair(a + b.scaled(3), GAUSS)
         rhs = pair(a, GAUSS) + 3 * pair(b, GAUSS)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "atom, error",
+        [
+            # The series of x^-2000 starts past the Taylor table's 800 terms.
+            (MonLog(-2000, 0, 1), QuadratureNoConvergence),
+            (MonLog(-2000, 0, 0), QuadratureNoConvergence),
+            # phi^(800)(0) reads past the table.
+            (Delta(800), QuadratureNoConvergence),
+            # 171! > 1.8e308.
+            (Delta(171), FloatOverflow),
+            (MonLog(0, 171, 1), FloatOverflow),
+            # x^400 overflows at the outer quadrature's nodes.
+            (MonLog(400, 0, 1), FloatOverflow),
+        ],
+        ids=[
+            "monlog-n-2000", "full-line-n-2000", "delta-800", "delta-171", "log-171",
+            "monlog-n-400",
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_atoms_past_the_float_tables_raise_typed_errors(self, atom, error):
+        with pytest.raises(error):
+            pair(single((atom,)), GAUSS)
+        with pytest.raises(error):
+            adjoint_check(atom, GAUSS)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_series_past_the_float_range_raises_float_overflow(self):
+        # 170! f_1, f_1 = 2c/w^2 e^{-c^2/w^2} = 100/e, leaves the float range.
+        phi = GaussPoly.gaussian(1, (F(1, 50),), F(1, 50))
+        atom = MonLog(-1, 170, 1)
+        with pytest.raises(FloatOverflow):
+            pair(single((atom,)), phi)
+        with pytest.raises(FloatOverflow):
+            adjoint_check(atom, phi)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_positive(self, tol):
+        # A NaN tolerance would switch the error gate off: no estimate is
+        # above it.
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            pair(single((Delta(0),)), GAUSS, tol=tol)
 
 
 class TestDerivativeOfXPhi:
@@ -170,6 +215,106 @@ class TestMoment:
             warnings.simplefilter("error")
             value, err = oracle._moment(-1, 170, oracle._slice(F(0), F(1)))
         assert math.isfinite(value) and math.isfinite(err)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(-MAX_SUITE_N - 3, 8),
+        p=st.integers(0, MAX_SUITE_ORDER),
+        c=st.fractions(-3, 3, max_denominator=50),
+        w=st.fractions(F(3, 10), 4, max_denominator=50),
+        s=st.sampled_from([1, -1, 0]),
+    )
+    def test_head_sum_is_the_full_sum(self, m, p, c, w, s):
+        # Bit for bit: the series summed from its head is the fsum of all
+        # its products, on half-line and full-line slices alike.
+        if s:
+            sl = oracle._slice(s * c, w)
+        else:
+            sl = oracle._full_slice(c, w, (-1) ** m)
+        _assert_moment_is_the_full_sum(m, p, sl)
+
+    @pytest.mark.parametrize("m", [0, -1, -3])
+    def test_failed_certificate_sums_every_term(self, monkeypatch, m):
+        # A head of 1 leaves out nearly the whole series, so its bound cannot
+        # certify the float and every product is summed: the full sum after
+        # the two certificate sums, or at once if the series starts past
+        # the head.
+        c, w = F(1, 3), F(1)
+        sl = oracle._Slice(c, w, *oracle._taylor(c, w))
+        sl.head, sl.tail = 1, math.fsum(np.abs(sl.table[1:]))
+        summed = []
+        fsum = oracle.fsum
+
+        def counted(terms):
+            summed.append(len(terms))
+            return fsum(terms)
+
+        monkeypatch.setattr(oracle, "fsum", counted)
+        _assert_moment_is_the_full_sum(m, 2, sl)
+        assert summed == ([2, 2] if m == 0 else []) + [sl.length + m]
+
+    @pytest.mark.parametrize("m, p, c", [(0, 0, F(-5, 7)), (-2, 1, F(-5, 7)), (3, 2, F(-5, 7)), (-1, 5, F(-5, 7)), (40, 0, F(1, 7)), (8, 0, F(5, 7))])
+    def test_every_head_gives_the_full_sum(self, m, p, c):
+        # Wherever the head is put, with the tail that goes with it, the
+        # moment is the full sum: near the end of the series the tail is
+        # certified away, near its start the full sum runs, and in between
+        # the tail is too small to see yet large enough to move the head's
+        # last bit.
+        w = F(4, 5)
+        sl = oracle._Slice(c, w, *oracle._taylor(c, w))
+        for head in range(1, sl.length + 1):
+            sl.head, sl.tail = head, math.fsum(np.abs(sl.table[head:]))
+            _assert_moment_is_the_full_sum(m, p, sl)
+
+    def test_sweep_sums_only_series_heads(self, monkeypatch):
+        # Work bound by counting: one adjoint sweep of 33 atoms on a fresh
+        # phi computes 54 moments, and each series is summed twice from its
+        # head, about 42 terms, where the full sums took 17,154 terms in all.
+        phi = GaussPoly(
+            Polynomial(1, {(0,): F(2), (1,): F(-2, 3), (2,): F(3, 4)}),
+            (F(412, 997),),
+            F(1213, 899),
+        )
+        atoms = [Delta(k) for k in range(3)] + [
+            MonLog(n, p, s) for n in range(-2, 3) for p in range(3) for s in (1, -1)
+        ]
+        summed = []
+        fsum = oracle.fsum
+
+        def counted(terms):
+            summed.append(len(terms))
+            return fsum(terms)
+
+        _clear_caches()
+        monkeypatch.setattr(oracle, "fsum", counted)
+        for a in atoms:
+            assert adjoint_check(a, phi) <= 1e-8
+        assert len(summed) == 2 * 54
+        assert sum(summed) <= 5000
+
+
+def _assert_moment_is_the_full_sum(m: int, p: int, sl) -> None:
+    """_moment(m, p, sl) against the same moment with the fsum of every
+    product of its series, weights computed afresh, and its gate."""
+    i = np.arange(max(0, -m), oracle._SERIES_CAP)
+    k = np.power(m + i + 1.0, -(p + 1) / 2) * math.sqrt(math.factorial(p))
+    with np.errstate(over="ignore"):
+        series = sl.table[i] * (k * k)
+    try:
+        inner = (-1) ** p * math.fsum(series)
+    except ValueError:  # inf - inf: the products left the float range
+        inner = math.inf
+    if not math.isfinite(inner):
+        with pytest.raises(FloatOverflow), np.errstate(over="ignore"):
+            oracle._moment(m, p, sl)
+        return
+    if not np.abs(series[-8:]).max() <= 1e-18 * max(1.0, abs(inner)):
+        with pytest.raises(QuadratureNoConvergence):
+            oracle._moment(m, p, sl)
+        return
+    outer, err = oracle.quad(m, p, float(sl.c), float(sl.w), sl.mirror)
+    want = (inner + outer, err + 1e-15 * (abs(inner) + abs(outer)))
+    assert oracle._moment(m, p, sl) == want
 
 
 class TestCompareSymbolicNumeric:

@@ -121,15 +121,6 @@ class DistExpr:
         return cls(dim, ())
 
 
-def coeff_map(terms: Iterable[Term]) -> dict[tuple[Atom1D, ...], Fraction]:
-    """The coefficients of terms summed per factor tuple (zero sums kept)."""
-    acc: dict[tuple[Atom1D, ...], Fraction] = {}
-    for f, c in terms:
-        old = acc.get(f)
-        acc[f] = c if old is None else old + c
-    return acc
-
-
 # (kind, n or k, p): what a coordinate's atom keeps when its sign is dropped.
 _SKELETON = itemgetter(0, 1, 2)
 
@@ -180,7 +171,8 @@ def _compress(fs: list, acc: dict) -> None:
 
 
 def dist(dim: int, terms: Iterable[Term]) -> DistExpr:
-    """Build a DistExpr in canonical form: merged, zero-free, sorted by factors.
+    """Build a DistExpr in canonical form: the coefficients summed per factor
+    tuple, zeros dropped, sorted by factors.
 
     Terms whose atoms agree up to their signs (one skeleton) are the only
     ones a full-line atom can merge with or split into, so the rule reads
@@ -189,7 +181,10 @@ def dist(dim: int, terms: Iterable[Term]) -> DistExpr:
     unique, and then compressed coordinate by coordinate (_compress).  A
     lone tuple comes out of that rule unchanged, so the result depends only
     on the distribution."""
-    acc = coeff_map(terms)
+    acc: dict[tuple[Atom1D, ...], Fraction] = {}
+    for f, c in terms:
+        old = acc.get(f)
+        acc[f] = c if old is None else old + c
     for f in acc:
         if len(f) != dim:
             raise DimensionError(f"term has dim {len(f)}, expression dim {dim}")

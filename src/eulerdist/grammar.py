@@ -288,22 +288,17 @@ def format_poly(P: Polynomial) -> str:
 
 # -- distributions ---------------------------------------------------------
 
-# Each coordinate of a term keeps its factors in fixed slots: a mask of these
-# kind bits, and the integers n (power or mono), p (log), s (H) and k
-# (delta).  A delta or mono factor owns its coordinate; power, log and H may
-# each appear once.
-_POWER, _LOG, _H, _DELTA, _MONO = 1, 2, 4, 8, 16
-_OWNS_COORDINATE = _DELTA | _MONO
-# The name of each kind, and the message of the CoordinateConflict it raises.
+# The message of the CoordinateConflict each kind of factor raises.  A delta
+# or mono factor owns its coordinate; power, log and H may each appear once.
 _KINDS = {
-    _POWER: ("power", "power factor conflicts with an earlier factor"),
-    _LOG: ("log", "log factor conflicts with an earlier factor"),
-    _H: ("H", "half-line factor conflicts with an earlier factor"),
-    _DELTA: ("delta", "delta combined with another factor"),
-    _MONO: ("mono", "mono combined with another factor"),
+    "power": "power factor conflicts with an earlier factor",
+    "log": "log factor conflicts with an earlier factor",
+    "H": "half-line factor conflicts with an earlier factor",
+    "delta": "delta combined with another factor",
+    "mono": "mono combined with another factor",
 }
 # The factors written as a name and an argument in parentheses.
-_CALLS = {"log": _LOG, "H": _H, "delta": _DELTA, "mono": _MONO}
+_CALLS = ("log", "H", "delta", "mono")
 
 
 # The coordinate names format_dist prints, looked up before int() reads a
@@ -323,14 +318,6 @@ def _x_index(t: str, d: int) -> int | None:
     return j
 
 
-def _coord_arg(tk: _Tokens, i: int, d: int) -> tuple[int, int]:
-    """j for the x<j> argument of log, H, delta and mono at token i."""
-    j = _x_index(tk.toks[i], d)
-    if j is None:
-        raise tk.fail(i, "x<j>")
-    return j, i + 1
-
-
 def _signed_int(tk: _Tokens, i: int) -> tuple[int, int]:
     if tk.toks[i] != "-":
         return tk.number(i)
@@ -338,50 +325,44 @@ def _signed_int(tk: _Tokens, i: int) -> tuple[int, int]:
     return -n, i
 
 
-def _dist_factor(tk: _Tokens, i: int, d: int) -> tuple[int, int, int, int]:
-    """The factor at token i: (j, its kind bit, its integer argument, the
-    index after it)."""
+def _dist_factor(tk: _Tokens, i: int, d: int) -> tuple[int, str, int, int]:
+    """The factor at token i: (j, its kind, its integer argument, the index
+    after it)."""
     toks = tk.toks
     t = toks[i]
-    kind = _CALLS.get(t)
-    if kind is None:
-        j = _COORDS.get(t)
-        if j is None or j > d:
-            j = _x_index(t, d)
-            if j is None:
-                raise ParseError(
-                    f"expected a factor (x<j>, log, H, delta, mono), found {t!r}",
-                    tk.offset(i),
-                )
-        if toks[i + 1] != "^":
-            return j, _POWER, 1, i + 1
-        value, i = _signed_int(tk, i + 2)
-        return j, _POWER, value, i
-    at = i
+    if t not in _CALLS:
+        j = _x_index(t, d)
+        if j is None:
+            raise ParseError(
+                f"expected a factor (x<j>, log, H, delta, mono), found {t!r}",
+                tk.offset(i),
+            )
+        value, i = _signed_int(tk, i + 2) if toks[i + 1] == "^" else (1, i + 1)
+        return j, "power", value, i
+    kind, at = t, i
     if toks[i + 1] != "(":
         raise tk.fail(i + 1, "'('")
     i += 2
     value = 1
-    if kind == _H and toks[i] == "-":
+    if kind == "H" and toks[i] == "-":
         value, i = -1, i + 1
-    j = _COORDS.get(toks[i])
-    if j is None or j > d:
-        j, i = _coord_arg(tk, i, d)
-    else:
-        i += 1
+    j = _x_index(toks[i], d)
+    if j is None:
+        raise tk.fail(i, "x<j>")
+    i += 1
     # A delta order is an unsigned literal; only mono can read a '-'.
-    if kind == _DELTA:
+    if kind == "delta":
         value, i = tk.number(tk.expect(i, ","))
-    elif kind == _MONO:
+    elif kind == "mono":
         value, i = _signed_int(tk, tk.expect(i, ","))
     if toks[i] != ")":
         raise tk.fail(i, "')'")
     i += 1
-    if kind == _LOG and toks[i] == "^":
+    if kind == "log" and toks[i] == "^":
         value, i = tk.number(i + 1)
         if value < 1:
             raise ParseError("log power must be >= 1", tk.offset(at))
-    elif kind == _MONO and value < 0:
+    elif kind == "mono" and value < 0:
         raise ParseError("mono needs a nonnegative exponent", tk.offset(at))
     return j, kind, value, i
 
@@ -393,13 +374,13 @@ def _dist_term(
     is the sign in front of it.
 
     Its coefficient literals multiply into one integer numerator and
-    denominator, and each factor is checked against the slots of its
-    coordinate: the order bound, the running total of log powers, then
-    ownership and conflicts."""
+    denominator, and each factor is checked against the factors of its
+    coordinate so far, one {kind: value} dict: the order bound, the running
+    total of log powers, then ownership and conflicts."""
     toks = tk.toks
     num, den, logs = sign, 1, 0
-    # Coordinate j's slots are at index j - 1.
-    mask, n, p, s, k = [0] * d, [0] * d, [0] * d, [0] * d, [0] * d
+    # Coordinate j's factors are at index j - 1.
+    groups: list[dict[str, int]] = [{} for _ in range(d)]
     while True:
         t = toks[i]
         if t[:1].isalpha():
@@ -407,31 +388,22 @@ def _dist_term(
             j, kind, value, i = _dist_factor(tk, i, d)
             if abs(value) > max_order:
                 raise InputTooLarge(
-                    f"{_KINDS[kind][0]} order at offset {tk.offset(at)} is above "
-                    f"{max_order}"
+                    f"{kind} order at offset {tk.offset(at)} is above {max_order}"
                 )
-            if kind == _LOG:
+            if kind == "log":
                 logs += value
                 if logs > max_order:
                     raise InputTooLarge(
                         f"total log power at offset {tk.offset(at)} is above "
                         f"{max_order}"
                     )
-            slot = j - 1
-            m = mask[slot]
-            if m & kind or (m and (m | kind) & _OWNS_COORDINATE):
+            g = groups[j - 1]
+            owned = kind in ("delta", "mono") or "delta" in g or "mono" in g
+            if kind in g or (g and owned):
                 raise CoordinateConflict(
-                    f"{_KINDS[kind][1]} for x{j} (at offset {tk.offset(at)})"
+                    f"{_KINDS[kind]} for x{j} (at offset {tk.offset(at)})"
                 )
-            mask[slot] = m | kind
-            if kind == _H:
-                s[slot] = value
-            elif kind == _LOG:
-                p[slot] = value
-            elif kind == _DELTA:
-                k[slot] = value
-            else:
-                n[slot] = value
+            g[kind] = value
         elif t[:1].isdigit():
             a, b, i = _rational(tk, i)
             num *= a
@@ -441,11 +413,18 @@ def _dist_term(
         if toks[i] != "*":
             if not num:
                 return None, i
-            # s is 0, the full line, where no H factor set it.
+            # A coordinate with no H factor is the full line, s = 0; power
+            # and mono, which set n, never share one.
             factors = tuple(
                 [
-                    Delta(kj) if m & _DELTA else MonLog(nj, pj, sj)
-                    for m, nj, pj, sj, kj in zip(mask, n, p, s, k)
+                    Delta(g["delta"])
+                    if "delta" in g
+                    else MonLog(
+                        g.get("power", 0) + g.get("mono", 0),
+                        g.get("log", 0),
+                        g.get("H", 0),
+                    )
+                    for g in groups
                 ]
             )
             return (factors, Fraction(num, den)), i

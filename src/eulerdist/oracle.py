@@ -22,25 +22,23 @@ Gaussian are an explicit two-term recurrence, and int_0^1 x^m log^p x dx =
 on panels [x, x + min(x, w)] up to a Gaussian-decay cutoff, run at two node
 counts whose difference is the error estimate.
 
-The series is the correctly rounded sum (fsum) of its float products, yet
-only a head of them is summed (_series).  Each slice stores, once, the index
-head from which its absolute Taylor coefficients add up to at most 2^-80 of
-the largest, and that tail sum.  The weights p!/k^(p+1) decrease along the
-series, so the products left out add up to at most B = tail * weight(head)
-* (1 + 2^-40), plus 2^-1074 for each that rounds to a subnormal.  Rounding
-is monotone: if the head minus B and the head plus B round to the same
-float, the whole sum rounds to it as well, and that float is returned;
-otherwise every product is summed.  Either way the float is the full sum's,
-bit for bit; in an adjoint sweep the head is about 41 of some 320 nonzero
-terms, and the full sum is never needed.
+The series is the correctly rounded sum (fsum) of its float products, read
+off a head of them wherever a per-moment certificate shows that the rest
+cannot change the float (_series); in an adjoint sweep the head is about 41
+of some 320 nonzero terms.  On a narrow slice (w well below c) the products
+cancel to far less than their sizes' sum, so the error estimate adds a few
+roundings of that sum (_ROUNDING), and pair refuses such a pairing with
+QuadratureNoConvergence rather than return the rounding noise.
 
-Each slice e^{-(x-c)^2/w^2} keeps its Taylor table, its head and tail, c
-and w as floats, and one dict of the moments asked of it, keyed by (m, p).
-pair resolves its test function once (_test): the monomials, and per
-coordinate the slices of c and -c, so the inner loop looks moments up by
-small integer keys.  An atom past the Taylor table raises
-QuadratureNoConvergence, and a pairing whose k!, p!, series or sum leaves
-the float range FloatOverflow.
+One builder, _slice, makes each slice e^{-(x-c)^2/w^2} + mirror
+e^{-(x+c)^2/w^2}: only c >= 0 with no mirror runs the recurrence, and the
+other tables are that one times exact sign patterns.  A slice keeps its
+Taylor table, its head and tail, c and w as floats, and one dict of the
+moments asked of it, keyed by (m, p).  pair resolves its test function once
+(_test): the monomials, and per coordinate the slices of c and -c.  An atom
+past the Taylor table raises QuadratureNoConvergence, and a pairing whose
+k!, p!, series or sum leaves the float range FloatOverflow, as does a slice
+far from 0 (c = 6, w = 1/10), whose Taylor recurrence overflows.
 """
 
 from __future__ import annotations
@@ -63,15 +61,13 @@ _SERIES_CAP = 800
 # Gauss-Legendre nodes and weights on [-1, 1]: the rule and its half.
 _RULES = [np.polynomial.legendre.leggauss(n) for n in (32, 16)]
 # The caches hold the last few test functions: a sweep of atoms against one
-# phi uses 2 slices (c and -c), each with a dict of the moments asked of it,
-# about 27 pairs (m, p) in all; the oracle-suite uses 3 phis and 6 slices.
+# phi uses 2 slices (c and -c), 2 more mirrored ones for full-line atoms, and
+# about 27 moments (m, p) among them; the oracle-suite uses 3 phis, 12 slices.
 # A slice's moments go with it.  Kept longer, an entry only makes the cost
 # of a later pairing depend on which test functions came before it.
 _SLICES = 16
 _POWERS = 64
-# (-1)^k: the Taylor table of e^{-(x+c)^2/w^2} is that of e^{-(x-c)^2/w^2}
-# times these, bit for bit, as the recurrence is odd in c.
-_SIGNS = np.resize([1.0, -1.0], _SERIES_CAP)
+_SIGNS = np.resize([1.0, -1.0], _SERIES_CAP)  # (-1)^k, the sign pattern of _slice
 # A slice's head keeps the Taylor terms down to this share of its largest.
 _TAIL = 2.0**-80
 # The relative slack of the omitted terms' bound: it covers the rounding of
@@ -80,6 +76,8 @@ _SLACK = 1.0 + 2.0**-40
 # The smallest normal float, and the largest rounding error of a product
 # that lands below it.
 _NORMAL, _TINY = 2.0**-1022, 2.0**-1074
+# A few units of 2^-53: the rounding of a series product, relative to it.
+_ROUNDING = 4 * 2.0**-53
 
 
 class _Slice(dict):
@@ -115,22 +113,19 @@ def _head(table: np.ndarray) -> tuple[int, float]:
 
 
 @lru_cache(maxsize=_SLICES)
-def _slice(c: Fraction, w: Fraction) -> _Slice:
-    """The slice of (c, w); for c < 0 its table is read off that of -c."""
-    if c < 0:
-        mirror = _slice(-c, w)
-        table = mirror.table * _SIGNS
-        table.flags.writeable = False
-        return _Slice(c, w, table, mirror.length)
-    return _Slice(c, w, *_taylor(c, w))
-
-
-@lru_cache(maxsize=_SLICES)
-def _full_slice(c: Fraction, w: Fraction, mirror: int) -> _Slice:
-    """The slice of e^{-(x-c)^2/w^2} + mirror e^{-(x+c)^2/w^2}: its Taylor
-    coefficients are c's times 1 + mirror (-1)^k, each doubled or zero."""
-    right = _slice(c, w)
-    table = right.table * (1 + mirror * _SIGNS)
+def _slice(c: Fraction, w: Fraction, mirror: int = 0) -> _Slice:
+    """The slice of e^{-(x-c)^2/w^2} + mirror e^{-(x+c)^2/w^2}.  Only c >= 0
+    with no mirror runs the recurrence; every other table is the one at |c|
+    times exact sign patterns: (-1)^k for c < 0, as the recurrence is odd in
+    c, and 1 + mirror (-1)^k, each coefficient doubled or zero."""
+    if mirror:
+        right = _slice(c, w)
+        table = right.table * (1 + mirror * _SIGNS)
+    elif c < 0:
+        right = _slice(-c, w)
+        table = right.table * _SIGNS
+    else:
+        return _Slice(c, w, *_taylor(c, w))
     table.flags.writeable = False
     return _Slice(c, w, table, right.length, mirror)
 
@@ -146,8 +141,12 @@ def _taylor(c: Fraction, w: Fraction) -> tuple[np.ndarray, int]:
     while len(f) < _SERIES_CAP and (f[-1] or f[-2]):
         k = len(f) - 1
         f.append((a * f[k] - 2.0 * b * f[k - 1]) / (k + 1))
+    f = np.array(f)
+    # Far from 0 the recurrence overflows where e^{-c^2/w^2} underflows.
+    if not np.isfinite(f).all():
+        raise FloatOverflow(f"Taylor table of the slice c = {c}, w = {w} overflows")
     table = np.zeros(_SERIES_CAP)
-    table[: len(f)] = exp(-float(c * c / w**2)) * np.array(f)
+    table[: len(f)] = exp(-float(c * c / w**2)) * f
     table.flags.writeable = False  # the slice hands this array to every caller
     nonzero = np.flatnonzero(table)
     return table, int(nonzero[-1]) + 1 if nonzero.size else 0
@@ -197,7 +196,9 @@ def _panels(
 def _moment(m: int, p: int, sl: _Slice) -> tuple[float, float]:
     """Finite part of int_0^inf x^m log^p x e^{-(x-c)^2/w^2} dx on the slice
     sl of (c, w), and its error estimate.  On [0, 1]: sum_{i >= -m} f_i
-    int_0^1 x^(m+i) log^p x dx.  Uncached: each slice keeps its moments."""
+    int_0^1 x^(m+i) log^p x dx, whose products are each rounded, so the
+    estimate holds _ROUNDING times the sum of their sizes: on a narrow
+    slice they cancel to far less.  Uncached: each slice keeps its moments."""
     start = max(0, -m)
     if _SERIES_CAP - start < 10:
         raise QuadratureNoConvergence(
@@ -205,11 +206,12 @@ def _moment(m: int, p: int, sl: _Slice) -> tuple[float, float]:
         )
     weights = _series_weights(m, p)
     try:
-        inner = (-1) ** p * _series(sl, start, weights)
+        inner, size = _series(sl, start, weights)
     except (ValueError, OverflowError):  # fsum of inf and -inf, or past the range
         inner = inf
     if not abs(inner) < inf:
         raise FloatOverflow(f"inner series for x^{m} log^{p} leaves the float range")
+    inner *= (-1) ** p
     # The series' last 8 terms must have settled; they are zero when the
     # table ends before them.
     if sl.length > _SERIES_CAP - 8:
@@ -219,13 +221,14 @@ def _moment(m: int, p: int, sl: _Slice) -> tuple[float, float]:
                 f"inner series for x^{m} log^{p} did not settle within {_SERIES_CAP} terms"
             )
     outer, err = quad(m, p, sl.cf, sl.wf, sl.mirror)
-    return inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
+    return inner + outer, err + 1e-15 * (abs(inner) + abs(outer)) + _ROUNDING * size
 
 
-def _series(sl: _Slice, start: int, weights: np.ndarray) -> float:
+def _series(sl: _Slice, start: int, weights: np.ndarray) -> tuple[float, float]:
     """fsum of the products table[i] * weights[i - start], i >= start: the
     correctly rounded sum of every one, read off the head i < sl.head alone
-    when that is certain to give the same float.
+    when that is certain to give the same float; and the sum of the products'
+    sizes, the head's plus B when the head is summed alone.
 
     The products left out add up to at most B = tail * (the weight at head)
     * _SLACK + 2^-1074 per product, for one that rounds to a subnormal: the
@@ -242,11 +245,12 @@ def _series(sl: _Slice, start: int, weights: np.ndarray) -> float:
         low = fsum(terms)
         terms[-1] = bound
         if fsum(terms) == low:
-            return low
+            return low, sum(map(abs, terms))
     # Past the table's length every term is zero; fsum reads a list faster
     # than an array.
     end = max(start, length)
-    return fsum((table[start:end] * weights[: end - start]).tolist())
+    terms = (table[start:end] * weights[: end - start]).tolist()
+    return fsum(terms), sum(map(abs, terms))
 
 
 @lru_cache(maxsize=_POWERS)
@@ -291,7 +295,7 @@ def _pair1d(atom: Atom1D, a: int, right: _Slice, left: _Slice) -> tuple[float, f
         return (-v if a % 2 else v), err
     # The full line: x^n log^p x x^a (g(x) + (-1)^(n+a) g(-x)) on x > 0.
     mirror = -1 if (atom.n + a) % 2 else 1
-    return _full_slice(right.c, right.w, mirror)[atom.n + a, atom.p]
+    return _slice(right.c, right.w, mirror)[atom.n + a, atom.p]
 
 
 @lru_cache(maxsize=_SLICES)
@@ -340,8 +344,10 @@ def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
     return total
 
 
+@lru_cache(maxsize=_SLICES)
 def derivative_of_x_phi(phi: GaussPoly, j: int = 1) -> GaussPoly:
-    """The exact symbolic result of d/dx_j (x_j * phi)."""
+    """The exact symbolic result of d/dx_j (x_j * phi); cached, so a sweep of
+    atoms against one phi builds it once."""
     return phi.times_coord(j).derivative(j)
 
 
@@ -354,14 +360,8 @@ def adjoint_check(a: Atom1D, phi: GaussPoly) -> float:
     lhs = 0.0
     for c, b in apply_theta(a):
         lhs += float(c) * pair(single((b,)), phi)
-    rhs = pair(single((a,)), _x_phi_prime(phi))
+    rhs = pair(single((a,)), derivative_of_x_phi(phi))
     return abs(lhs + rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-@lru_cache(maxsize=_SLICES)
-def _x_phi_prime(phi: GaussPoly) -> GaussPoly:
-    """derivative_of_x_phi(phi), once for a sweep of atoms against one phi."""
-    return derivative_of_x_phi(phi)
 
 
 def compare_symbolic_numeric(

@@ -184,6 +184,58 @@ def test_syntax_errors_say_what_was_expected(parse, text, message):
         parse(text, 1)
 
 
+# Each factor that names a coordinate: its text and the canonical text it
+# reads back to ("{}" is the name), what a ParseError expects in place of a
+# name that is no x<j>, and the name's offset.
+NAME_FORMS = [
+    ("{}^2", "{}^2", "a factor (x<j>, log, H, delta, mono)", 0),
+    ("log({})", "log({})", "x<j>", 4),
+    ("H({})", "H({})", "x<j>", 2),
+    ("H(-{})", "H(-{})", "x<j>", 3),
+    ("delta({},0)", "delta({},0)", "x<j>", 6),
+    ("mono({},1)", "{}", "x<j>", 5),
+]
+
+
+@pytest.mark.parametrize("form, canonical, expected, at", NAME_FORMS)
+@pytest.mark.parametrize(
+    "name, d, reads_as",
+    [
+        ("x1", 1, "x1"),
+        ("x1", 9, "x1"),
+        ("x9", 1, DimensionError),
+        ("x9", 9, "x9"),
+        ("x01", 1, "x1"),
+        ("x01", 9, "x1"),
+        ("x10", 1, DimensionError),
+        ("x10", 9, DimensionError),
+        ("x0", 1, DimensionError),
+        ("x0", 9, DimensionError),
+        ("X1", 1, ParseError),
+        ("X1", 9, ParseError),
+        ("y1", 1, ParseError),
+        ("y1", 9, ParseError),
+    ],
+)
+def test_coordinate_names_read_exactly(
+    form, canonical, expected, at, name, d, reads_as
+):
+    # A power factor and the argument of every call read a name alike: the
+    # canonical text, or the exact error, message and offset.
+    text = form.format(name)
+    if isinstance(reads_as, str):
+        assert format_dist(parse_dist(text, d)) == canonical.format(reads_as)
+        return
+    with pytest.raises(reads_as) as exc:
+        parse_dist(text, d)
+    assert type(exc.value) is reads_as
+    if reads_as is DimensionError:
+        assert str(exc.value) == f"coordinate {name} exceeds dimension {d}"
+    else:
+        assert str(exc.value) == f"expected {expected}, found {name!r} (at offset {at})"
+        assert exc.value.position == at
+
+
 class TestRoundTrip:
     CORPUS_POLY = [
         "t1",

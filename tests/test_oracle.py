@@ -3,6 +3,7 @@ import math
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ class TestPair:
             pair(single((atom,)), phi)
         with pytest.raises(FloatOverflow):
             adjoint_check(atom, phi)
+
+    @pytest.mark.parametrize("c, w", [(F(6), F(1, 10)), (F(20), F(1, 5))])
+    def test_far_slice_raises_float_overflow_without_a_nan_table(self, c, w):
+        # The Taylor recurrence overflows where e^{-c^2/w^2} underflows, so
+        # their product would be NaN (0 * inf) in hundreds of entries.
+        with pytest.raises(FloatOverflow, match="Taylor table of the slice"):
+            oracle._taylor(c, w)
+        with pytest.raises(FloatOverflow, match="Taylor table of the slice"):
+            pair(single((MonLog(0, 0, 1),)), GaussPoly.gaussian(1, (c,), w))
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
     def test_tolerance_must_be_positive(self, tol):
@@ -230,7 +240,7 @@ class TestMoment:
         if s:
             sl = oracle._slice(s * c, w)
         else:
-            sl = oracle._full_slice(c, w, (-1) ** m)
+            sl = oracle._slice(c, w, (-1) ** m)
         _assert_moment_is_the_full_sum(m, p, sl)
 
     @pytest.mark.parametrize("m", [0, -1, -3])
@@ -313,8 +323,20 @@ def _assert_moment_is_the_full_sum(m: int, p: int, sl) -> None:
             oracle._moment(m, p, sl)
         return
     outer, err = oracle.quad(m, p, float(sl.c), float(sl.w), sl.mirror)
-    want = (inner + outer, err + 1e-15 * (abs(inner) + abs(outer)))
-    assert oracle._moment(m, p, sl) == want
+    value, estimate = oracle._moment(m, p, sl)
+    assert value == inner + outer
+    _assert_estimate(estimate, err, inner, outer, series)
+
+
+def _assert_estimate(estimate, err, inner, outer, series) -> None:
+    """The moment's error estimate: the quadrature's, 1e-15 of the two parts
+    and _ROUNDING times the sum of the products' sizes.  Where the head is
+    summed alone, that sum is the head's plus the bound B on the rest, and
+    B is below a unit in the last place of the series there, so the two
+    sums agree to far better than 1e-12."""
+    size = math.fsum(np.abs(series))
+    want = err + 1e-15 * (abs(inner) + abs(outer)) + oracle._ROUNDING * size
+    assert estimate == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestCompareSymbolicNumeric:
@@ -430,7 +452,6 @@ def _clear_caches():
     """Forget every slice, with its moments, and every resolved test function."""
     oracle._test.cache_clear()
     oracle._slice.cache_clear()
-    oracle._full_slice.cache_clear()
 
 
 class TestPairingCache:
@@ -474,11 +495,12 @@ class TestPairingCache:
         assert oracle.quad(m, p, cf, wf) == (fine, abs(fine - coarse))
         i = np.arange(max(0, -m), oracle._SERIES_CAP)
         k = np.power(m + i + 1.0, -(p + 1) / 2) * math.sqrt(math.factorial(p))
-        inner = (-1) ** p * math.fsum(oracle._taylor(c, w)[0][i] * (k * k))
+        series = oracle._taylor(c, w)[0][i] * (k * k)
+        inner = (-1) ** p * math.fsum(series)
         outer, err = fine, abs(fine - coarse)
-        assert oracle._moment(m, p, oracle._slice(c, w)) == (
-            inner + outer, err + 1e-15 * (abs(inner) + abs(outer))
-        )
+        value, estimate = oracle._moment(m, p, oracle._slice(c, w))
+        assert value == inner + outer
+        _assert_estimate(estimate, err, inner, outer, series)
 
     def test_cost_does_not_depend_on_test_functions_long_gone(self, monkeypatch):
         # The cache covers a sweep of atoms against one test function, but
@@ -556,7 +578,7 @@ def _reference_pair(e: DistExpr, phi: GaussPoly) -> float:
                     v = -v if a % 2 else v
                 else:
                     mirror = (-1) ** (atom.n + a)
-                    sl = oracle._full_slice(c, phi.width, mirror)
+                    sl = oracle._slice(c, phi.width, mirror)
                     v = oracle._moment(atom.n + a, atom.p, sl)[0]
                 val *= v
             total += val
@@ -720,3 +742,20 @@ class TestAgainstScipy:
                         -1
                     ) ** n * _finite_part_reference(n, p, -1, phi)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (n, p)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("w", [F(1, 10), F(1, 7), F(3, 20), F(1, 5), F(1, 4)])
+    @pytest.mark.parametrize("c", [F(-2), F(-1), F(1, 2), F(1)])
+    def test_narrow_slices_are_refused_or_within_tolerance(self, c, w):
+        # On a narrow slice the series' products cancel to far less than
+        # their sizes: MonLog(0, 0, 1) at c = 1, w = 1/10 summed to -610.95,
+        # not w sqrt(pi).  Each pairing is refused, or lands within the
+        # gate's own contract.
+        phi, tol = GaussPoly.gaussian(1, (c,), w), 1e-9
+        for n, s in product([-1, 0, 2], [1, -1]):
+            want = _finite_part_reference(n, 0, s, phi)
+            try:
+                got = pair(single((MonLog(n, 0, s),)), phi, tol)
+            except QuadratureNoConvergence:
+                continue
+            assert abs(got - want) <= max(tol, tol * abs(want)), (n, s, got, want)

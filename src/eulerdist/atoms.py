@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DimensionError, InputTooLarge
 from .limits import MAX_HELD_TERMS
@@ -198,9 +198,3 @@ def dist(dim: int, terms: Iterable[Term]) -> DistExpr:
                     _compress(fs, acc)
     factors = sorted([f for f, c in acc.items() if c])
     return DistExpr(dim, tuple([(f, acc[f]) for f in factors]))
-
-
-def single(atoms: Sequence[Atom1D], coeff: RationalLike = 1) -> DistExpr:
-    """Expression with one tensor term; already canonical."""
-    c = Fraction(coeff)
-    return DistExpr(len(atoms), ((tuple(atoms), c),) if c else ())

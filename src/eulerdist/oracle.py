@@ -34,11 +34,17 @@ One builder, _slice, makes each slice e^{-(x-c)^2/w^2} + mirror
 e^{-(x+c)^2/w^2}: only c >= 0 with no mirror runs the recurrence, and the
 other tables are that one times exact sign patterns.  A slice keeps its
 Taylor table, its head and tail, c and w as floats, and one dict of the
-moments asked of it, keyed by (m, p).  pair resolves its test function once
-(_test): the monomials, and per coordinate the slices of c and -c.  An atom
-past the Taylor table raises QuadratureNoConvergence, and a pairing whose
-k!, p!, series or sum leaves the float range FloatOverflow, as does a slice
-far from 0 (c = 6, w = 1/10), whose Taylor recurrence overflows.
+moments asked of it, keyed by (m, p); its quadrature nodes (_panels) keep,
+per rule, each power x^m and log^p x asked so far, so a moment computes
+only the powers no earlier moment of the slice asked for.  A test function
+is resolved once (_test): the monomials, and per coordinate the slices of c
+and -c.  pair and adjoint_check share one loop over terms against it, and
+one gate (_pair); adjoint_check pairs each atom of theta_row on its own,
+with no expression built, and takes the row's integers over the delta
+factorials as int/int quotients.  An atom past the Taylor table raises
+QuadratureNoConvergence, and a pairing whose k!, p!, series or sum leaves
+the float range FloatOverflow, as does a slice far from 0 (c = 6,
+w = 1/10), whose Taylor recurrence overflows.
 """
 
 from __future__ import annotations
@@ -50,14 +56,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .atoms import Atom1D, Delta, DistExpr, single
+from .atoms import Atom1D, Delta, DistExpr
 from .errors import DimensionError, FloatOverflow, QuadratureNoConvergence
 from .gausspoly import GaussPoly, apply_transposed
 from .poly import Polynomial
 # perfbench/tracer.py wraps oracle.apply_polynomial by name, so the import stays.
-from .theta import apply_polynomial, apply_theta  # noqa: F401
+from .theta import _scale, apply_polynomial, theta_row  # noqa: F401
 
 _SERIES_CAP = 800
+# pair's default tolerance, and the one adjoint_check pairs each atom at.
+_TOL = 1e-9
 # Gauss-Legendre nodes and weights on [-1, 1]: the rule and its half.
 _RULES = [np.polynomial.legendre.leggauss(n) for n in (32, 16)]
 # The caches hold the last few test functions: a sweep of atoms against one
@@ -160,37 +168,50 @@ def quad(m: int, p: int, c: float, w: float, mirror: int = 0) -> tuple[float, fl
     the Gaussian's width stay resolved; the estimate is the difference
     between the 32- and 16-node rules.
     """
-    half, nodes = _panels(c, w, mirror)
+    half, rules = _panels(c, w, mirror)
     fine, coarse = (
-        float(half @ ((x**m * log_x**p * gauss) @ wt))
-        for (x, log_x, gauss), (_, wt) in zip(nodes, _RULES)
+        float(half @ ((xs[m] * logs[p] * gauss) @ wt)) for xs, logs, gauss, wt in rules
     )
     return fine, abs(fine - coarse)
 
 
+class _Powers(dict):
+    """The powers of one array of quadrature nodes asked so far, keyed by
+    the exponent: each is computed once, as base**k."""
+
+    def __init__(self, base: np.ndarray):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, k: int) -> np.ndarray:
+        value = self[k] = self.base**k
+        return value
+
+
 @lru_cache(maxsize=_SLICES)
-def _panels(
-    c: float, w: float, mirror: int = 0
-) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
-    """quad's panel half-widths and, per rule, its nodes x, log x and g(x):
-    every moment of one slice shares them.  A mirrored g reaches as far as
-    its farther Gaussian."""
+def _panels(c: float, w: float, mirror: int = 0) -> tuple[np.ndarray, list[tuple]]:
+    """quad's panel half-widths and, per rule, the powers of its nodes x and
+    of log x, g(x) and the weights: every moment of one slice shares them,
+    and each power of x or log x is computed once.  A mirrored g reaches as
+    far as its farther Gaussian."""
     cutoff = max(2.0, (abs(c) if mirror else c) + 7.0 * w, 1.0 + 7.0 * w)
     edges = [1.0]
     while edges[-1] < cutoff:
         edges.append(min(cutoff, edges[-1] + min(edges[-1], w)))
     lo = np.array(edges[:-1])
     half = (np.array(edges[1:]) - lo) / 2
-    nodes = []
-    for t, _ in _RULES:
+    rules = []
+    for t, wt in _RULES:
         x = (lo + half)[:, None] + half[:, None] * t
         gauss = np.exp(-(((x - c) / w) ** 2))
         if mirror:
             gauss = gauss + mirror * np.exp(-(((x + c) / w) ** 2))
-        nodes.append((x, np.log(x), gauss))
-    for array in (half, *(a for rule in nodes for a in rule)):
-        array.flags.writeable = False  # shared by every caller, as in _taylor
-    return half, nodes
+        log_x = np.log(x)
+        for array in (x, log_x, gauss):
+            array.flags.writeable = False  # shared by every caller, as in _taylor
+        rules.append((_Powers(x), _Powers(log_x), gauss, wt))
+    half.flags.writeable = False
+    return half, rules
 
 
 def _moment(m: int, p: int, sl: _Slice) -> tuple[float, float]:
@@ -302,14 +323,14 @@ def _pair1d(atom: Atom1D, a: int, right: _Slice, left: _Slice) -> tuple[float, f
 def _test(
     phi: GaussPoly,
 ) -> tuple[list[tuple[tuple[int, ...], Fraction, float]], list[tuple[_Slice, _Slice]]]:
-    """phi resolved for pair: its monomials in grlex order, each coefficient
+    """phi resolved for _pair: its monomials in grlex order, each coefficient
     also as a float, and the (right, left) slices of each coordinate."""
     monomials = [(alpha, pc, float(pc)) for alpha, pc in phi.poly.sorted_terms()]
     slices = [(_slice(c, phi.width), _slice(-c, phi.width)) for c in phi.center]
     return monomials, slices
 
 
-def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
+def pair(e: DistExpr, phi: GaussPoly, tol: float = _TOL) -> float:
     """Numerical estimate of <e, phi> under the fixed finite-part convention.
 
     Tensor terms pair coordinate-by-coordinate against the 1-D slices of
@@ -319,10 +340,21 @@ def pair(e: DistExpr, phi: GaussPoly, tol: float = 1e-9) -> float:
         raise DimensionError(f"expression dim {e.dim} vs test function dim {phi.dim}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    return _pair(e.terms, _test(phi), tol)
+
+
+def _pair(
+    terms: Iterable[tuple[tuple[Atom1D, ...], Fraction | int]], test: tuple, tol: float
+) -> float:
+    """The sum of terms (factors, coefficient) against the resolved test
+    function test (_test), and its gate: FloatOverflow past the float range,
+    QuadratureNoConvergence where the accumulated error estimate is above
+    max(tol, tol * |sum|).  A coefficient equal to 1 takes each monomial's
+    float as stored."""
+    monomials, slices = test
     total = 0.0
     total_err = 0.0
-    monomials, slices = _test(phi)
-    for f, coeff in e.terms:
+    for f, coeff in terms:
         one = coeff == 1
         for alpha, pc, pc_float in monomials:
             # 1 * pc is pc, so its float is the one stored.
@@ -354,13 +386,19 @@ def derivative_of_x_phi(phi: GaussPoly, j: int = 1) -> GaussPoly:
 def adjoint_check(a: Atom1D, phi: GaussPoly) -> float:
     """|<theta a, phi> + <a, (x phi)'>| / max(1, |lhs|, |rhs|) for a 1-D atom;
     certifies one rule.  The pairings grow like p! and k!, so the residual is
-    relative to them: their float rounding must not read as a wrong entry."""
+    relative to them: their float rounding must not read as a wrong entry.
+
+    The entry of theta a at b in the plain basis is x w(a)/w(b), x from
+    theta_row, taken as one correctly rounded quotient of two integers (the
+    float of its Fraction); each atom b is paired on its own, through
+    pair's gate at its default tolerance."""
     if phi.dim != 1:
         raise DimensionError("adjoint_check works on 1-D atoms and test functions")
+    test, w = _test(phi), _scale(a)
     lhs = 0.0
-    for c, b in apply_theta(a):
-        lhs += float(c) * pair(single((b,)), phi)
-    rhs = pair(single((a,)), derivative_of_x_phi(phi))
+    for x, b in theta_row(a):
+        lhs += x * w / _scale(b) * _pair([((b,), 1)], test, _TOL)
+    rhs = _pair([((a,), 1)], _test(derivative_of_x_phi(phi)), _TOL)
     return abs(lhs + rhs) / max(1.0, abs(lhs), abs(rhs))
 
 

@@ -17,13 +17,13 @@ the inner interval, s = -1 atoms defined by reflection); the oracle's
 adjoint-identity suite certifies every entry.
 
 The rules are written once, as integer rows in the basis Delta(k)/k!
-(theta_row); apply_theta and apply_polynomial read them.  theta is
-upper-triangular on the atoms, so P(theta) takes an atom a to each atom b
-it reaches by the weights on its one path times the divided difference of
-P at the eigenvalues on it (Opitz's formula; C. de Boor, "Divided
-differences", 2005, for repeated nodes): for L steps from the eigenvalue
-mu of a to the eigenvalue x of b, q(x), q the quotient of P by (z - mu)^L,
-taken one coordinate at a time.
+(theta_row); apply_polynomial and the oracle's adjoint_check read them.
+theta is upper-triangular on the atoms, so P(theta) takes an atom a to each
+atom b it reaches by the weights on its one path times the divided
+difference of P at the eigenvalues on it (Opitz's formula; C. de Boor,
+"Divided differences", 2005, for repeated nodes): for L steps from the
+eigenvalue mu of a to the eigenvalue x of b, q(x), q the quotient of P by
+(z - mu)^L, taken one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ def theta_row(a: Atom1D) -> list[tuple[int, Atom1D]]:
 def _scale(a: Atom1D) -> int:
     """w(a): k! for Delta(k), 1 for a MonLog."""
     return factorial(a.k) if isinstance(a, Delta) else 1
-
-
-def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
-    """Exact action of theta on one atom: theta_row back in the plain basis,
-    where the entry x of a -> b is x w(a)/w(b)."""
-    return [(Fraction(x * _scale(a), _scale(b)), b) for x, b in theta_row(a)]
 
 
 def _paths(a: Atom1D, deg: int) -> list[Path]:

@@ -4,8 +4,9 @@ No subcommand reaches these, so they live beside the tests rather than in
 the package:
 
 - the full-line monomial x^alpha, the split of a delta-supported expression
-  along coordinate hyperplanes, and theta_j on a whole expression, the
-  term-by-term reference that `theta.apply_polynomial` is tested against;
+  along coordinate hyperplanes, theta on one atom in the plain basis, and
+  theta_j on a whole expression, the term-by-term reference that
+  `theta.apply_polynomial` is tested against;
 - an expression in half-line atoms only, where its form is unique, and the
   canonical rule written out on it: the references that the reader and
   `atoms.dist` are tested against;
@@ -29,11 +30,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from eulerdist.atoms import Delta, DistExpr, MonLog, Term, delta_coord, dist
+from eulerdist.atoms import Atom1D, Delta, DistExpr, MonLog, Term, delta_coord, dist
 from eulerdist.errors import DimensionError, EulerDistError, UnsupportedInput
 from eulerdist.gausspoly import GaussPoly
-from eulerdist.poly import Polynomial, poly_eval, principal_part
-from eulerdist.theta import apply_polynomial, apply_theta
+from eulerdist.poly import Polynomial, RationalLike, poly_eval, principal_part
+from eulerdist.theta import _scale, apply_polynomial, theta_row
 from eulerdist.wagner import WagnerParams, _gauss_ft_1d
 
 
@@ -43,6 +44,12 @@ class TermNotHyperplaneSupported(EulerDistError):
 
 class SymbolZeroOnGrid(EulerDistError):
     """A node of the reference xi-grid falls on a zero of the symbol Pj."""
+
+
+def single(atoms: Sequence[Atom1D], coeff: RationalLike = 1) -> DistExpr:
+    """Expression with one tensor term; already canonical."""
+    c = Fraction(coeff)
+    return DistExpr(len(atoms), ((tuple(atoms), c),) if c else ())
 
 
 def full_monomial(alpha: Sequence[int], d: int | None = None) -> DistExpr:
@@ -115,6 +122,12 @@ def decompose_hyperplane(e: DistExpr) -> list[tuple[int, DistExpr]]:
             )
         buckets.setdefault(j, []).append(t)
     return [(j, dist(e.dim, buckets[j])) for j in sorted(buckets)]
+
+
+def apply_theta(a: Atom1D) -> list[tuple[Fraction, Atom1D]]:
+    """Exact action of theta on one atom: theta_row back in the plain basis,
+    where the entry x of a -> b is x w(a)/w(b)."""
+    return [(Fraction(x * _scale(a), _scale(b)), b) for x, b in theta_row(a)]
 
 
 def apply_theta_expr(j: int, e: DistExpr) -> DistExpr:

@@ -13,16 +13,22 @@ from itertools import product
 
 import pytest
 
-from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist
 from eulerdist.cli import main as cli_main
 from eulerdist.gausspoly import GaussPoly
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
 from eulerdist.oracle import adjoint_check, compare_symbolic_numeric
 from eulerdist.poly import Polynomial, poly_eval
 from eulerdist.solver import solve
-from eulerdist.theta import apply_polynomial, apply_theta
+from eulerdist.theta import apply_polynomial
 from eulerdist.wagner import WagnerParams, me_check, wagner_coefficients
-from paperchecks import decompose_hyperplane, exp_conjugation_check, full_monomial
+from paperchecks import (
+    apply_theta,
+    decompose_hyperplane,
+    exp_conjugation_check,
+    full_monomial,
+    single,
+)
 
 
 H = MonLog(0, 0, 1)

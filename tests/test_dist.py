@@ -5,13 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist
 from paperchecks import (
     TermNotHyperplaneSupported,
     compressed_form,
     decompose_hyperplane,
     full_monomial,
     half_line_form,
+    single,
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerdist import grammar
-from eulerdist.atoms import Delta, MonLog, dist, single
+from eulerdist.atoms import Delta, MonLog, dist
 from eulerdist.errors import (
     CoordinateConflict,
     DimensionError,
@@ -16,7 +16,7 @@ from eulerdist.errors import (
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
 from eulerdist.limits import MAX_NESTING
 from eulerdist.poly import Polynomial
-from paperchecks import compressed_form, full_monomial, half_line_form
+from paperchecks import compressed_form, full_monomial, half_line_form, single
 
 
 def zvar(d, j):

@@ -10,11 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist
 from eulerdist.gausspoly import GaussPoly, apply_transposed
 from eulerdist import oracle, theta
 from eulerdist.cli import main
-from eulerdist.errors import FloatOverflow, QuadratureNoConvergence
+from eulerdist.errors import (
+    DimensionError,
+    EulerDistError,
+    FloatOverflow,
+    QuadratureNoConvergence,
+)
 from eulerdist.grammar import parse_dist, parse_poly
 from eulerdist.limits import MAX_SUITE_N, MAX_SUITE_ORDER
 from eulerdist.oracle import (
@@ -25,11 +30,16 @@ from eulerdist.oracle import (
 )
 from eulerdist.poly import Polynomial
 from eulerdist.solver import solve
-from paperchecks import full_monomial
+from paperchecks import apply_theta, full_monomial, single
 
 EULER_GAMMA = 0.5772156649015329
 
 GAUSS = GaussPoly.gaussian(1, (F(0),), F(1))
+
+# The 33 atoms of one adjoint sweep.
+SWEEP = [Delta(k) for k in range(3)] + [
+    MonLog(n, p, s) for n in range(-2, 3) for p in range(3) for s in (1, -1)
+]
 
 
 class TestPair:
@@ -201,20 +211,68 @@ class TestAdjointCheck:
         # centred Gaussian has phi'(0) = 0 and cannot see it; the suite's
         # shifted test functions must, and the relative residual must not
         # hide it.
-        right = oracle.apply_theta
+        right = oracle.theta_row
         bad = MonLog(-2, 0, 1)
 
         def wrong(a):
             return [
-                (-c if a == bad and b == Delta(1) else c, b) for c, b in right(a)
+                (-x if a == bad and b == Delta(1) else x, b) for x, b in right(a)
             ]
 
-        monkeypatch.setattr(oracle, "apply_theta", wrong)
+        monkeypatch.setattr(oracle, "theta_row", wrong)
         argv = ["oracle-suite", "--nmax", "2", "--pmax", "0", "--kmax", "0"]
         assert main(argv) == 1
         rows = json.loads(capsys.readouterr().out)["outputs"]["rows"]
         assert [r["atom"] for r in rows if r["residual"] > 1e-6] == [repr(bad)]
         assert adjoint_check(bad, GAUSS) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "atom, phi, error, message",
+        [
+            # The narrow slice's series cancels to rounding noise: on the
+            # pairing with (x phi)' of an atom whose row is empty, and on
+            # the first entry of a row.
+            (
+                MonLog(0, 0, 1),
+                GaussPoly.gaussian(1, (F(1),), F(1, 10)),
+                QuadratureNoConvergence,
+                "accumulated pairing error estimate 6412250.439717639 above "
+                "tolerance 1e-09",
+            ),
+            (
+                MonLog(-1, 0, 1),
+                GaussPoly.gaussian(1, (F(1),), F(1, 10)),
+                QuadratureNoConvergence,
+                "accumulated pairing error estimate 16194.353643767467 above "
+                "tolerance 1e-09",
+            ),
+            (
+                MonLog(0, 0, 1),
+                GaussPoly.gaussian(1, (F(6),), F(1, 10)),
+                FloatOverflow,
+                "Taylor table of the slice c = 6, w = 1/10 overflows",
+            ),
+            (
+                Delta(800),
+                GAUSS,
+                QuadratureNoConvergence,
+                "Delta(k=800) reads past the 800 Taylor coefficients of a slice",
+            ),
+            (
+                Delta(1),
+                GaussPoly.gaussian(2, (F(0), F(0)), F(1)),
+                DimensionError,
+                "adjoint_check works on 1-D atoms and test functions",
+            ),
+        ],
+        ids=["narrow", "narrow-row", "far", "delta-800", "two-dimensional"],
+    )
+    def test_refusals_keep_their_types_and_messages(self, atom, phi, error, message):
+        # The types and messages, estimates included, of one pair call per
+        # entry of the row in the plain basis.
+        with pytest.raises(error) as info:
+            adjoint_check(atom, phi)
+        assert str(info.value) == message
 
 
 class TestMoment:
@@ -285,9 +343,6 @@ class TestMoment:
             (F(412, 997),),
             F(1213, 899),
         )
-        atoms = [Delta(k) for k in range(3)] + [
-            MonLog(n, p, s) for n in range(-2, 3) for p in range(3) for s in (1, -1)
-        ]
         summed = []
         fsum = oracle.fsum
 
@@ -297,7 +352,7 @@ class TestMoment:
 
         _clear_caches()
         monkeypatch.setattr(oracle, "fsum", counted)
-        for a in atoms:
+        for a in SWEEP:
             assert adjoint_check(a, phi) <= 1e-8
         assert len(summed) == 2 * 54
         assert sum(summed) <= 5000
@@ -449,9 +504,11 @@ class TestCompareSymbolicNumeric:
 
 
 def _clear_caches():
-    """Forget every slice, with its moments, and every resolved test function."""
+    """Forget every slice, with its moments, every resolved test function,
+    and the quadrature nodes with their powers."""
     oracle._test.cache_clear()
     oracle._slice.cache_clear()
+    oracle._panels.cache_clear()
 
 
 class TestPairingCache:
@@ -480,24 +537,12 @@ class TestPairingCache:
         # The shared slices and weights change no arithmetic: the plain
         # per-moment computation must give the same floats.
         _clear_caches()
-        cf, wf = float(c), float(w)
-        cutoff = max(2.0, cf + 7.0 * wf, 1.0 + 7.0 * wf)
-        edges = [1.0]
-        while edges[-1] < cutoff:
-            edges.append(min(cutoff, edges[-1] + min(edges[-1], wf)))
-        lo = np.array(edges[:-1])
-        half = (np.array(edges[1:]) - lo) / 2
-        fine, coarse = (
-            float(half @ ((x**m * np.log(x) ** p * np.exp(-(((x - cf) / wf) ** 2))) @ wt))
-            for t, wt in oracle._RULES
-            for x in [(lo + half)[:, None] + half[:, None] * t]
-        )
-        assert oracle.quad(m, p, cf, wf) == (fine, abs(fine - coarse))
+        outer, err = _plain_quad(m, p, float(c), float(w))
+        assert oracle.quad(m, p, float(c), float(w)) == (outer, err)
         i = np.arange(max(0, -m), oracle._SERIES_CAP)
         k = np.power(m + i + 1.0, -(p + 1) / 2) * math.sqrt(math.factorial(p))
         series = oracle._taylor(c, w)[0][i] * (k * k)
         inner = (-1) ** p * math.fsum(series)
-        outer, err = fine, abs(fine - coarse)
         value, estimate = oracle._moment(m, p, oracle._slice(c, w))
         assert value == inner + outer
         _assert_estimate(estimate, err, inner, outer, series)
@@ -506,9 +551,6 @@ class TestPairingCache:
         # The cache covers a sweep of atoms against one test function, but
         # twenty test functions later that one is computed afresh.  Each
         # fresh moment calls quad once, so its calls count the misses.
-        atoms = [Delta(k) for k in range(3)] + [
-            MonLog(n, p, s) for n in range(-2, 3) for p in range(3) for s in (1, -1)
-        ]
         calls = []
         quad = oracle.quad
 
@@ -520,7 +562,7 @@ class TestPairingCache:
 
         def misses(phi):
             before = len(calls)
-            for a in atoms:
+            for a in SWEEP:
                 adjoint_check(a, phi)
             return len(calls) - before
 
@@ -554,6 +596,75 @@ class TestPairingCache:
         monkeypatch.setattr(oracle, "_taylor", counted)
         pair(single((MonLog(3, 1, 1),)), phi)
         assert tables == []
+
+
+    @pytest.mark.parametrize("mirror", [0, 1, -1])
+    def test_quad_moments_do_not_depend_on_their_order(self, mirror):
+        # A slice keeps each power of its nodes that a moment asked for; the
+        # moments asked in another order, so from other stored powers, are
+        # the same floats as the plain per-moment computation.
+        cf, wf = float(F(-412, 997)), float(F(1413, 899))
+        moments = [(m, p) for m in range(-3, 6) for p in range(4)]
+        orders = [moments, moments[::-1], moments[1::2] + moments[::2]]
+        got = []
+        for order in orders:
+            oracle._panels.cache_clear()
+            got.append({mp: oracle.quad(*mp, cf, wf, mirror) for mp in order})
+        assert got[0] == got[1] == got[2]
+        for (m, p), value in got[0].items():
+            assert value == _plain_quad(m, p, cf, wf, mirror), (m, p)
+
+    def test_sweep_computes_each_node_power_once(self, monkeypatch):
+        # Work bound by counting: after one sweep on a fresh phi each slice
+        # holds, per rule, one power of x per distinct m and one of log x per
+        # distinct p of the moments asked of it; a second sweep makes none.
+        phi = GaussPoly(
+            Polynomial(1, {(0,): F(1), (1,): F(3, 4), (2,): F(-1, 3)}),
+            (F(-305, 997),),
+            F(1177, 899),
+        )
+        made = []
+        missing = oracle._Powers.__missing__
+
+        def counted(powers, k):
+            made.append(k)
+            return missing(powers, k)
+
+        _clear_caches()
+        monkeypatch.setattr(oracle._Powers, "__missing__", counted)
+        for a in SWEEP:
+            adjoint_check(a, phi)
+        (slices,) = oracle._test(phi)[1]
+        want = 0
+        for sl in slices:
+            ms, ps = {m for m, _ in sl}, {p for _, p in sl}
+            for xs, logs, *_ in oracle._panels(sl.cf, sl.wf, sl.mirror)[1]:
+                assert (set(xs), set(logs)) == (ms, ps)
+                want += len(ms) + len(ps)
+        assert len(made) == want > 0
+        for a in SWEEP:
+            adjoint_check(a, phi)
+        assert len(made) == want
+
+
+def _plain_quad(m: int, p: int, cf: float, wf: float, mirror: int = 0):
+    """quad as a plain per-moment computation: panels, nodes and powers
+    made afresh."""
+    cutoff = max(2.0, (abs(cf) if mirror else cf) + 7.0 * wf, 1.0 + 7.0 * wf)
+    edges = [1.0]
+    while edges[-1] < cutoff:
+        edges.append(min(cutoff, edges[-1] + min(edges[-1], wf)))
+    lo = np.array(edges[:-1])
+    half = (np.array(edges[1:]) - lo) / 2
+    sums = []
+    for t, wt in oracle._RULES:
+        x = (lo + half)[:, None] + half[:, None] * t
+        g = np.exp(-(((x - cf) / wf) ** 2))
+        if mirror:
+            g = g + mirror * np.exp(-(((x + cf) / wf) ** 2))
+        sums.append(float(half @ ((x**m * np.log(x) ** p * g) @ wt)))
+    fine, coarse = sums
+    return fine, abs(fine - coarse)
 
 
 def _reference_pair(e: DistExpr, phi: GaussPoly) -> float:
@@ -610,6 +721,24 @@ def _expr_and_phi(draw):
     return dist(d, terms), GaussPoly(Polynomial(d, monomials), center, width)
 
 
+def _adjoint_through_apply_theta(a, phi: GaussPoly) -> float:
+    """adjoint_check as one pair call per entry of theta a in the plain
+    basis, with Fraction coefficients."""
+    lhs = 0.0
+    for c, b in apply_theta(a):
+        lhs += float(c) * pair(single((b,)), phi)
+    rhs = pair(single((a,)), derivative_of_x_phi(phi))
+    return abs(lhs + rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+def _outcome(check, a, phi):
+    """check(a, phi), or the type and message of the error it raised."""
+    try:
+        return check(a, phi)
+    except EulerDistError as e:
+        return type(e), str(e)
+
+
 class TestFloatsPinned:
     @settings(max_examples=60, deadline=None)
     @given(_expr_and_phi())
@@ -618,6 +747,31 @@ class TestFloatsPinned:
         # no arithmetic.  tol = 1 only keeps the error gate out of the way.
         e, phi = e_phi
         assert pair(e, phi, tol=1.0) == _reference_pair(e, phi)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        atom=st.one_of(
+            st.builds(Delta, st.integers(0, 3)),
+            st.builds(
+                MonLog, st.integers(-3, 3), st.integers(0, 3), st.sampled_from([1, -1, 0])
+            ),
+        ),
+        monomials=st.dictionaries(
+            st.tuples(st.integers(0, 3)), _COEFFS, min_size=1, max_size=4
+        ),
+        center=st.fractions(-1, 1, max_denominator=9),
+        width=st.fractions(F(1, 2), 2, max_denominator=9),
+    )
+    def test_adjoint_check_equals_the_residual_through_apply_theta(
+        self, atom, monomials, center, width
+    ):
+        # Bit for bit, refusals included: theta_row's entries as int/int
+        # quotients and each atom paired on its own give the residual of the
+        # plain-basis table and one pair call per entry.
+        phi = GaussPoly(Polynomial(1, monomials), (center,), width)
+        assert _outcome(adjoint_check, atom, phi) == _outcome(
+            _adjoint_through_apply_theta, atom, phi
+        )
 
     # float.hex of each row residual of oracle-suite --nmax 2 --pmax 2
     # --kmax 2, as first computed; the full-line (s=0) rows as first

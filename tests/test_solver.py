@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, Rational
 
 from eulerdist import solver
-from eulerdist.atoms import Delta, DistExpr, MonLog, dist, single
+from eulerdist.atoms import Delta, DistExpr, MonLog, dist
 from eulerdist.errors import InputTooLarge, UnsupportedInput, ZeroPolynomial
 from eulerdist.grammar import format_dist, parse_dist, parse_poly
 from eulerdist.limits import MAX_BITS, MAX_SOLUTION_ORDER
@@ -19,8 +19,8 @@ from eulerdist.solver import (
     solve_continuous_term,
     verify,
 )
-from eulerdist.theta import apply_polynomial, apply_theta
-from paperchecks import full_monomial
+from eulerdist.theta import apply_polynomial
+from paperchecks import apply_theta, full_monomial, single
 
 
 H = MonLog(0, 0, 1)

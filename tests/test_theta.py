@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerdist import theta
-from eulerdist.atoms import Atom1D, Delta, DistExpr, MonLog, dist, single
+from eulerdist.atoms import Atom1D, Delta, DistExpr, MonLog, dist
 from eulerdist.poly import Polynomial, poly_eval
 from eulerdist.solver import solve
-from eulerdist.theta import apply_polynomial, apply_theta
-from paperchecks import apply_theta_expr, full_monomial
+from eulerdist.theta import apply_polynomial
+from paperchecks import apply_theta, apply_theta_expr, full_monomial, single
 
 
 H = MonLog(0, 0, 1)

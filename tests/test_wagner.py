@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from eulerdist.atoms import MonLog, single
+from eulerdist.atoms import MonLog
 from eulerdist.gausspoly import GaussPoly, apply_transposed
 from eulerdist.grammar import parse_poly
 from eulerdist.poly import Polynomial
@@ -30,6 +30,7 @@ from paperchecks import (
     fourier_transform_values,
     hy_strip_check,
     pair_E_grid,
+    single,
     y_seminorm,
 )
 

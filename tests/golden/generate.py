@@ -22,7 +22,11 @@ residuals choose).  The cases are drawn with a fixed seed and cover:
   * the distribution reader's edge cases (whitespace, signs, zero
     denominators, leading zeros, limits, a bad character), and printed texts
     with whitespace put in or one character replaced or deleted, which pin
-    its error types, messages and offsets.
+    its error types, messages and offsets;
+  * the same for the polynomial reader: zero and constant powers, the
+    degree, bit and term bounds reached at a power, at a `*` and in a sum,
+    unreduced and zero coefficients, sign runs, dimensions 0 and -3, and
+    printed or parenthesised P texts with one edit.
 
 Regenerating is an explicit step: state the reason and the diff of
 corpus.json whenever it changes.
@@ -38,7 +42,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from eulerdist.cli import main
-from eulerdist.grammar import format_dist, parse_dist
+from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
 
 CORPUS = Path(__file__).with_name("corpus.json")
 SEED = 20171111
@@ -343,6 +347,66 @@ def mutated_cases(rng: random.Random, count: int = 240) -> list[list[str]]:
     return argvs
 
 
+# Polynomial texts at the edges of the grammar, each with its -d (None for
+# the default, the largest index used).
+POLY_EDGES = [
+    ("0^0", None),
+    ("0*t1^1000*t1^1000", None),
+    ("t1^1000*t1^1000*0", None),
+    ("2^5000", None),
+    ("2^5001", None),
+    ("(1/2)^20000", None),
+    ("3^4000*3^4000", None),
+    ("(3)^4000*3^4000", None),
+    ("4/6*t1", None),
+    ("1/2*2*t1 + 0/5*t2", None),
+    ("1/3*t1 + 1/6*t1 - 1/2*t1", None),
+    ("0*t1 + t2 + t1", None),
+    ("--t1", None),
+    ("t1*-t1", None),
+    ("-(-t1)^3*2", None),
+    ("t1^0*t2^1", None),
+    ("t1^1000", None),
+    ("t1^1001", None),
+    ("(t1)^1001", None),
+    ("t1^-1", None),
+    ("1/0*t1", None),
+    ("2*(t1 + 1)*t2 - 3", None),
+    ("(t1+t2+t3+t4+t5+t6)^8", None),
+    ("(t1+t2+t3+t4+t5+t6)^7*(t1+t2)", None),
+    # A sum of 1001 terms is read; a product with it is refused.
+    ("(" + " + ".join([f"t1^{k}" for k in range(501)]
+                      + [f"t1^{k}*t2" for k in range(500)]) + ")*t1", None),
+    ("t3", 2),
+    ("t2", 0),
+    ("1", 0),
+    ("1", -3),
+    ("t01", None),
+    ("t1 t2", None),
+    ("x1", None),
+]
+
+
+def poly_mutated_cases(rng: random.Random, count: int = 120) -> list[list[str]]:
+    """Polynomial texts, printed or with parentheses, with whitespace put in
+    or one character replaced or deleted at a random place."""
+    argvs = []
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        text = f"{_poly(rng, d)}^{rng.randint(1, 3)}*{_poly(rng, d)}"
+        if rng.random() < 0.5:
+            text = format_poly(parse_poly(text, d))
+        i = rng.randint(0, len(text))
+        edit = rng.choice(["space", "replace", "delete"])
+        if edit == "space":
+            text = text[:i] + rng.choice(" \t\n") + text[i:]
+        else:
+            new = rng.choice("0123456789t-+*/^() \n$x") if edit == "replace" else ""
+            text = text[:i] + new + text[i + 1 :]
+        argvs.append(["parse", "-P", text, "-d", str(d)])
+    return argvs
+
+
 def corpus() -> list[dict]:
     rng = random.Random(SEED)
     cases = [run_case(a) for a in README + parse_cases(rng) + wagner_cases()]
@@ -351,7 +415,12 @@ def corpus() -> list[dict]:
     verifies = [run_case(a) for a in verify_cases(fanout + solves[::3])]
     edges = [["parse", "-T", text, "-d", "1"] for text in READER_EDGES]
     reader = [run_case(a) for a in edges + mutated_cases(rng)]
-    return cases + solves + fanout + verifies + reader
+    poly_edges = [
+        ["parse", "-P", text] + ([] if d is None else ["-d", str(d)])
+        for text, d in POLY_EDGES
+    ]
+    poly = [run_case(a) for a in poly_edges + poly_mutated_cases(rng)]
+    return cases + solves + fanout + verifies + reader + poly
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ lexical error, a character no token has or a run of more than MAX_DIGITS
 digits, so lexical errors win over syntax errors.  A single findall then
 splits the text into literals, names and operators, and the grammar
 functions walk that list by index.  A ParseError gives the offset of the
-token it names.
+token it names.  In P, a product of numbers and t<j> powers is read as one
+monomial of integers, and each sum makes one Polynomial.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, gcd, lcm
+from operator import add
 from string import ascii_letters
 from typing import Iterable
 
@@ -58,7 +60,7 @@ from .limits import (
     MAX_ORDER,
     MAX_POLY_TERMS,
 )
-from .poly import Polynomial, poly_sum
+from .poly import Polynomial, _make
 
 # A literal, a name (letters, then the digits of an index) or an operator;
 # findall skips the whitespace between them.
@@ -118,6 +120,8 @@ class _Tokens:
 
 
 def _check_dim(d: int) -> None:
+    if d < 0:
+        raise DimensionError(f"dimension must be >= 0, got {d}")
     if d > MAX_DIM:
         raise DimensionError(f"dimension {d} is above the largest, {MAX_DIM}")
 
@@ -159,15 +163,78 @@ def _rational(tk: _Tokens, i: int) -> tuple[int, int, int]:
     return num, den, i
 
 
-def _poly_atom(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
-    t = tk.toks[i]
+# A monomial (exps, degree, num, den) is num/den * t^exps, with exps a list
+# of dim exponents of total degree and num/den reduced.  Its size is that of
+# the one-term polynomial: degree -1 when num is 0, and max(bits(den),
+# bits(num)) coefficient bits.
+_Monomial = tuple[list[int], int, int, int]
+
+
+def _size(p: Polynomial | _Monomial) -> tuple[int, int, int]:
+    """The degree, coefficient bits (_coeff_bits) and term count of a
+    Polynomial or a monomial."""
+    if type(p) is Polynomial:
+        return p.degree, _coeff_bits(p), len(p.nums)
+    _, degree, num, den = p
+    bits = max(den.bit_length(), abs(num).bit_length())
+    return (degree, bits, 1) if num else (-1, bits, 0)
+
+
+def _times(P: Polynomial, m: _Monomial) -> Polynomial:
+    """P times the monomial m, its terms in P's order."""
+    exps, _, num, den = m
+    return _make(
+        P.dim,
+        {tuple(map(add, a, exps)): v * num for a, v in P.nums.items()},
+        P.den * den,
+    )
+
+
+def _multiply(
+    p: Polynomial | _Monomial, q: Polynomial | _Monomial
+) -> Polynomial | _Monomial:
+    """p * q for Polynomials or monomials, a monomial if both are, with the
+    terms in the order p * q has them."""
+    if type(p) is Polynomial:
+        return p * q if type(q) is Polynomial else _times(p, q)
+    if type(q) is Polynomial:
+        return _times(q, p)
+    exps, degree, num, den = p
+    qexps, qdegree, qnum, qden = q
+    num, den = num * qnum, den * qden
+    g = gcd(num, den)
+    return list(map(add, exps, qexps)), degree + qdegree, num // g, den // g
+
+
+def _poly_power(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial | _Monomial, int]:
+    """An atom with an optional exponent; each unary minus before it negates
+    the power, and a run of them is counted in a loop, not by recursion.
+    A parenthesised base gives a Polynomial, a number or t<j> a monomial."""
+    toks = tk.toks
+    signs = i
+    while toks[i] == "-":
+        i += 1
+    negate = (i - signs) % 2
+    t = toks[i]
     if t == "(":
-        p, i = _poly_sum(tk, i + 1, dim)
-        return p, tk.expect(i, ")")
+        base, i = _poly_sum(tk, i + 1, dim)
+        i = tk.expect(i, ")")
+        if toks[i] == "^":
+            n, i = tk.number(i + 1)
+            if base.nums:
+                # Each term of base^n comes from a multiset of n terms of base;
+                # with two or more terms the degree check keeps n small enough
+                # for comb.
+                _check_size(n * base.degree, n * _coeff_bits(base))
+                _check_terms(dim, n * base.degree, comb(len(base.nums) + n - 1, n))
+            base = base**n
+        return (-base if negate else base), i
+    j = 0
     if t[:1].isdigit():
         num, den, i = _rational(tk, i)
-        return Polynomial.constant(dim, Fraction(num, den)), i
-    if t[:1].isalpha():
+        g = gcd(num, den)
+        degree, num, den = 0, num // g, den // g
+    elif t[:1].isalpha():
         if not (t[0] == "t" and t[1:].isdigit()):
             raise tk.fail(i, "a t<j> variable")
         j = int(t[1:])
@@ -177,50 +244,65 @@ def _poly_atom(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
             )
         if j > dim:
             raise DimensionError(f"variable t{j} exceeds dimension {dim}")
-        return Polynomial.variable(dim, j), i + 1
-    raise tk.fail(i, "a number, variable, or '('")
-
-
-def _poly_power(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
-    """An atom with an optional exponent; each unary minus before it negates
-    the power, and a run of them is counted in a loop, not by recursion."""
-    signs = i
-    while tk.toks[i] == "-":
+        degree = num = den = 1
         i += 1
-    negate = (i - signs) % 2
-    base, i = _poly_atom(tk, i, dim)
-    if tk.toks[i] == "^":
+    else:
+        raise tk.fail(i, "a number, variable, or '('")
+    if toks[i] == "^":
         n, i = tk.number(i + 1)
-        if base.nums:
-            # Each term of base^n comes from a multiset of n terms of base; with
-            # two or more terms the degree check keeps n small enough for comb.
-            _check_size(n * base.degree, n * _coeff_bits(base))
-            _check_terms(dim, n * base.degree, comb(len(base.nums) + n - 1, n))
-        base = base**n
-    return (-base if negate else base), i
+        if num:
+            _check_size(n * degree, n * max(den.bit_length(), num.bit_length()))
+        degree, num, den = n * degree, num**n, den**n
+    exps = [0] * dim
+    if j:
+        exps[j - 1] = degree
+    return (exps, degree, -num if negate else num, den), i
 
 
-def _poly_product(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
+def _poly_product(
+    tk: _Tokens, i: int, dim: int
+) -> tuple[Polynomial | _Monomial, int]:
+    """A product of powers, a monomial until a factor is a Polynomial; each
+    * is checked with the size of the product so far and of its factor."""
     p, i = _poly_power(tk, i, dim)
     while tk.toks[i] == "*":
         q, i = _poly_power(tk, i + 1, dim)
-        _check_size(p.degree + q.degree, _coeff_bits(p) + _coeff_bits(q))
-        _check_terms(dim, p.degree + q.degree, len(p.nums) * len(q.nums))
-        p = p * q
+        pd, pb, pn = _size(p)
+        qd, qb, qn = _size(q)
+        _check_size(pd + qd, pb + qb)
+        _check_terms(dim, pd + qd, pn * qn)
+        p = _multiply(p, q)
     return p, i
 
 
 def _poly_sum(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
-    """A sum of products, added once by poly_sum (linear in its length)."""
-    parts = []
-    sign = "+"
+    """A sum of products, made into one Polynomial by one _make: the terms
+    of its products are added in text order over the lcm of their
+    denominators.  A sum of one Polynomial product is that Polynomial."""
+    toks = tk.toks
+    p, i = _poly_product(tk, i, dim)
+    if type(p) is Polynomial and toks[i] not in ("+", "-"):
+        return p, i
+    parts = []  # (numerators, denominator, sign)
+    sign = 1
     while True:
-        p, i = _poly_product(tk, i, dim)
-        parts.append(p if sign == "+" else -p)
-        sign = tk.toks[i]
-        if sign not in ("+", "-"):
-            return poly_sum(dim, parts), i
-        i += 1
+        if type(p) is Polynomial:
+            parts.append((p.nums, p.den, sign))
+        elif p[2]:
+            # A zero monomial adds no term, as a zero Polynomial adds none.
+            exps, _, num, den = p
+            parts.append(({tuple(exps): num}, den, sign))
+        if toks[i] not in ("+", "-"):
+            break
+        sign = 1 if toks[i] == "+" else -1
+        p, i = _poly_product(tk, i + 1, dim)
+    den = lcm(*[d for _, d, _ in parts])
+    out: dict[tuple[int, ...], int] = {}
+    for nums, d, sign in parts:
+        s = sign * (den // d)
+        for alpha, v in nums.items():
+            out[alpha] = out.get(alpha, 0) + v * s
+    return _make(dim, out, den), i
 
 
 def _check_nesting(tk: _Tokens) -> None:

@@ -35,8 +35,9 @@ MAX_SOLUTION_ORDER = MAX_ORDER + MAX_DEGREE
 MAX_DIGITS = 3000
 MAX_BITS = 10_000
 # The deepest nesting of parentheses in P.  The polynomial reader recurses
-# four calls per level, so 100 levels stay well inside Python's default
-# recursion limit of 1000 frames, with room for the callers' own frames.
+# three calls per level (sum, product, power), so 100 levels stay well
+# inside Python's default recursion limit of 1000 frames, with room for the
+# callers' own frames.
 MAX_NESTING = 100
 # The most terms the theta-action or the solver may hold: deep finite parts
 # or delta orders in several coordinates multiply out (160^2 delta terms

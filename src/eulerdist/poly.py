@@ -177,15 +177,17 @@ class Polynomial:
                 out[e] = c * apow[k] * bpow[n - k]
                 c = c * (n - k) // (k + 1)
             return _make(self.dim, out, self.den**n)
-        out = Polynomial.constant(self.dim, 1)
+        # Square and multiply, starting from the base at the lowest set bit
+        # of n rather than from the constant 1.
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return Polynomial.constant(self.dim, 1) if out is None else out
 
     def partial(self, j: int) -> "Polynomial":
         """Exact partial derivative with respect to z_j (1-based)."""

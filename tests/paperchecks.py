@@ -10,6 +10,8 @@ the package:
 - an expression in half-line atoms only, where its form is unique, and the
   canonical rule written out on it: the references that the reader and
   `atoms.dist` are tested against;
+- the polynomial reader that builds a Polynomial for every number, t<j>,
+  power and product, the reference `grammar.parse_poly` is tested against;
 - the brute-force lattice scan that `wagner.choose_eta`'s depth-first
   search is tested against;
 - the pairing of Wagner's elementary solution against a general chi on the
@@ -31,9 +33,24 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from eulerdist.atoms import Atom1D, Delta, DistExpr, MonLog, Term, delta_coord, dist
-from eulerdist.errors import DimensionError, EulerDistError, UnsupportedInput
+from eulerdist.errors import (
+    DimensionError,
+    EulerDistError,
+    ParseError,
+    UnsupportedInput,
+)
 from eulerdist.gausspoly import GaussPoly
-from eulerdist.poly import Polynomial, RationalLike, poly_eval, principal_part
+from eulerdist.grammar import (
+    _check_dim,
+    _check_nesting,
+    _check_size,
+    _check_terms,
+    _coeff_bits,
+    _rational,
+    _Tokens,
+)
+from eulerdist.limits import MAX_DIM
+from eulerdist.poly import Polynomial, RationalLike, poly_eval, poly_sum, principal_part
 from eulerdist.theta import _scale, apply_polynomial, theta_row
 from eulerdist.wagner import WagnerParams, _gauss_ft_1d
 
@@ -139,6 +156,86 @@ def apply_theta_expr(j: int, e: DistExpr) -> DistExpr:
         for c, a in apply_theta(f[j - 1]):
             terms.append((f[: j - 1] + (a,) + f[j:], coeff * c))
     return dist(e.dim, terms)
+
+
+# -- the polynomial reader, one Polynomial per atom --------------------------
+
+
+def _atom_by_atoms(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
+    t = tk.toks[i]
+    if t == "(":
+        p, i = _sum_by_atoms(tk, i + 1, dim)
+        return p, tk.expect(i, ")")
+    if t[:1].isdigit():
+        num, den, i = _rational(tk, i)
+        return Polynomial.constant(dim, Fraction(num, den)), i
+    if t[:1].isalpha():
+        if not (t[0] == "t" and t[1:].isdigit()):
+            raise tk.fail(i, "a t<j> variable")
+        j = int(t[1:])
+        if not 1 <= j <= MAX_DIM:
+            raise ParseError(
+                f"variable index out of range 1..{MAX_DIM}: {t}", tk.offset(i)
+            )
+        if j > dim:
+            raise DimensionError(f"variable t{j} exceeds dimension {dim}")
+        return Polynomial.variable(dim, j), i + 1
+    raise tk.fail(i, "a number, variable, or '('")
+
+
+def _power_by_atoms(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
+    signs = i
+    while tk.toks[i] == "-":
+        i += 1
+    negate = (i - signs) % 2
+    base, i = _atom_by_atoms(tk, i, dim)
+    if tk.toks[i] == "^":
+        n, i = tk.number(i + 1)
+        if base.nums:
+            _check_size(n * base.degree, n * _coeff_bits(base))
+            _check_terms(dim, n * base.degree, math.comb(len(base.nums) + n - 1, n))
+        base = base**n
+    return (-base if negate else base), i
+
+
+def _product_by_atoms(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
+    p, i = _power_by_atoms(tk, i, dim)
+    while tk.toks[i] == "*":
+        q, i = _power_by_atoms(tk, i + 1, dim)
+        _check_size(p.degree + q.degree, _coeff_bits(p) + _coeff_bits(q))
+        _check_terms(dim, p.degree + q.degree, len(p.nums) * len(q.nums))
+        p = p * q
+    return p, i
+
+
+def _sum_by_atoms(tk: _Tokens, i: int, dim: int) -> tuple[Polynomial, int]:
+    parts = []
+    sign = "+"
+    while True:
+        p, i = _product_by_atoms(tk, i, dim)
+        parts.append(p if sign == "+" else -p)
+        sign = tk.toks[i]
+        if sign not in ("+", "-"):
+            return poly_sum(dim, parts), i
+        i += 1
+
+
+def parse_poly_by_atoms(src: str, dim: int | None = None) -> Polynomial:
+    """parse_poly through a Polynomial for every number and t<j>, a product
+    by Polynomial.__mul__ for every '*', and one poly_sum per sum, with the
+    same checks at the same places; the reference the reader is tested
+    against."""
+    if dim is not None:
+        _check_dim(dim)
+    tk = _Tokens(src)
+    _check_nesting(tk)
+    if dim is None:
+        idx = [t[1:] for t in tk.toks if t[:1] == "t" and t[1:].isdigit()]
+        dim = min(MAX_DIM, max([1, *(int(j.lstrip("0")[:2] or "0") for j in idx)]))
+    p, i = _sum_by_atoms(tk, 0, dim)
+    if tk.toks[i]:
+        raise tk.fail(i, "end of input or an operator")
+    return p
 
 
 # -- the Wagner direction eta, by brute force ------------------------------

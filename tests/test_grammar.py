@@ -5,18 +5,26 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerdist import grammar
+from eulerdist import grammar, poly
 from eulerdist.atoms import Delta, MonLog, dist
 from eulerdist.errors import (
     CoordinateConflict,
     DimensionError,
+    EulerDistError,
     InputTooLarge,
     ParseError,
 )
 from eulerdist.grammar import format_dist, format_poly, parse_dist, parse_poly
 from eulerdist.limits import MAX_NESTING
 from eulerdist.poly import Polynomial
-from paperchecks import compressed_form, full_monomial, half_line_form, single
+from paperchecks import (
+    compressed_form,
+    full_monomial,
+    half_line_form,
+    parse_poly_by_atoms,
+    single,
+)
+from test_cli import _deep_poly_text
 
 
 def zvar(d, j):
@@ -96,6 +104,11 @@ class TestParsePoly:
     def test_unary_minus_run_is_read_in_a_loop(self, signs):
         want = parse_poly("-t1^2" if signs % 2 else "t1^2")
         assert parse_poly("-" * signs + "t1^2") == want
+
+    @pytest.mark.parametrize("src", ["1", "t1", "$"])
+    def test_negative_dimension_is_refused_before_reading(self, src):
+        with pytest.raises(DimensionError, match="^dimension must be >= 0, got -3$"):
+            parse_poly(src, -3)
 
 
 class TestParseDist:
@@ -540,3 +553,136 @@ polys = st.dictionaries(
 @given(polys)
 def test_format_parse_poly_identity(P):
     assert parse_poly(format_poly(P), 2) == P
+
+
+# -- the polynomial reader against the one that builds a Polynomial per atom --
+
+
+def _read(parse, text, d):
+    """The Polynomial with its terms in order, or the error's type, message
+    and position."""
+    try:
+        P = parse(text, d)
+    except EulerDistError as e:
+        return type(e), str(e), getattr(e, "position", None)
+    return P, list(P.nums)
+
+
+POLY_EDGES = [
+    "0^0",
+    "0*t1^1000*t1^1000",
+    "t1^1000*t1^1000*0",
+    "2^5000",
+    "(1/2)^20000",
+    "4/6*t1",
+    "--t1",
+    "t1*-t1",
+    "(t1+t2+t3+t4+t5+t6)^8",
+    "t3",
+    "1",
+    "t01",
+    # Exactly at the bit bound, past it if a literal or the product so far
+    # is not reduced, or a negative coefficient is measured with its sign:
+    # 2^36 has 37 bits and 10^2999 has 9963.
+    "2/6^4000",
+    "1/2*2^37*1" + "0" * 2999,
+    "-2^36*1" + "0" * 2999,
+    # A zero term keeps no place in the term order.
+    "0*t1 + t2 + t1",
+    # 1001 terms, read; a product with them is refused at the term bound.
+    "("
+    + " + ".join([f"t1^{k}" for k in range(501)] + [f"t1^{k}*t2" for k in range(500)])
+    + ")*t1",
+]
+
+# Bases whose powers reach the degree, bit and term bounds at a power or at
+# a '*' between them.
+_BASES = [
+    "0", "1", "3", "2/6", "5/3", "(7)", "t1", "t2", "t3",
+    "(t1 + 1)", "(1/2*t1 - 3*t2)", "(t1 + t2 + t3 + 1)", "(t1*t2 - 1/3)",
+]
+
+
+@st.composite
+def _sized_text(draw):
+    """Sums of products of powers of _BASES, now and then negated, raised or
+    followed by a syntax error, so that the first refusal may come at a
+    power, at a '*', at the term bound or at the syntax error after them."""
+    exponent = st.one_of(
+        st.integers(0, 3),
+        st.integers(0, 12),
+        st.integers(300, 700),
+        st.integers(2000, 6000),
+    )
+    products = []
+    for _ in range(draw(st.integers(1, 3))):
+        powers = []
+        for _ in range(draw(st.integers(1, 4))):
+            power = draw(st.sampled_from(["", "-"])) + draw(st.sampled_from(_BASES))
+            if draw(st.booleans()):
+                power += f"^{draw(exponent)}"
+            powers.append(power)
+        products.append("*".join(powers))
+    text = draw(st.sampled_from([" + ", " - "])).join(products)
+    if draw(st.booleans()):
+        text = f"-({text})^{draw(st.integers(0, 3))}"
+    return text + draw(st.sampled_from(["", "", "", "*)", "^"]))
+
+
+# Equal polynomials, with their terms in the same order (the solver's log
+# system and wagner-check's float sums iterate them), or the same error at
+# the same offset.
+
+
+@pytest.mark.parametrize("d", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "text", POLY_EDGES, ids=lambda t: t if len(t) < 40 else f"{t[:16]}...{len(t)}"
+)
+def test_edge_text_matches_the_reader_by_atoms(text, d):
+    assert _read(parse_poly, text, d) == _read(parse_poly_by_atoms, text, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(1, 3).flatmap(_deep_poly_text), _sized_text()),
+    st.sampled_from([None, 0, 1, 2, 3]),
+)
+def test_reader_matches_the_reader_by_atoms(text, d):
+    assert _read(parse_poly, text, d) == _read(parse_poly_by_atoms, text, d)
+
+
+def _counted_makes(monkeypatch):
+    """Count the polynomials made, through _make wherever grammar and poly
+    look it up."""
+    made = []
+    make = poly._make
+
+    def counted(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(poly, "_make", counted)
+    monkeypatch.setattr(grammar, "_make", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "text", ["(2*t1 + t3^2 - t2*t4 + 5)", "2*t1 + t3^2 - t2*t4 + 5"]
+)
+def test_a_sum_of_monomial_products_makes_one_polynomial(monkeypatch, text):
+    made = _counted_makes(monkeypatch)
+    P = parse_poly(text, 4)
+    # The sum's one _make; the parentheses around it add none.
+    assert len(made) == 1
+    assert P == parse_poly_by_atoms(text, 4)
+
+
+def test_a_product_of_powered_sums_makes_one_polynomial_per_step(monkeypatch):
+    text = "(2*t1 - t2 + 3)^4*(t2^2 + t1 - 2*t2 + 5)"
+    made = _counted_makes(monkeypatch)
+    P = parse_poly(text)
+    # One per sum (2), two squarings for ^4 (square and multiply starts from
+    # the base, not from 1), one for the '*'; the outer sum of one product
+    # is that product.
+    assert len(made) == 5
+    assert P == parse_poly_by_atoms(text)
